@@ -86,13 +86,22 @@ class ExpansionResult:
 
 
 def hsu_expansion(inp: ExpansionInput) -> ExpansionResult:
-    n, s, lam = inp.n, inp.s, inp.lam
+    return _expand(_w_row(inp), inp.n, inp.lam)
+
+
+def _w_row(inp: ExpansionInput) -> list[Fraction]:
+    """W(n, 0..s); these do not depend on lam."""
+    return [w_coefficient(inp.a, inp.n, j) for j in range(inp.s + 1)]
+
+
+def _expand(ws: Sequence[Fraction], n: int, lam: Fraction) -> ExpansionResult:
+    """The expansion at one lam from precomputed W(n, 0..s)."""
     terms = []
-    for j in range(s + 1):
+    for j, w in enumerate(ws):
         denom = falling(lam - n + j, j)
         if denom == 0:
             raise ValueError(f"vanishing denominator (lam-n+j)_j at j={j}")
-        terms.append(w_coefficient(inp.a, n, j) / denom)
+        terms.append(w / denom)
     total = sum(terms, Fraction(0))
     predicted = falling(lam, n) * math.factorial(n) * total
     return ExpansionResult(tuple(terms), total, predicted)
@@ -195,13 +204,15 @@ def error_decay_report(alpha, beta, gamma, x, n: int, s: int,
     """
     al, b, g, x = _q(alpha), _q(beta), _q(gamma), _q(x)
     a = a_coefficients(al, b, g, x, n)
+    ws = None  # W(n, 0..s), shared by every lam
     rows = []
     for lam in lambdas:
         if not isinstance(lam, int) or lam <= n - 1:
             raise ValueError(f"lam={lam} must be an integer > n-1 = {n - 1}")
         exact = a_eval(PolyParams(lam, al, b, lam * g), n, x)
-        res = hsu_expansion(ExpansionInput(tuple(a), n, s, Fraction(lam)))
-        rows.append(DecayRow(lam, exact, res.predicted))
+        if ws is None:
+            ws = _w_row(ExpansionInput(tuple(a), n, s, Fraction(lam)))
+        rows.append(DecayRow(lam, exact, _expand(ws, n, Fraction(lam)).predicted))
     return DecayReport(al, b, g, x, n, s, tuple(rows))
 
 

@@ -30,6 +30,7 @@ from .geom import PolyParams, a_explicit, a_eval, m_numbers, m_polynomial
 from .harness import GridSpec, default_grid, run_suite
 from .oracle import BPAConfig, count_bpa
 from .stirling import StirlingParams, stirling_dual, stirling_rec
+from .xpoly import XPolynomial
 
 FAMILIES = ("stirling", "stirling-dual", "A", "M", "exp-poly", "euler")
 
@@ -79,21 +80,39 @@ def _write(text: str, out: str | None):
             fh.write(text)
 
 
-def _table(header: list[str], rows: list[list[str]], records: list[dict],
-           fmt: str, out: str | None):
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, XPolynomial):
+        return ";".join(str(c) for c in v.coeffs)
+    return str(v)
+
+
+def _json_cell(v):
+    if isinstance(v, XPolynomial):
+        return [str(c) for c in v.coeffs]
+    return str(v) if isinstance(v, Fraction) else v
+
+
+def _table(header: list[str], records: list[dict], fmt: str, out: str | None,
+           prefix: dict | None = None):
+    """Render records keyed by header, in the one format asked for.
+
+    Cells stay raw values until here, so each big rational is turned into a
+    string once.  JSON writes rationals as strings, polynomials as lists of
+    coefficient strings and everything else as is; every JSON record starts
+    with the prefix fields.
+    """
     if fmt == "csv":
-        lines = [",".join(header)] + [",".join(row) for row in rows]
+        lines = [",".join(header)] + [
+            ",".join(_csv_cell(rec[h]) for h in header) for rec in records
+        ]
         _write("\n".join(lines) + "\n", out)
     else:
-        _write("".join(json.dumps(rec) + "\n" for rec in records), out)
-
-
-def _coeff_cell(poly) -> str:
-    return ";".join(str(c) for c in poly.coeffs)
-
-
-def _coeff_list(poly) -> list[str]:
-    return [str(c) for c in poly.coeffs]
+        _write("".join(
+            json.dumps({**(prefix or {}),
+                        **{h: _json_cell(rec[h]) for h in header}}) + "\n"
+            for rec in records), out)
 
 
 def _need(args, names: list[str]):
@@ -107,25 +126,20 @@ def cmd_compute(args) -> int:
     if args.family is None:
         return _fail("compute needs a family (positional or --family)")
     try:
-        header, rows, records = _compute_rows(args)
+        header, params_repr, records = _compute_rows(args)
     except ValueError as e:
         return _fail(str(e))
-    _table(header, rows, records, args.format, args.out)
+    _table(header, records, args.format, args.out,
+           {"family": args.family, "params": params_repr})
     return 0
 
 
 def _compute_rows(args):
+    """(header, params repr, records) of a compute table; cells are raw values."""
     fam = args.family
     ns = args.n
     if ns is None:
         raise ValueError("compute needs --n")
-
-    rows, records = [], []
-
-    def record(n, extra: dict):
-        base = {"family": fam, "params": params_repr, "n": n}
-        base.update(extra)
-        records.append(base)
 
     if fam in ("stirling", "stirling-dual"):
         _need(args, ["alpha", "beta", "gamma"])
@@ -133,94 +147,49 @@ def _compute_rows(args):
         value = stirling_rec if fam == "stirling" else stirling_dual
         params_repr = {"alpha": str(sp.alpha), "beta": str(sp.beta),
                        "gamma": str(sp.gamma)}
-        header = ["n", "k", "value"]
-        for n in ns:
-            ks = [args.k] if args.k is not None else range(n + 1)
-            for k in ks:
-                v = value(sp, n, k)
-                rows.append([str(n), str(k), str(v)])
-                record(n, {"k": k, "value": str(v)})
-        return header, rows, records
+        records = [{"n": n, "k": k, "value": value(sp, n, k)}
+                   for n in ns
+                   for k in ([args.k] if args.k is not None else range(n + 1))]
+        return ["n", "k", "value"], params_repr, records
 
     if fam == "A":
         _need(args, ["lam", "alpha", "beta", "gamma"])
         p = PolyParams(args.lam, args.alpha, args.beta, args.gamma)
         params_repr = {"lambda": p.lam, "alpha": str(p.alpha),
                        "beta": str(p.beta), "gamma": str(p.gamma)}
-        if args.x is not None:
-            params_repr["x"] = str(args.x)
-            header = ["n", "value"]
-            for n in ns:
-                v = a_eval(p, n, args.x)
-                rows.append([str(n), str(v)])
-                record(n, {"value": str(v)})
-        else:
-            header = ["n", "coeffs"]
-            for n in ns:
-                poly = a_explicit(p, n)
-                rows.append([str(n), _coeff_cell(poly)])
-                record(n, {"coeffs": _coeff_list(poly)})
-        return header, rows, records
-
-    if fam == "M":
+        at = args.x
+        value = lambda n: a_eval(p, n, at)
+        poly = lambda n: a_explicit(p, n)
+    elif fam == "M":
         _need(args, ["alpha", "beta"])
         params_repr = {"alpha": str(args.alpha), "beta": str(args.beta)}
-        if args.x is not None:
-            params_repr["x"] = str(args.x)
-            header = ["n", "value"]
-            for n in ns:
-                v = m_numbers(args.alpha, args.beta, args.x, n)
-                rows.append([str(n), str(v)])
-                record(n, {"value": str(v)})
-        else:
-            header = ["n", "coeffs"]
-            for n in ns:
-                poly = m_polynomial(args.alpha, args.beta, n)
-                rows.append([str(n), _coeff_cell(poly)])
-                record(n, {"coeffs": _coeff_list(poly)})
-        return header, rows, records
-
-    if fam == "exp-poly":
+        at = args.x
+        value = lambda n: m_numbers(args.alpha, args.beta, at, n)
+        poly = lambda n: m_polynomial(args.alpha, args.beta, n)
+    elif fam == "exp-poly":
         _need(args, ["alpha", "beta", "gamma"])
         p = ExpPolyParams(args.alpha, args.beta, args.gamma)
         params_repr = {"alpha": str(p.alpha), "beta": str(p.beta),
                        "r": str(p.r)}
-        if args.x is not None:
-            params_repr["x"] = str(args.x)
-            header = ["n", "value"]
-            for n in ns:
-                v = s_exp_eval(p, n, args.x)
-                rows.append([str(n), str(v)])
-                record(n, {"value": str(v)})
-        else:
-            header = ["n", "coeffs"]
-            for n in ns:
-                poly = s_exp_explicit(p, n)
-                rows.append([str(n), _coeff_cell(poly)])
-                record(n, {"coeffs": _coeff_list(poly)})
-        return header, rows, records
-
-    if fam == "euler":
+        at = args.x
+        value = lambda n: s_exp_eval(p, n, at)
+        poly = lambda n: s_exp_explicit(p, n)
+    elif fam == "euler":
         _need(args, ["lam", "alpha", "beta"])
         p = EulerParams(args.lam, args.alpha, args.beta)
         params_repr = {"lambda": p.lam, "alpha": str(p.alpha),
                        "beta": str(p.beta)}
-        if args.gamma is not None:
-            params_repr["gamma"] = str(args.gamma)
-            header = ["n", "value"]
-            for n in ns:
-                v = euler_via_a(p, args.gamma, n)
-                rows.append([str(n), str(v)])
-                record(n, {"value": str(v)})
-        else:
-            header = ["n", "coeffs"]
-            for n in ns:
-                poly = euler_polynomial(p, n)
-                rows.append([str(n), _coeff_cell(poly)])
-                record(n, {"coeffs": _coeff_list(poly)})
-        return header, rows, records
+        at = args.gamma
+        value = lambda n: euler_via_a(p, at, n)
+        poly = lambda n: euler_polynomial(p, n)
+    else:
+        raise ValueError(f"unsupported family {fam!r}")
 
-    raise ValueError(f"unsupported family {fam!r}")
+    if at is None:
+        return ["n", "coeffs"], params_repr, [
+            {"n": n, "coeffs": poly(n)} for n in ns]
+    params_repr["gamma" if fam == "euler" else "x"] = str(at)
+    return ["n", "value"], params_repr, [{"n": n, "value": value(n)} for n in ns]
 
 
 def cmd_verify(args) -> int:
@@ -266,21 +235,14 @@ def cmd_asymptotic(args) -> int:
                                     args.x, args.n, args.s, args.lambdas)
     except ValueError as e:
         return _fail(str(e))
-    ratios = report.ratios()
     header = ["lambda", "exact", "predicted", "rel_error", "ratio"]
-    rows, records = [], []
-    for row, ratio in zip(report.rows, ratios):
-        err = format_sig(row.rel_error)
-        rat = "" if ratio is None else format_sig(ratio)
-        rows.append([str(row.lam), str(row.exact), str(row.predicted), err, rat])
-        records.append({
-            "lambda": row.lam,
-            "exact": str(row.exact),
-            "predicted": str(row.predicted),
-            "rel_error": err,
-            "ratio": None if ratio is None else format_sig(ratio),
-        })
-    _table(header, rows, records, args.format, args.out)
+    records = [
+        {"lambda": row.lam, "exact": row.exact, "predicted": row.predicted,
+         "rel_error": format_sig(row.rel_error),
+         "ratio": None if ratio is None else format_sig(ratio)}
+        for row, ratio in zip(report.rows, report.ratios())
+    ]
+    _table(header, records, args.format, args.out)
     return 0
 
 

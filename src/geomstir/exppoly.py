@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from scipy.special import roots_genlaguerre
-
 from .geom import PolyParams, a_eval
 from .series import Series, binomial_series, gff, series_exp
-from .stirling import StirlingParams, stirling_rec
+from .stirling import StirlingParams, stirling_rec, stirling_row
 from .xpoly import XPolynomial
 
 Rational = Fraction
@@ -46,8 +44,7 @@ class ExpPolyParams:
 
 def s_exp_explicit(p: ExpPolyParams, n: int) -> XPolynomial:
     """S_n as a polynomial in x, straight from the triangle rows."""
-    sp = p.stirling()
-    return XPolynomial([stirling_rec(sp, n, k) for k in range(n + 1)])
+    return XPolynomial(stirling_row(p.stirling(), n))
 
 
 def s_exp_eval(p: ExpPolyParams, n: int, x) -> Fraction:
@@ -153,6 +150,9 @@ def check_integral_rep(params: PolyParams, x: float, n: int) -> tuple[float, flo
     """
     if params.lam < 1:
         raise ValueError("integral route needs lam >= 1")
+    # scipy is the slowest import in the package and only this route needs it
+    from scipy.special import roots_genlaguerre
+
     nodes, weights = roots_genlaguerre(max(n + 2, 16), params.lam - 1)
     inner = ExpPolyParams(params.alpha, -params.beta, -params.gamma)
     sn = s_exp_explicit(inner, n)

@@ -39,7 +39,7 @@ from .series import (
     series_int_pow,
     series_one,
 )
-from .stirling import StirlingParams, stirling_rec
+from .stirling import StirlingParams, stirling_int_row, stirling_rec
 from .xpoly import XPolynomial
 
 Rational = Fraction
@@ -89,17 +89,17 @@ def a_explicit(params: PolyParams, n: int) -> XPolynomial:
     """A_n via the generalized Stirling column sum."""
     if n < 0:
         raise ValueError("need n >= 0")
-    sp = _stirling_a(params)
+    # With S(n,k) = T(n,k) / d^(n-k) and beta = (beta d) / d, every
+    # coefficient is an integer over the shared denominator d^n:
+    #   C(k+lam-1, k) (-1)^(n+k) k! (beta d)^k T(n,k) / d^n
+    d, row = stirling_int_row(_stirling_a(params), n)
+    bd = int(params.beta * d)  # exact: d is a multiple of beta's denominator
+    den = d ** n
     coeffs = []
-    sign = (-1) ** n
-    bpow = Fraction(1)
-    for k in range(n + 1):
-        c = lam_binom(params.lam, k)
-        coeffs.append(
-            c * sign * bpow * math.factorial(k) * stirling_rec(sp, n, k)
-        )
-        sign = -sign
-        bpow *= params.beta
+    mult = -1 if n % 2 else 1  # (-1)^(n+k) k! (beta d)^k
+    for k, t in enumerate(row):
+        coeffs.append(Fraction(lam_binom(params.lam, k) * mult * t, den))
+        mult *= -(k + 1) * bd
     return XPolynomial(coeffs)
 
 

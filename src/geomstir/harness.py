@@ -43,6 +43,7 @@ from .stirling import (
     param_swap_rhs,
     stirling_explicit,
     stirling_rec,
+    stirling_row,
 )
 from .xpoly import XPolynomial
 
@@ -259,8 +260,7 @@ def _ev_routes_stirling(pt: Point) -> dict:
     sp = StirlingParams(pt["alpha"], pt["beta"], pt["gamma"])
     n = pt["n"]
     exp_row = tuple(stirling_explicit(sp, n, k) for k in range(n + 1))
-    rec_row = tuple(stirling_rec(sp, n, k) for k in range(n + 1))
-    return {"explicit-vs-recurrence": (exp_row, rec_row)}
+    return {"explicit-vs-recurrence": (exp_row, stirling_row(sp, n))}
 
 
 def _ev_orthogonality(pt: Point) -> dict:
@@ -387,8 +387,8 @@ def _ev_eq8(pt: Point) -> dict:
     doubled = StirlingParams(sp.alpha, sp.beta, 2 * sp.gamma)
     rhs = tuple(param_swap_rhs(sp, n, k) for k in range(n + 1))
     return {
-        "printed": (tuple(stirling_rec(swapped, n, k) for k in range(n + 1)), rhs),
-        "gamma-doubled": (tuple(stirling_rec(doubled, n, k) for k in range(n + 1)), rhs),
+        "printed": (stirling_row(swapped, n), rhs),
+        "gamma-doubled": (stirling_row(doubled, n), rhs),
     }
 
 

@@ -14,6 +14,15 @@ Specializations: (0, 1, 0) gives the partition-count triangle, (1, 0, 0)
 the signed factorial-expansion triangle, (0, 1, r) and (1, 0, r) their
 shifted variants.  The triangle with parameters (beta, alpha, -gamma) is
 the two-sided inverse, which is what stirling_dual computes.
+
+The table is built over plain integers.  With d the lcm of the three
+parameter denominators and A, B, G the parameters times d, the scaled
+entries T(n, k) = S(n, k) * d^(n-k) are integers satisfying
+
+    T(n+1, k) = T(n, k-1) + (k*B - n*A + G) * T(n, k),
+
+so a row costs integer multiply-adds and no gcd.  The rational row
+S(n, k) = T(n, k) / d^(n-k) is formed once, the first time it is read.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ from fractions import Fraction
 from .series import Series, binom, binomial_series, gff, series_int_pow
 
 Rational = Fraction
+
+_ZERO = Fraction(0)
 
 
 def _q(v) -> Fraction:
@@ -42,39 +53,64 @@ class StirlingParams:
         object.__setattr__(self, "alpha", _q(self.alpha))
         object.__setattr__(self, "beta", _q(self.beta))
         object.__setattr__(self, "gamma", _q(self.gamma))
+        # every table read hashes the triple; hash the three Fractions once
+        object.__setattr__(self, "_hash", hash((self.alpha, self.beta, self.gamma)))
+
+    def __hash__(self):
+        return self._hash
 
     def dual(self) -> "StirlingParams":
         return StirlingParams(self.beta, self.alpha, -self.gamma)
 
 
 class StirlingTable:
-    """Row-by-row memoized triangle for one parameter triple."""
+    """Row-by-row memoized triangle for one parameter triple.
+
+    Integer rows T(n, .) are extended on demand; rational rows are built
+    from them the first time they are read and kept.
+    """
 
     def __init__(self, params: StirlingParams):
         self.params = params
-        self._rows = [[Fraction(1)]]
+        a, b, g = params.alpha, params.beta, params.gamma
+        self.scale = d = math.lcm(a.denominator, b.denominator, g.denominator)
+        self._abg = (int(a * d), int(b * d), int(g * d))  # exact: d clears them
+        self._ints: list[tuple[int, ...]] = [(1,)]
+        self._rows: dict[int, tuple[Fraction, ...]] = {}
         self._lock = threading.Lock()
 
     def _extend(self, n: int):
-        a, b, g = self.params.alpha, self.params.beta, self.params.gamma
-        while len(self._rows) <= n:
-            m = len(self._rows) - 1  # previous row index
-            prev = self._rows[-1]
-            row = [prev[0] * (g - m * a)]
-            for k in range(1, m + 1):
-                row.append(prev[k - 1] + (k * b - m * a + g) * prev[k])
-            row.append(Fraction(1))
-            self._rows.append(row)
+        a, b, g = self._abg
+        ints = self._ints
+        while len(ints) <= n:
+            m = len(ints) - 1  # previous row index
+            prev = ints[-1]
+            c = g - m * a  # k*B - m*A + G at k = 0
+            row = [prev[0] * c]
+            for lo, hi in zip(prev, prev[1:]):
+                c += b
+                row.append(lo + c * hi)
+            row.append(1)
+            ints.append(tuple(row))
 
-    def value(self, n: int, k: int) -> Fraction:
+    def int_row(self, n: int) -> tuple[int, ...]:
+        """T(n, 0..n) = S(n, k) * scale^(n-k), as integers."""
         if n < 0:
             raise ValueError("need n >= 0")
-        if k < 0 or k > n:
-            return Fraction(0)
-        if len(self._rows) <= n:
+        if len(self._ints) <= n:
             with self._lock:
                 self._extend(n)
-        return self._rows[n][k]
+        return self._ints[n]
+
+    def row(self, n: int) -> tuple[Fraction, ...]:
+        """S(n, 0..n)."""
+        try:
+            return self._rows[n]
+        except KeyError:
+            pass
+        d = self.scale
+        row = tuple(Fraction(t, d ** (n - k)) for k, t in enumerate(self.int_row(n)))
+        return self._rows.setdefault(n, row)
 
 
 _tables: dict[StirlingParams, StirlingTable] = {}
@@ -89,9 +125,21 @@ def _table(params: StirlingParams) -> StirlingTable:
             return _tables.setdefault(params, StirlingTable(params))
 
 
+def stirling_row(params: StirlingParams, n: int) -> tuple[Fraction, ...]:
+    """S(n, 0..n) from the memoized recurrence; works for every rational triple."""
+    return _table(params).row(n)
+
+
+def stirling_int_row(params: StirlingParams, n: int) -> tuple[int, tuple[int, ...]]:
+    """(d, T(n, 0..n)) with S(n, k) = T(n, k) / d^(n-k) and every T an integer."""
+    table = _table(params)
+    return table.scale, table.int_row(n)
+
+
 def stirling_rec(params: StirlingParams, n: int, k: int) -> Fraction:
     """S(n, k) from the memoized recurrence; works for every rational triple."""
-    return _table(params).value(n, k)
+    row = stirling_row(params, n)
+    return row[k] if 0 <= k <= n else _ZERO
 
 
 def stirling_explicit(params: StirlingParams, n: int, k: int) -> Fraction:

@@ -15,8 +15,9 @@ Scalar = Union[int, Fraction]
 
 
 def _canonical(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
+    # Fraction(c) of a Fraction is slow and changes nothing; skip it
+    cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 

@@ -93,3 +93,21 @@ def test_integral_route_matches_exact():
 def test_integral_route_needs_positive_order():
     with pytest.raises(ValueError):
         check_integral_rep(PolyParams(0, Q(0), Q(1), Q(0)), 1.0, 2)
+
+
+def test_import_leaves_scipy_unloaded():
+    # only the quadrature route needs scipy, and it imports it on first use
+    import os
+    import subprocess
+    import sys
+
+    import geomstir
+
+    src = os.path.dirname(os.path.dirname(geomstir.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, geomstir; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomstir import (
+    PolyParams,
     StirlingParams,
+    a_explicit,
+    a_recurrence,
     param_swap_rhs,
     stirling_dual,
     stirling_egf_check,
     stirling_explicit,
     stirling_rec,
+    stirling_row,
 )
+from geomstir import stirling
 from bruteforce import stirling2_count
 
 Q = Fraction
@@ -107,3 +112,55 @@ def test_recurrence_property(a, b, g, n, k):
     lhs = stirling_rec(p, n + 1, k)
     prev = stirling_rec(p, n, k - 1) if k >= 1 else Q(0)
     assert lhs == prev + (k * b - n * a + g) * stirling_rec(p, n, k)
+
+
+def test_equal_triples_hash_equal_and_share_one_table():
+    spellings = [
+        StirlingParams(1, 0, -2),
+        StirlingParams(Q(1), Q(0), Q(-2)),
+        StirlingParams("1", "0/5", "-4/2"),
+    ]
+    halves = [StirlingParams(Q(1, 2), -1, "3/2"), StirlingParams("1/2", "-1", Q(3, 2))]
+    for group in (spellings, halves):
+        first = group[0]
+        for p in group[1:]:
+            assert p == first and hash(p) == hash(first)
+            assert stirling._table(p) is stirling._table(first)
+    # equality still compares the fields
+    assert spellings[0] != halves[0]
+    assert StirlingParams(1, 0, -2) != StirlingParams(1, 0, 2)
+
+
+def _fraction_triangle(a, b, g, n_max):
+    """The plain Fraction recurrence, one cell at a time."""
+    rows = [[Q(1)]]
+    for m in range(n_max):
+        prev = rows[-1]
+        row = []
+        for k in range(m + 2):
+            left = prev[k - 1] if k >= 1 else Q(0)
+            here = prev[k] if k <= m else Q(0)
+            row.append(left + (k * b - m * a + g) * here)
+        rows.append(row)
+    return rows
+
+
+mixed_q = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_q, mixed_q, mixed_q, st.integers(min_value=0, max_value=25))
+def test_integer_scaled_table_matches_fraction_recurrence(a, b, g, n):
+    p = StirlingParams(a, b, g)
+    want = _fraction_triangle(a, b, g, n)
+    for m in range(n + 1):
+        assert stirling_row(p, m) == tuple(want[m])
+    assert stirling_rec(p, n, n + 1) == 0 and stirling_rec(p, n, -1) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=3), mixed_q, mixed_q, mixed_q,
+       st.integers(min_value=0, max_value=25))
+def test_a_explicit_from_integer_rows_matches_recurrence(lam, a, b, g, n):
+    p = PolyParams(lam, a, b, g)
+    assert a_explicit(p, n) == a_recurrence(p, n)
