@@ -7,13 +7,12 @@ reading to a minimal one, and rank recorded readings by failure share.
 
 Examples:
     python3 scripts/run_conformance.py
-    python3 scripts/run_conformance.py --n-max 10 --threads 4
+    python3 scripts/run_conformance.py --n-max 10
     python3 scripts/run_conformance.py --select euler-rec spivey --minimize
 """
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -40,8 +39,6 @@ def main() -> int:
                     help="override the brute-force oracle cutoff")
     ap.add_argument("--select", nargs="*", default=None,
                     help="identity ids to run (default: all)")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="evaluate identities in a thread pool")
     ap.add_argument("--json", default=None, metavar="PATH",
                     help="also dump the full report as JSON")
     ap.add_argument("--minimize", action="store_true",
@@ -56,8 +53,6 @@ def main() -> int:
         grid = replace(grid, oracle_n_max=args.oracle_n_max)
     if args.select is not None:
         grid = replace(grid, select=tuple(args.select))
-    if args.threads is not None:
-        os.environ["GEOMSTIR_THREADS"] = str(args.threads)
 
     report = run_suite(grid)
     sys.stdout.write(report.to_text())
@@ -90,7 +85,7 @@ def main() -> int:
             small = counterexample_minimize(ident.id, reading.name, seed)
             print(f"  {ident.id} / {reading.name}: {_show(small)}")
 
-    return 0 if not report.hard_failures() else 1
+    return 0 if report.hard_pass else 1
 
 
 if __name__ == "__main__":

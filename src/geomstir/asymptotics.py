@@ -202,6 +202,10 @@ def error_decay_report(alpha, beta, gamma, x, n: int, s: int,
     lam values must be integers (the exact route needs an integer order)
     and must exceed n - 1 so the expansion denominators are nonzero.
     """
+    if not 0 <= s <= n:
+        raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
+    if not lambdas:
+        raise ValueError("need at least one lambda")
     al, b, g, x = _q(alpha), _q(beta), _q(gamma), _q(x)
     a = a_coefficients(al, b, g, x, n)
     ws = None  # W(n, 0..s), shared by every lam

@@ -8,8 +8,7 @@ Subcommands:
 
 All parameters are exact rationals written as integers or "p/q"; decimal
 input is rejected to keep binary floats out of the pipeline.  Output for a
-fixed invocation is byte-identical across runs.  GEOMSTIR_THREADS caps the
-verify parallelism.
+fixed invocation is byte-identical across runs.
 
 Exit codes: 0 success, 1 identity/oracle failure, 2 usage or parse error.
 """
@@ -209,7 +208,7 @@ def cmd_verify(args) -> int:
         return _fail(str(e))
     text = report.to_json() + "\n" if args.format == "json" else report.to_text()
     _write(text, args.out)
-    return 0 if not report.hard_failures() else 1
+    return 0 if report.hard_pass else 1
 
 
 def cmd_oracle(args) -> int:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .geom import PolyParams, a_eval
 from .series import Series, binomial_series, gff, series_exp
-from .stirling import StirlingParams, stirling_rec, stirling_row
+from .stirling import StirlingParams, stirling_int_row, stirling_rec
 from .xpoly import XPolynomial
 
 Rational = Fraction
@@ -43,8 +43,13 @@ class ExpPolyParams:
 
 
 def s_exp_explicit(p: ExpPolyParams, n: int) -> XPolynomial:
-    """S_n as a polynomial in x, straight from the triangle rows."""
-    return XPolynomial(stirling_row(p.stirling(), n))
+    """S_n as a polynomial in x, straight from the triangle rows.
+
+    With S(n, k) = T(n, k) / d^(n-k), every coefficient is T(n, k) d^k over
+    the shared denominator d^n.
+    """
+    d, row = stirling_int_row(p.stirling(), n)
+    return XPolynomial.from_ints([t * d ** k for k, t in enumerate(row)], d ** n)
 
 
 def s_exp_eval(p: ExpPolyParams, n: int, x) -> Fraction:

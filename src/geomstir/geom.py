@@ -94,13 +94,12 @@ def a_explicit(params: PolyParams, n: int) -> XPolynomial:
     #   C(k+lam-1, k) (-1)^(n+k) k! (beta d)^k T(n,k) / d^n
     d, row = stirling_int_row(_stirling_a(params), n)
     bd = int(params.beta * d)  # exact: d is a multiple of beta's denominator
-    den = d ** n
-    coeffs = []
+    num = []
     mult = -1 if n % 2 else 1  # (-1)^(n+k) k! (beta d)^k
     for k, t in enumerate(row):
-        coeffs.append(Fraction(lam_binom(params.lam, k) * mult * t, den))
+        num.append(lam_binom(params.lam, k) * mult * t)
         mult *= -(k + 1) * bd
-    return XPolynomial(coeffs)
+    return XPolynomial.from_ints(num, d ** n)
 
 
 def a_eval(params: PolyParams, n: int, x) -> Fraction:
@@ -128,26 +127,28 @@ def a_egf(params: PolyParams, order: int) -> ASequence:
 
 @lru_cache(maxsize=None)
 def a_recurrence(params: PolyParams, n: int) -> XPolynomial:
-    """A_n by iterating the order/argument raising recurrence from A_0 = 1."""
+    """A_n by iterating the order/argument raising recurrence from A_0 = 1.
+
+    Built bottom-up: at depth j (order n - j) the values needed are
+    A_{n-j} at (lam + i, gamma + j alpha + i beta) for 0 <= i <= j, and
+    each comes from entries i and i + 1 one depth further down.  Without
+    the raising term (lam == 0 or beta == 0) only i == 0 is needed.
+    """
     if n < 0:
         raise ValueError("need n >= 0")
-    if n == 0:
-        return XPolynomial.one()
-    up = a_recurrence(
-        replace(params, gamma=params.gamma + params.alpha), n - 1
-    )
-    out = params.gamma * up
-    if params.lam and params.beta:
-        lifted = a_recurrence(
-            replace(
-                params,
-                lam=params.lam + 1,
-                gamma=params.gamma + params.beta + params.alpha,
-            ),
-            n - 1,
-        )
-        out = out + (params.lam * params.beta * lifted).times_x()
-    return out
+    lam, a, b, g = params.lam, params.alpha, params.beta, params.gamma
+    lifts = bool(lam and b)
+    row = [XPolynomial.one()] * (n + 1 if lifts else 1)  # depth n: A_0
+    for j in range(n - 1, -1, -1):
+        shift = g + j * a
+        new = []
+        for i in range(j + 1 if lifts else 1):
+            out = (shift + i * b) * row[i]
+            if lifts:
+                out = out + ((lam + i) * b * row[i + 1]).times_x()
+            new.append(out)
+        row = new
+    return row[0]
 
 
 def m_polynomial(alpha, beta, n: int) -> XPolynomial:

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -863,11 +861,23 @@ class ConformanceReport:
             if r.failed
         ]
 
+    def verdict(self) -> str:
+        """FAIL if a hard reading failed; otherwise EMPTY if no hard identity
+        was chosen or a chosen one ran on zero points; otherwise PASS."""
+        if self.hard_failures():
+            return "FAIL"
+        hard = [i.points for i in self.identities if i.kind == "hard"]
+        return "PASS" if hard and all(hard) else "EMPTY"
+
+    @property
+    def hard_pass(self) -> bool:
+        return self.verdict() == "PASS"
+
     def to_dict(self) -> dict:
         return {
             "schema": self.schema,
             "grid": self.grid.as_dict(),
-            "hard_pass": not self.hard_failures(),
+            "hard_pass": self.hard_pass,
             "identities": [
                 {
                     "id": i.id,
@@ -906,8 +916,7 @@ class ConformanceReport:
                     lines.append(f"        first fail: {pt}")
                     lines.append(f"        lhs: {cex['lhs']}")
                     lines.append(f"        rhs: {cex['rhs']}")
-        verdict = "PASS" if not self.hard_failures() else "FAIL"
-        lines.append(f"hard identities: {verdict}")
+        lines.append(f"hard identities: {self.verdict()}")
         return "\n".join(lines) + "\n"
 
 
@@ -933,19 +942,12 @@ def run_suite(spec: GridSpec) -> ConformanceReport:
             raise ValueError(f"unknown identity ids: {unknown}")
         chosen = tuple(i for i in REGISTRY if i.id in spec.select)
 
-    threads = max(1, int(os.environ.get("GEOMSTIR_THREADS", "1")))
     entries = []
     for ident in chosen:
         pts = ident.points(spec)
-        if threads > 1 and len(pts) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(ident.evaluate, pts))
-        else:
-            results = [ident.evaluate(pt) for pt in pts]
-
         tally: dict[str, list] = {}
-        for pt, res in zip(pts, results):
-            for name, (lhs, rhs) in res.items():
+        for pt in pts:
+            for name, (lhs, rhs) in ident.evaluate(pt).items():
                 slot = tally.setdefault(name, [0, 0, None])
                 if lhs == rhs:
                     slot[0] += 1

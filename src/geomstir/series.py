@@ -32,6 +32,15 @@ def gff(t, alpha, n: int):
     """
     if n < 0:
         raise ValueError("gff needs n >= 0")
+    if isinstance(t, (int, Fraction)) and isinstance(alpha, (int, Fraction)):
+        # t = p/q, alpha = a/b: prod_k (p b - k a q) / (q b)^n over ints
+        q, b = t.denominator, alpha.denominator
+        term, step = t.numerator * b, alpha.numerator * q
+        num = 1
+        for _ in range(n):
+            num *= term
+            term -= step
+        return Fraction(num, (q * b) ** n)
     out = t - t + 1 if isinstance(t, XPolynomial) else Fraction(1)
     for k in range(n):
         out = out * (t - k * alpha)

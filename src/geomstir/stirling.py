@@ -28,7 +28,6 @@ S(n, k) = T(n, k) / d^(n-k) is formed once, the first time it is read.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,7 +76,6 @@ class StirlingTable:
         self._abg = (int(a * d), int(b * d), int(g * d))  # exact: d clears them
         self._ints: list[tuple[int, ...]] = [(1,)]
         self._rows: dict[int, tuple[Fraction, ...]] = {}
-        self._lock = threading.Lock()
 
     def _extend(self, n: int):
         a, b, g = self._abg
@@ -98,8 +96,7 @@ class StirlingTable:
         if n < 0:
             raise ValueError("need n >= 0")
         if len(self._ints) <= n:
-            with self._lock:
-                self._extend(n)
+            self._extend(n)
         return self._ints[n]
 
     def row(self, n: int) -> tuple[Fraction, ...]:
@@ -114,15 +111,14 @@ class StirlingTable:
 
 
 _tables: dict[StirlingParams, StirlingTable] = {}
-_tables_lock = threading.Lock()
 
 
 def _table(params: StirlingParams) -> StirlingTable:
     try:
         return _tables[params]
     except KeyError:
-        with _tables_lock:
-            return _tables.setdefault(params, StirlingTable(params))
+        table = _tables[params] = StirlingTable(params)
+        return table
 
 
 def stirling_row(params: StirlingParams, n: int) -> tuple[Fraction, ...]:

@@ -257,6 +257,22 @@ def test_verify_bad_grid_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid_json", [
+    '{"select": []}',
+    '{"poly_points": [], "pair_points": [], "exp_points": [], '
+    '"euler_points": [], "x_values": [], "n_max": 2, "oracle_n_max": 1}',
+])
+def test_verify_that_checked_nothing_exits_1(tmp_path, capsys, grid_json):
+    grid = tmp_path / "grid.json"
+    grid.write_text(grid_json)
+    code, out, _ = run(capsys, "verify", "--grid", str(grid))
+    assert code == 1
+    assert out.endswith("hard identities: EMPTY\n")
+    code, out, _ = run(capsys, "verify", "--grid", str(grid), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["hard_pass"] is False
+
+
 def test_verify_custom_grid_and_out(tmp_path, capsys):
     from geomstir.harness import default_grid
 
@@ -351,3 +367,18 @@ def test_asymptotic_rejects_bad_lambda(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("s_arg, lambdas, message", [
+    ("9", "", "0 <= s <= n"),
+    ("9", "64", "0 <= s <= n"),
+    ("2", "", "at least one lambda"),
+])
+def test_asymptotic_checks_s_and_lambdas_up_front(capsys, s_arg, lambdas, message):
+    code, out, err = run(
+        capsys, "asymptotic", "--alpha", "1", "--beta", "1", "--gamma", "0",
+        "--x", "1", "--n", "4", "--s", s_arg, "--lambdas", lambdas,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -88,6 +90,28 @@ def test_three_route_agreement_on_grid():
 def test_recurrence_rejects_negative_index():
     with pytest.raises(ValueError):
         a_recurrence(GRID[0], -1)
+
+
+@pytest.mark.parametrize("params", [
+    PolyParams(0, Q(1), Q(1), Q(1)),        # lam == 0: no raising term
+    PolyParams(1, Q(1, 2), Q(0), Q(3, 2)),  # beta == 0: no raising term
+])
+def test_recurrence_at_depth_700_matches_explicit(params):
+    # 700 levels deep; a recursive build overflows the interpreter stack
+    assert a_recurrence(params, 700) == a_explicit(params, 700)
+
+
+def test_recurrence_full_triangle_runs_without_recursion():
+    # raising term live: every (lam + i, gamma + j alpha + i beta) entry is
+    # built; with only 60 frames of stack to spare, depth 120 cannot recurse
+    p = PolyParams(1, Q(1), Q(2), Q(-1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        got = a_recurrence(p, 120)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == a_explicit(p, 120)
 
 
 def test_lam_binom_is_multiset_count():

@@ -74,11 +74,6 @@ def test_report_is_deterministic():
     assert again.to_text() == REPORT.to_text()
 
 
-def test_threaded_run_matches_serial(monkeypatch):
-    monkeypatch.setenv("GEOMSTIR_THREADS", "4")
-    assert run_suite(GRID).to_json() == REPORT.to_json()
-
-
 def test_report_schema_and_shape():
     data = json.loads(REPORT.to_json())
     assert data["schema"] == "geomstir-conformance/1"
@@ -103,6 +98,35 @@ def test_empty_selector_empty_report():
     rep = run_suite(replace(GRID, select=()))
     assert rep.identities == ()
     assert rep.hard_failures() == []
+    # nothing was checked, so the run does not pass
+    assert rep.verdict() == "EMPTY" and rep.hard_pass is False
+    assert rep.to_text().endswith("hard identities: EMPTY\n")
+    assert json.loads(rep.to_json())["hard_pass"] is False
+
+
+def test_report_on_empty_point_lists_is_empty():
+    bare = replace(GRID, poly_points=(), pair_points=(), exp_points=(),
+                   euler_points=(), x_values=())
+    rep = run_suite(bare)
+    by_id = {i.id: i.points for i in rep.identities}
+    assert by_id["routes-a"] == 0 and by_id["oracle"] > 0
+    assert rep.verdict() == "EMPTY" and rep.hard_pass is False
+
+
+def test_recorded_only_selection_checks_no_hard_identity():
+    rep = run_suite(replace(GRID, n_max=2, select=("eq6-printed",)))
+    assert rep.identities[0].points > 0
+    assert rep.verdict() == "EMPTY" and rep.hard_pass is False
+
+
+def test_fail_outranks_empty():
+    bare = replace(GRID, poly_points=(), n_max=3)
+    rep = run_suite(bare)
+    assert rep.verdict() == "EMPTY"
+    broken = replace(rep, identities=tuple(
+        replace(i, readings=(replace(i.readings[0], failed=1),))
+        if i.id == "oracle" else i for i in rep.identities))
+    assert broken.verdict() == "FAIL" and broken.hard_pass is False
 
 
 def test_unknown_selector_raises():

@@ -34,6 +34,28 @@ def test_gff_polynomial_argument():
     assert gff(x, Q(1), 2) == XPolynomial([0, -1, 1])  # x(x-1)
 
 
+@given(st.one_of(st.integers(-20, 20),
+                 st.fractions(min_value=-20, max_value=20, max_denominator=15)),
+       st.one_of(st.just(Q(0)), st.integers(-6, 6),
+                 st.fractions(min_value=-6, max_value=6, max_denominator=15)),
+       st.integers(min_value=0, max_value=14))
+def test_integer_gff_matches_naive_product(t, alpha, n):
+    naive = Q(1)
+    for k in range(n):
+        naive = naive * (t - k * alpha)
+    got = gff(t, alpha, n)
+    assert type(got) is Q and got == naive
+    # the XPolynomial branch evaluated at t gives the same value
+    assert gff(XPolynomial.x(), alpha, n)(t) == naive
+
+
+def test_integer_gff_edge_cases():
+    assert gff(Q(-3, 2), Q(0), 4) == Q(81, 16)
+    assert gff(Q(-3, 2), Q(-1, 2), 3) == Q(-3, 2) * Q(-1) * Q(-1, 2)
+    assert gff(Q(3), Q(1), 5) == 0                # passes through zero
+    assert gff(Q(2, 3), Q(-5, 4), 0) == 1 and type(gff(2, 1, 0)) is Q
+
+
 def test_binom_rational_argument():
     assert binom(Q(1, 2), 2) == Q(-1, 8)
     assert binom(Q(5), 2) == 10
