@@ -21,11 +21,7 @@ from .asymptotics import (
     w_coefficient,
 )
 from .euler import (
-    EulerConvCheck,
     EulerParams,
-    EulerRecCheck,
-    check_euler_convolutions,
-    check_euler_recurrences,
     euler_egf,
     euler_explicit,
     euler_polynomial,
@@ -33,10 +29,7 @@ from .euler import (
 )
 from .exppoly import (
     ExpPolyParams,
-    SpiveyCheck,
     check_integral_rep,
-    check_lemma34,
-    check_spivey,
     lemma34_sides,
     s_exp_egf,
     s_exp_eval,
@@ -44,27 +37,11 @@ from .exppoly import (
 )
 from .geom import (
     ASequence,
-    ConvolutionCheck,
-    Eq6Check,
-    Eq3132Check,
-    Eq37Check,
     PolyParams,
-    ShiftCheck,
-    Thm2Check,
     a_egf,
     a_eval,
     a_explicit,
     a_recurrence,
-    check_31_32,
-    check_38,
-    check_convolutions,
-    check_eq6,
-    check_eq7,
-    check_shift_theorem,
-    check_symmetry_37,
-    check_thm2,
-    check_thm4,
-    check_thm6,
     lam_binom,
     m_numbers,
     m_polynomial,
@@ -106,15 +83,9 @@ __all__ = [
     "ASequence",
     "BPAConfig",
     "ConformanceReport",
-    "ConvolutionCheck",
     "DecayReport",
     "DecayRow",
-    "Eq3132Check",
-    "Eq37Check",
-    "Eq6Check",
-    "EulerConvCheck",
     "EulerParams",
-    "EulerRecCheck",
     "ExpPolyParams",
     "ExpansionInput",
     "ExpansionResult",
@@ -125,10 +96,7 @@ __all__ = [
     "PolyParams",
     "ReadingReport",
     "Series",
-    "ShiftCheck",
-    "SpiveyCheck",
     "StirlingParams",
-    "Thm2Check",
     "XPolynomial",
     "a_coefficients",
     "a_egf",
@@ -137,21 +105,7 @@ __all__ = [
     "a_recurrence",
     "binom",
     "binomial_series",
-    "check_31_32",
-    "check_38",
-    "check_convolutions",
-    "check_eq6",
-    "check_eq7",
-    "check_euler_convolutions",
-    "check_euler_recurrences",
     "check_integral_rep",
-    "check_lemma34",
-    "check_shift_theorem",
-    "check_spivey",
-    "check_symmetry_37",
-    "check_thm2",
-    "check_thm4",
-    "check_thm6",
     "closed_form_w_check",
     "count_bpa",
     "count_gamma_cell",

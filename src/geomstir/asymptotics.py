@@ -28,13 +28,7 @@ from typing import Sequence
 
 from .geom import PolyParams, a_eval
 from .oracle import partitions_with_parts
-from .series import falling, gff
-
-Rational = Fraction
-
-
-def _q(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+from .series import _q, falling, gff
 
 
 def w_coefficient(a: Sequence[Fraction], n: int, j: int) -> Fraction:

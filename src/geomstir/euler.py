@@ -12,10 +12,9 @@ and tied to the geometric family by
 Routes: generating series (euler_egf), both A-specializations (euler_via_a),
 and two explicit Stirling sums (euler_explicit).  All four agree exactly.
 
-The recurrence and convolution checks evaluate the circulating displays of
-these identities.  Several of those displays fail as written; each check
-returns one flag per reading (as-written plus the repaired variant that the
-generating function actually satisfies).
+The circulating recurrence and convolution displays, several of which fail
+as written, are checked by the conformance harness next to their repaired
+readings.
 """
 
 from __future__ import annotations
@@ -23,20 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .geom import PolyParams, a_eval, lam_binom
-from .series import Series, binomial_series, gff, lift_to_poly, rising, series_int_pow
+from .series import Series, _q, binomial_series, gff, lift_to_poly, series_int_pow
 from .stirling import StirlingParams, stirling_rec
 from .xpoly import XPolynomial
 
-Rational = Fraction
-
 HALF = Fraction(1, 2)
-
-
-def _q(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -117,131 +109,3 @@ def euler_polynomial(p: EulerParams, n: int) -> XPolynomial:
     prod = core * sym
     val = prod.egf_value(n)
     return val if isinstance(val, XPolynomial) else XPolynomial.constant(val)
-
-
-class EulerRecCheck(NamedTuple):
-    rec1_printed: bool   # order-raising with both right-hand orders at lam
-    rec1_lifted: bool    # shifted-argument term raised to lam+1
-    rec2_printed: bool   # argument-raising with every term at order lam
-    rec2_lifted: bool    # derivative form: last term at lam+1, argument +beta
-    rec2_derived: bool   # rec2_lifted with rec1_lifted substituted in
-    rec3_printed: bool   # order-lowering sum against the inverse triangle
-    rec3_derived: bool   # order lowering by iterating rec2_lifted m times
-
-
-def check_euler_recurrences(
-    p: EulerParams, gamma, n: int, m: int = 1
-) -> EulerRecCheck:
-    """Evaluate the three circulating recurrences exactly.
-
-    rec3 needs lam >= 1 and beta != 0 (it divides by the rising factorial
-    (lam)(lam+1)...(lam+m-1) and by beta^m).
-    """
-    gamma = _q(gamma)
-    lam, a, b = p.lam, p.alpha, p.beta
-
-    def ev(lam_, gamma_, n_, beta=b):
-        return _ev(lam_, a, beta, gamma_, n_)
-
-    lhs1 = ev(lam + 1, gamma, n)
-    rec1_printed = lhs1 == 2 * ev(lam, gamma, n) - ev(lam, gamma + b, n)
-    rec1_lifted = lhs1 == 2 * ev(lam, gamma, n) - ev(lam + 1, gamma + b, n)
-
-    lhs2 = ev(lam, gamma, n + 1)
-    rec2_printed = lhs2 == (
-        (gamma - lam * b) * ev(lam, gamma - a, n)
-        + lam * b * ev(lam, gamma - a, n)
-        - lam * b * HALF * ev(lam, gamma + b - a, n)
-    )
-    rec2_lifted = lhs2 == (
-        gamma * ev(lam, gamma - a, n)
-        - lam * b * HALF * ev(lam + 1, gamma + b - a, n)
-    )
-    rec2_derived = lhs2 == (
-        (gamma - lam * b) * ev(lam, gamma - a, n)
-        + lam * b * HALF * ev(lam + 1, gamma - a, n)
-    )
-
-    if lam < 1 or b == 0 or m < 0:
-        raise ValueError("order-lowering check needs lam >= 1, beta != 0, m >= 0")
-    shifted = m * a - lam * b - gamma
-    tri = StirlingParams(a, -b, shifted)
-    acc = Fraction(0)
-    for k in range(m + 1):
-        acc += stirling_rec(tri, m, k) * ev(lam, shifted, n + k, beta=-b)
-    rhs3 = Fraction(2) ** m / (rising(Fraction(lam), m) * b ** m) * acc
-    rec3_printed = ev(lam + m, -gamma, n) == rhs3
-
-    def lowered(lam_, steps, theta, n_):
-        # one rec2_lifted step per unit of order, solved for the lam_+1 term
-        if steps == 0:
-            return ev(lam_, theta, n_)
-        prev = lam_ + steps - 1
-        return (2 / (prev * b)) * (
-            (theta + a - b) * lowered(lam_, steps - 1, theta - b, n_)
-            - lowered(lam_, steps - 1, theta - b + a, n_ + 1)
-        )
-
-    rec3_derived = ev(lam + m, -gamma, n) == lowered(lam, m, -gamma, n)
-
-    return EulerRecCheck(
-        rec1_printed, rec1_lifted, rec2_printed, rec2_lifted, rec2_derived,
-        rec3_printed, rec3_derived,
-    )
-
-
-class EulerConvCheck(NamedTuple):
-    conv1_printed: bool  # weighted product sum vs two-term right side
-    conv1_shifted: bool  # first argument beta+g1-alpha, second order lam2+1
-    conv2: bool          # plain product sum; holds as written
-    conv3_lam2: bool     # alternating sum, unsubscripted order read as lam2
-    conv3_lam1: bool     # same display, order read as lam1
-
-
-def check_euler_convolutions(
-    p1: EulerParams, p2: EulerParams, g1, g2, n: int
-) -> EulerConvCheck:
-    if (p1.alpha, p1.beta) != (p2.alpha, p2.beta):
-        raise ValueError("convolutions need shared (alpha, beta)")
-    a, b = p1.alpha, p1.beta
-    l1, l2 = p1.lam, p2.lam
-    lam = l1 + l2
-    g1, g2 = _q(g1), _q(g2)
-
-    def ev(lam_, gamma_, n_):
-        return _ev(lam_, a, b, gamma_, n_)
-
-    def ev_neg(lam_, gamma_, n_):
-        return _ev(lam_, -a, b, gamma_, n_)
-
-    def conv(first_gamma, second_lam, second_gamma):
-        return sum(
-            (
-                math.comb(n, k)
-                * ev(l1, first_gamma, k)
-                * ev(second_lam, second_gamma, n - k)
-                for k in range(n + 1)
-            ),
-            Fraction(0),
-        )
-
-    rhs1 = 2 * (g1 + g2) * ev(lam, g1 + g2 - a, n) - 2 * ev(lam, g1 + g2, n + 1)
-    conv1_printed = b * lam * conv(a + g1 - b, l2, g2) == rhs1
-    conv1_shifted = b * lam * conv(b + g1 - a, l2 + 1, g2) == rhs1
-
-    conv2 = conv(a + g1 - b, l2, g2) == ev(lam, a + g1 + g2 - b, n)
-
-    def conv3(order_reading):
-        acc = Fraction(0)
-        for k in range(n + 1):
-            acc += (
-                math.comb(n, k)
-                * (-1) ** (n - k)
-                * ev_neg(l1, a + b - g1, k)
-                * ev(l2, g2 + b * order_reading, n - k)
-            )
-        return acc == ev_neg(lam, a + b - g1 - g2, n)
-
-    return EulerConvCheck(
-        conv1_printed, conv1_shifted, conv2, conv3(l2), conv3(l1)
-    )

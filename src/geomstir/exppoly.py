@@ -3,9 +3,10 @@
 S_n(x) = sum_k S(n, k; alpha, beta, r) x^k.  The classical Bell polynomials
 are the (0, 1, 0) instance and the shifted variant is (0, 1, r).
 
-Includes the addition formula of Spivey type, the shifted generating
-series, and the weighted-integral route from S_n to the geometric family
-(the one deliberately floating-point computation in the package).
+Includes both sides of the shifted generating series (the Spivey-type
+addition formula is checked in the conformance harness), and the
+weighted-integral route from S_n to the geometric family (the one
+deliberately floating-point computation in the package).
 """
 
 from __future__ import annotations
@@ -13,18 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .geom import PolyParams, a_eval
-from .series import Series, binomial_series, gff, series_exp
-from .stirling import StirlingParams, stirling_int_row, stirling_rec
+from .series import Series, _q, binomial_series, series_exp
+from .stirling import StirlingParams, stirling_int_row
 from .xpoly import XPolynomial
-
-Rational = Fraction
-
-
-def _q(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -72,38 +66,6 @@ def s_exp_egf(p: ExpPolyParams, x, order: int) -> Series:
     )
 
 
-class SpiveyCheck(NamedTuple):
-    printed: bool    # inner triangle read with the outer (n, k) indices
-    classical: bool  # inner triangle read with the (m, j) indices
-
-
-def check_spivey(p: ExpPolyParams, x, n: int, m: int) -> SpiveyCheck:
-    """Addition formula S_{n+m}(x) = sum_j sum_k C(n,k) S(m,j) *
-    (j beta - m alpha | alpha)_{n-k} S_k(x) x^j, plus the printed index
-    variant that reuses (n, k) inside the triangle factor."""
-    x = _q(x)
-    lhs = s_exp_eval(p, n + m, x)
-    sp = p.stirling()
-
-    def rhs(use_outer: bool) -> Fraction:
-        acc = Fraction(0)
-        for k in range(n + 1):
-            for j in range(m + 1):
-                tri = stirling_rec(sp, n, k) if use_outer else stirling_rec(sp, m, j)
-                if not tri:
-                    continue
-                acc += (
-                    math.comb(n, k)
-                    * tri
-                    * gff(j * p.beta - m * p.alpha, p.alpha, n - k)
-                    * s_exp_eval(p, k, x)
-                    * x ** j
-                )
-        return acc
-
-    return SpiveyCheck(printed=lhs == rhs(True), classical=lhs == rhs(False))
-
-
 def lemma34_sides(p: ExpPolyParams, x, m: int, order: int) -> tuple[Series, Series]:
     """Both sides of the shifted generating series:
 
@@ -127,11 +89,6 @@ def lemma34_sides(p: ExpPolyParams, x, m: int, order: int) -> tuple[Series, Seri
     )
     poly_at_series = _poly_of_series(s_exp_explicit(p, m), grow.scale(x))
     return lhs, shifted * expo * poly_at_series
-
-
-def check_lemma34(p: ExpPolyParams, x, m: int, order: int) -> bool:
-    lhs, rhs = lemma34_sides(p, x, m, order)
-    return lhs == rhs
 
 
 def _poly_of_series(poly: XPolynomial, arg: Series) -> Series:
@@ -166,10 +123,6 @@ def check_integral_rep(params: PolyParams, x: float, n: int) -> tuple[float, flo
     for z, w in zip(nodes, weights):
         total += w * sn(scale * z)
     quad = (-1.0) ** n * total / math.factorial(params.lam - 1)
-    exact = float(a_eval(params, n, _q_from_float(x)))
+    # a_eval reads the float as its exact binary value
+    exact = float(a_eval(params, n, x))
     return quad, exact
-
-
-def _q_from_float(x) -> Fraction:
-    # exact binary value of the float; keeps the comparison honest
-    return Fraction(x) if not isinstance(x, Fraction) else x

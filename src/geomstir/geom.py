@@ -15,39 +15,27 @@ At integer x >= 0 and integer parameters the values count barred
 preferential arrangements (see the oracle module), which is the fourth,
 fully independent route used in tests.
 
-The check_* functions compare both sides of the identity they implement as
-exact XPolynomial equalities.  Where a source display admits more than one
-reading, the check returns a named tuple with one flag per reading instead
-of collapsing them.
+The identities relating these polynomials are checked by the conformance
+harness, which holds the one transcription of each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .series import (
-    Series,
+    _q,
     binomial_series,
-    gff,
     lift_to_poly,
-    rising,
     series_geom_inverse,
     series_int_pow,
     series_one,
 )
-from .stirling import StirlingParams, stirling_int_row, stirling_rec
+from .stirling import StirlingParams, stirling_int_row
 from .xpoly import XPolynomial
-
-Rational = Fraction
-
-
-def _q(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
 
 @dataclass(frozen=True)
 class PolyParams:
@@ -159,310 +147,3 @@ def m_polynomial(alpha, beta, n: int) -> XPolynomial:
 def m_numbers(alpha, beta, x, n: int) -> Fraction:
     """m_polynomial evaluated at a rational weight."""
     return m_polynomial(alpha, beta, n)(_q(x))
-
-
-# ---------------------------------------------------------------------------
-# identity checks
-
-
-class Thm2Check(NamedTuple):
-    statement: bool  # convolution factor read with order 0 and live beta
-    proof: bool      # convolution factor read with live order and beta == 0
-
-
-class Eq6Check(NamedTuple):
-    printed: bool    # removal factor at (alpha, 0, gamma)
-    reflected: bool  # removal factor at (-alpha, 0, gamma)
-
-
-class Eq3132Check(NamedTuple):
-    shift_split: bool   # x A^{lam+1}(gamma+beta) = (x+1) A^{lam+1}(gamma) - A^{lam}(gamma)
-    raise_mixed: bool   # A_{n+1}(gamma-alpha) - (x+1) lam beta A^{lam+1}(gamma) = ...
-
-
-class Eq37Check(NamedTuple):
-    pair: bool             # A^{lam,x}(gamma+beta*lam) == A^{lam,-x-1}(alpha,-beta,gamma)
-    third_printed: bool    # ... == (-1)^n A^{lam,-x-1}(alpha, beta, -gamma)
-    third_reflected: bool  # ... == (-1)^n A^{lam,-x-1}(-alpha, beta, -gamma)
-
-
-class ConvolutionCheck(NamedTuple):
-    teo1_printed: bool  # second factor at order lam2
-    teo1_shifted: bool  # second factor at order lam2 + 1
-    teo2: bool
-
-
-class ShiftCheck(NamedTuple):
-    raise_ok: bool         # the (-1)^m A_{n+m} expansion over the dual-weighted column
-    inverse_printed: bool  # solved-for form, every gamma argument shifted by m*alpha
-    inverse_rowwise: bool  # solved-for form, summand k shifted by k*alpha instead
-
-
-def check_thm6(params: PolyParams, n: int) -> bool:
-    lhs = a_explicit(params, n + 1)
-    rhs = params.gamma * a_explicit(
-        replace(params, gamma=params.gamma + params.alpha), n
-    )
-    rhs = rhs + (params.lam * params.beta * a_explicit(
-        replace(
-            params,
-            lam=params.lam + 1,
-            gamma=params.gamma + params.beta + params.alpha,
-        ),
-        n,
-    )).times_x()
-    return lhs == rhs
-
-
-def check_thm2(params: PolyParams, n: int) -> Thm2Check:
-    """Removal convolution for the raised index, in both printed readings.
-
-    The two readings of the inner factor, order 0 with beta kept and order
-    lam with beta zeroed, produce the same rational (gamma | -alpha)_k, so
-    they are evaluated independently but can only agree or fail together.
-    """
-    lhs = a_explicit(params, n + 1)
-    head = params.gamma * a_explicit(
-        replace(params, gamma=params.gamma + params.alpha), n
-    )
-    zero_gamma = replace(params, gamma=Fraction(0))
-
-    def tail(factor_params):
-        acc = XPolynomial.zero()
-        for k in range(n + 1):
-            acc = acc + (
-                math.comb(n, k)
-                * a_explicit(factor_params, k)
-                * a_explicit(zero_gamma, n - k + 1)
-            )
-        return acc
-
-    statement = lhs == head + tail(replace(params, lam=0))
-    proof = lhs == head + tail(replace(params, beta=Fraction(0)))
-    return Thm2Check(statement, proof)
-
-
-def check_thm4(params: PolyParams, n: int) -> bool:
-    lhs = a_explicit(params, n + 1)
-    rhs = params.gamma * a_explicit(
-        replace(params, gamma=params.gamma + params.alpha), n
-    )
-    one_sec = replace(
-        params, lam=1, gamma=params.gamma + params.beta + params.alpha
-    )
-    zero_gamma = replace(params, gamma=Fraction(0))
-    conv = XPolynomial.zero()
-    for k in range(n + 1):
-        conv = conv + (
-            math.comb(n, k)
-            * a_explicit(one_sec, k)
-            * a_explicit(zero_gamma, n - k)
-        )
-    rhs = rhs + (params.lam * params.beta * conv).times_x()
-    return lhs == rhs
-
-
-def check_eq6(params: PolyParams, n: int) -> Eq6Check:
-    """Alternating removal of the gamma factor, two readings of the sign."""
-    lhs = a_explicit(replace(params, gamma=Fraction(0)), n)
-
-    def rhs(removal_alpha):
-        acc = XPolynomial.zero()
-        for k in range(n + 1):
-            acc = acc + (
-                math.comb(n, k)
-                * (-1) ** k
-                * gff(params.gamma, -removal_alpha, k)
-                * a_explicit(params, n - k)
-            )
-        return acc
-
-    return Eq6Check(
-        printed=lhs == rhs(params.alpha),
-        reflected=lhs == rhs(-params.alpha),
-    )
-
-
-def check_eq7(params: PolyParams, n: int) -> bool:
-    """Split into a gamma-free part against the plain gamma product."""
-    lhs = a_explicit(params, n)
-    sp0 = StirlingParams(params.alpha, -params.beta, Fraction(0))
-    rhs = XPolynomial.zero()
-    for k in range(n + 1):
-        c = lam_binom(params.lam, k)
-        if not c:
-            continue
-        for i in range(n + 1):
-            s = stirling_rec(sp0, i, k)
-            if not s:
-                continue
-            rhs = rhs + XPolynomial.constant(
-                c
-                * math.comb(n, i)
-                * (-1) ** (k + i)
-                * params.beta ** k
-                * math.factorial(k)
-                * s
-                * gff(params.gamma, -params.alpha, n - i)
-            ).times_x(k)
-    return lhs == rhs
-
-
-def check_31_32(params: PolyParams, n: int) -> Eq3132Check:
-    lam, a, b, g = params.lam, params.alpha, params.beta, params.gamma
-    x = XPolynomial.x()
-    xp1 = XPolynomial((1, 1))
-
-    lifted = replace(params, lam=lam + 1)
-    lhs1 = x * a_explicit(replace(lifted, gamma=g + b), n)
-    rhs1 = xp1 * a_explicit(lifted, n) - a_explicit(params, n)
-
-    lhs2 = a_explicit(replace(params, gamma=g - a), n + 1) \
-        - lam * b * xp1 * a_explicit(lifted, n)
-    rhs2 = (g - a - lam * b) * a_explicit(params, n)
-
-    return Eq3132Check(lhs1 == rhs1, lhs2 == rhs2)
-
-
-def _sub_neg(poly: XPolynomial) -> XPolynomial:
-    """Substitute x -> -x - 1."""
-    return poly(XPolynomial((-1, -1)))
-
-
-def check_symmetry_37(params: PolyParams, n: int) -> Eq37Check:
-    t1 = a_explicit(
-        replace(params, gamma=params.gamma + params.beta * params.lam), n
-    )
-    t2 = _sub_neg(a_explicit(replace(params, beta=-params.beta), n))
-    t3p = (-1) ** n * _sub_neg(
-        a_explicit(replace(params, gamma=-params.gamma), n)
-    )
-    t3r = (-1) ** n * _sub_neg(
-        a_explicit(
-            replace(params, alpha=-params.alpha, gamma=-params.gamma), n
-        )
-    )
-    pair = t1 == t2
-    return Eq37Check(pair, t1 == t3p, t1 == t3r)
-
-
-def check_38(params: PolyParams, n: int) -> bool:
-    """Shifted-argument expansion in powers of x + 1."""
-    lhs = a_explicit(params, n)
-    sp = StirlingParams(
-        params.alpha,
-        params.beta,
-        params.beta * params.lam - params.gamma,
-    )
-    xp1 = XPolynomial((1, 1))
-    rhs = XPolynomial.zero()
-    for k in range(n + 1):
-        c = lam_binom(params.lam, k)
-        if not c:
-            continue
-        rhs = rhs + (
-            c
-            * (-params.beta) ** k
-            * math.factorial(k)
-            * stirling_rec(sp, n, k)
-        ) * xp1 ** k
-    rhs = (-1) ** n * rhs
-    return lhs == rhs
-
-
-def check_convolutions(p1: PolyParams, p2: PolyParams, n: int) -> ConvolutionCheck:
-    """Binomial convolution identities for shared (alpha, beta).
-
-    teo2 multiplies two members into the order-sum member.  teo1 expresses
-    the raised index instead; the printed display and the reading with the
-    second factor's order raised by one are tracked separately.
-    """
-    if (p1.alpha, p1.beta) != (p2.alpha, p2.beta):
-        raise ValueError("convolution checks need shared alpha and beta")
-    a, b = p1.alpha, p1.beta
-    g1, g2 = p1.gamma, p2.gamma
-    lam = p1.lam + p2.lam
-    first = replace(p1, gamma=a + b + g1)
-
-    def conv(second_lam: int) -> XPolynomial:
-        acc = XPolynomial.zero()
-        second = replace(p2, lam=second_lam)
-        for k in range(n + 1):
-            acc = acc + (
-                math.comb(n, k)
-                * a_explicit(first, k)
-                * a_explicit(second, n - k)
-            )
-        return acc
-
-    teo2 = conv(p2.lam) == a_explicit(
-        PolyParams(lam, a, b, a + b + g1 + g2), n
-    )
-
-    teo1_rhs = a_explicit(PolyParams(lam, a, b, g1 + g2), n + 1) \
-        - (g1 + g2) * a_explicit(PolyParams(lam, a, b, g1 + g2 + a), n)
-    teo1_printed = (b * lam * conv(p2.lam)).times_x() == teo1_rhs
-    teo1_shifted = (b * lam * conv(p2.lam + 1)).times_x() == teo1_rhs
-
-    return ConvolutionCheck(teo1_printed, teo1_shifted, teo2)
-
-
-_SHIFT_MARKERS = (Fraction(1), Fraction(2), Fraction(-3, 2))
-
-
-def check_shift_theorem(params: PolyParams, n: int, m: int) -> ShiftCheck:
-    """Index shift by m against order raising, both directions.
-
-    The raising direction is an exact polynomial identity.  The solved-for
-    (inverse) direction divides by rising(lam, m) * (beta x)^m, so it is
-    checked at the fixed rational markers 1, 2 and -3/2.
-    """
-    if params.lam < 1 or params.beta == 0:
-        raise ValueError("shift checks need lam >= 1 and beta != 0")
-    if m < 0:
-        raise ValueError("need m >= 0")
-    lam, a, b, g = params.lam, params.alpha, params.beta, params.gamma
-
-    sp = _stirling_a(params)
-    rhs = XPolynomial.zero()
-    for k in range(m + 1):
-        term = (
-            stirling_rec(sp, m, k)
-            * lam_binom(lam, k)
-            * math.factorial(k)
-            * (-b) ** k
-            * a_explicit(
-                PolyParams(lam + k, a, b, g + m * a + k * b), n
-            )
-        )
-        rhs = rhs + term.times_x(k)
-    raise_ok = (-1) ** m * a_explicit(params, n + m) == rhs
-
-    dual = StirlingParams(a, -b, -g + m * a - lam * b).dual()
-
-    def inverse_holds(arg_shift) -> bool:
-        for x0 in _SHIFT_MARKERS:
-            lhs_val = a_explicit(
-                PolyParams(lam + m, a, -b, g), n
-            )(-x0 - 1)
-            acc = Fraction(0)
-            for k in range(m + 1):
-                acc += (
-                    (-1) ** k
-                    * stirling_rec(dual, m, k)
-                    * a_eval(
-                        PolyParams(lam, a, b, g - arg_shift(k) * a + lam * b),
-                        n + k,
-                        x0,
-                    )
-                )
-            den = rising(Fraction(lam), m) * (b * x0) ** m
-            if lhs_val != (-1) ** m * acc / den:
-                return False
-        return True
-
-    return ShiftCheck(
-        raise_ok,
-        inverse_holds(lambda k: m),
-        inverse_holds(lambda k: k),
-    )

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import re
+import reprlib
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import product
 from typing import Callable
@@ -35,7 +37,7 @@ from .geom import (
     lam_binom,
 )
 from .oracle import MAX_ORACLE_N, BPAConfig, count_bpa
-from .series import Series, gff, rising
+from .series import Series, _q, gff, rising
 from .stirling import (
     StirlingParams,
     param_swap_rhs,
@@ -47,9 +49,16 @@ from .xpoly import XPolynomial
 
 SCHEMA = "geomstir-conformance/1"
 
+_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
-def _q(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+
+def _parse_rational(text: str) -> Fraction:
+    """An integer or "p/q" with q > 0 as an exact Fraction; decimals and
+    anything else raise ValueError, so no binary float gets in."""
+    text = text.strip()
+    if not _RATIONAL.match(text):
+        raise ValueError(f"{text!r} is not an exact rational; write an integer or p/q")
+    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------
@@ -133,36 +142,76 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GridSpec":
-        # keys left out of the file keep their shipped defaults, so a file
-        # like {"n_max": 10} widens the standard grid instead of emptying it
-        raw = json.loads(text)
-        base = default_grid()
-        return cls(
-            n_max=raw.get("n_max", base.n_max),
-            oracle_n_max=raw.get("oracle_n_max", base.oracle_n_max),
-            shift_ms=tuple(raw.get("shift_ms", base.shift_ms)),
-            poly_points=tuple(
-                (p[0], Fraction(p[1]), Fraction(p[2]), Fraction(p[3]))
-                for p in raw["poly_points"]
-            ) if "poly_points" in raw else base.poly_points,
-            pair_points=tuple(
-                (p[0], Fraction(p[1]), p[2], Fraction(p[3]),
-                 Fraction(p[4]), Fraction(p[5]))
-                for p in raw["pair_points"]
-            ) if "pair_points" in raw else base.pair_points,
-            exp_points=tuple(
-                (Fraction(a), Fraction(b), Fraction(r))
-                for a, b, r in raw["exp_points"]
-            ) if "exp_points" in raw else base.exp_points,
-            euler_points=tuple(
-                (p[0], Fraction(p[1]), Fraction(p[2]), Fraction(p[3]))
-                for p in raw["euler_points"]
-            ) if "euler_points" in raw else base.euler_points,
-            x_values=tuple(
-                Fraction(x) for x in raw["x_values"]
-            ) if "x_values" in raw else base.x_values,
-            select=None if raw.get("select") is None else tuple(raw["select"]),
-        )
+        """Parse a grid file; any malformed field raises ValueError.
+
+        Keys left out of the file keep their shipped defaults, so a file
+        like {"n_max": 10} widens the standard grid instead of emptying it.
+        """
+        try:
+            raw = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+        if not isinstance(raw, dict):
+            raise ValueError("a grid file holds one JSON object")
+        return replace(default_grid(), **{
+            f.name: _field(f.name, raw[f.name]) for f in fields(cls) if f.name in raw
+        })
+
+
+# grid-file rows: "n" is a non-negative int (an order), "q" an exact rational
+_ROW_KINDS = {
+    "poly_points": "nqqq",    # lam, alpha, beta, gamma
+    "pair_points": "nqnqqq",  # lam1, gamma1, lam2, gamma2, alpha, beta
+    "exp_points": "qqq",      # alpha, beta, r
+    "euler_points": "nqqq",   # lam, alpha, beta, gamma
+}
+
+
+def _field(key: str, value):
+    """One grid-file field, checked against the schema; ValueError if off."""
+    if key in ("n_max", "oracle_n_max"):
+        return _count(key, value)
+    if key == "select" and value is None:
+        return None
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {reprlib.repr(value)}")
+    if key == "select":
+        if not all(isinstance(s, str) for s in value):
+            raise ValueError("select must be null or a list of identity ids")
+        return tuple(value)
+    if key == "shift_ms":
+        return tuple(_count(key, m) for m in value)
+    if key == "x_values":
+        return tuple(_rational(key, x) for x in value)
+    kinds = _ROW_KINDS[key]
+    for row in value:
+        if not isinstance(row, list) or len(row) != len(kinds):
+            raise ValueError(f"each {key} row has {len(kinds)} entries, "
+                             f"got {reprlib.repr(row)}")
+    return tuple(
+        tuple(_count(key, v) if kind == "n" else _rational(key, v)
+              for kind, v in zip(kinds, row))
+        for row in value
+    )
+
+
+def _count(key: str, value) -> int:
+    # bool is an int subclass; true must not read as 1
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key} needs non-negative integers, got {reprlib.repr(value)}")
+    return value
+
+
+def _rational(key: str, value) -> Fraction:
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return _parse_rational(value)
+        except ValueError as e:
+            raise ValueError(f"{key}: {e}") from None
+    raise ValueError(f"{key} needs integers or \"p/q\" strings, "
+                     f"got {reprlib.repr(value)}")
 
 
 def default_grid() -> GridSpec:
@@ -212,18 +261,22 @@ def _params(pt: Point) -> PolyParams:
     return PolyParams(pt["lam"], pt["alpha"], pt["beta"], pt["gamma"])
 
 
-def _poly_pts(grid: GridSpec, min_lam=0, need_beta=False, ms=None):
+def _poly_pts(grid: GridSpec, rows=None, shifted=False):
+    """(lam, alpha, beta, gamma, n) points over rows (default: poly_points).
+
+    shifted adds every m of shift_ms and keeps only the rows with lam >= 1
+    and beta != 0, the domain of the index-shift and order-lowering forms.
+    """
     pts = []
-    for lam, a, b, g in grid.poly_points:
-        if lam < min_lam or (need_beta and b == 0):
+    for lam, a, b, g in grid.poly_points if rows is None else rows:
+        if shifted and (lam < 1 or b == 0):
             continue
         for n in range(grid.n_max + 1):
-            if ms is None:
-                pts.append({"lam": lam, "alpha": a, "beta": b, "gamma": g, "n": n})
+            pt = {"lam": lam, "alpha": a, "beta": b, "gamma": g, "n": n}
+            if shifted:
+                pts.extend({**pt, "m": m} for m in grid.shift_ms)
             else:
-                for m in ms:
-                    pts.append({"lam": lam, "alpha": a, "beta": b, "gamma": g,
-                                "n": n, "m": m})
+                pts.append(pt)
     return pts
 
 
@@ -528,24 +581,24 @@ def _spivey_pts(grid: GridSpec):
 
 
 def _ev_spivey(pt: Point) -> dict:
+    # both readings share every factor but the triangle entry, which is
+    # S(n, k) (printed) or S(m, j) (classical)
     p = ExpPolyParams(pt["alpha"], pt["beta"], pt["r"])
     x, n, m = pt["x"], pt["n"], pt["m"]
-    lhs = s_exp_eval(p, n + m, x)
     sp = p.stirling()
-
-    def rhs(use_outer: bool) -> Fraction:
-        acc = Fraction(0)
-        for k in range(n + 1):
-            for j in range(m + 1):
-                tri = stirling_rec(sp, n, k) if use_outer else stirling_rec(sp, m, j)
-                if not tri:
-                    continue
-                acc += (math.comb(n, k) * tri
-                        * gff(j * p.beta - m * p.alpha, p.alpha, n - k)
-                        * s_exp_eval(p, k, x) * x ** j)
-        return acc
-
-    return {"printed": (lhs, rhs(True)), "classical": (lhs, rhs(False))}
+    outer, inner = stirling_row(sp, n), stirling_row(sp, m)
+    powers = [x ** j for j in range(m + 1)]
+    printed = classical = Fraction(0)
+    for k in range(n + 1):
+        head = math.comb(n, k) * s_exp_eval(p, k, x)
+        for j in range(m + 1):
+            if not (outer[k] or inner[j]):
+                continue
+            term = head * gff(j * p.beta - m * p.alpha, p.alpha, n - k) * powers[j]
+            printed += outer[k] * term
+            classical += inner[j] * term
+    lhs = s_exp_eval(p, n + m, x)
+    return {"printed": (lhs, printed), "classical": (lhs, classical)}
 
 
 def _lemma34_pts(grid: GridSpec):
@@ -579,21 +632,6 @@ def _ev_routes_exp(pt: Point) -> dict:
     lhs = s_exp_eval(p, pt["n"], pt["x"])
     rhs = s_exp_egf(p, pt["x"], pt["n"]).egf_value(pt["n"])
     return {"explicit-vs-series": (lhs, rhs)}
-
-
-def _euler_pts(grid: GridSpec, min_lam=0, need_beta=False, ms=None):
-    pts = []
-    for lam, a, b, g in grid.euler_points:
-        if lam < min_lam or (need_beta and b == 0):
-            continue
-        for n in range(grid.n_max + 1):
-            if ms is None:
-                pts.append({"lam": lam, "alpha": a, "beta": b, "gamma": g, "n": n})
-            else:
-                for m in ms:
-                    pts.append({"lam": lam, "alpha": a, "beta": b, "gamma": g,
-                                "n": n, "m": m})
-    return pts
 
 
 def _ev_routes_euler(pt: Point) -> dict:
@@ -717,29 +755,29 @@ REGISTRY: tuple[Identity, ...] = (
     Identity(
         "thm6", "hard",
         "A_{n+1}(g) = g A_n(g+a) + x l b A^{l+1}_n(g+a+b)",
-        lambda g: _poly_pts(g), _ev_thm6),
+        _poly_pts, _ev_thm6),
     Identity(
         "thm2", "recorded",
         "A_{n+1}(g) = g A_n(g+a) + sum_k C(n,k) F_k A_{n-k+1}(0); "
         "F read at order 0 (statement) or with b = 0 (proof)",
-        lambda g: _poly_pts(g), _ev_thm2),
+        _poly_pts, _ev_thm2),
     Identity(
         "thm4", "hard",
         "A_{n+1}(g) = g A_n(g+a) + x l b sum_k C(n,k) A^1_k(g+a+b) A_{n-k}(0)",
-        lambda g: _poly_pts(g), _ev_thm4),
+        _poly_pts, _ev_thm4),
     Identity(
         "eq6", "hard",
         "A_n(0) = sum_k C(n,k) (-1)^k (g|a)_k A_{n-k}(g)  [removal at -a]",
-        lambda g: _poly_pts(g), _ev_eq6),
+        _poly_pts, _ev_eq6),
     Identity(
         "eq6-printed", "recorded",
         "A_n(0) = sum_k C(n,k) (-1)^k (g|-a)_k A_{n-k}(g)  [removal at +a]",
-        lambda g: _poly_pts(g), _ev_eq6_printed),
+        _poly_pts, _ev_eq6_printed),
     Identity(
         "eq7", "hard",
         "A_n(g) = sum_k sum_i c_lk C(n,i) (-1)^(k+i) b^k k! S(i,k;a,-b,0) "
         "(g|-a)_{n-i} x^k",
-        lambda g: _poly_pts(g), _ev_eq7),
+        _poly_pts, _ev_eq7),
     Identity(
         "eq8", "recorded",
         "sum_s C(n,s) (g|a)_{n-s} S(s,k;a,b,g) vs S(n,k;a,g,b) [printed] "
@@ -748,24 +786,24 @@ REGISTRY: tuple[Identity, ...] = (
     Identity(
         "eq31", "hard",
         "x A^{l+1}_n(g+b) = (x+1) A^{l+1}_n(g) - A^l_n(g)",
-        lambda g: _poly_pts(g), _ev_eq31),
+        _poly_pts, _ev_eq31),
     Identity(
         "eq32", "hard",
         "A_{n+1}(g-a) - l b (x+1) A^{l+1}_n(g) = (g - a - l b) A_n(g)",
-        lambda g: _poly_pts(g), _ev_eq32),
+        _poly_pts, _ev_eq32),
     Identity(
         "eq37", "hard",
         "A^{l,x}_n(a,b,g+bl) == A^{l,-x-1}_n(a,-b,g) "
         "== (-1)^n A^{l,-x-1}_n(-a,b,-g)",
-        lambda g: _poly_pts(g), _ev_eq37),
+        _poly_pts, _ev_eq37),
     Identity(
         "eq37-printed", "recorded",
         "A^{l,x}_n(a,b,g+bl) == (-1)^n A^{l,-x-1}_n(a,b,-g)",
-        lambda g: _poly_pts(g), _ev_eq37_printed),
+        _poly_pts, _ev_eq37_printed),
     Identity(
         "eq38", "hard",
         "A_n(g) = (-1)^n sum_k c_lk (-b)^k k! S(n,k;a,b,bl-g) (x+1)^k",
-        lambda g: _poly_pts(g), _ev_eq38),
+        _poly_pts, _ev_eq38),
     Identity(
         "teo2", "hard",
         "sum_k C(n,k) A^{l1}_k(a+b+g1) A^{l2}_{n-k}(g2) "
@@ -781,14 +819,14 @@ REGISTRY: tuple[Identity, ...] = (
         "shift-raise", "hard",
         "(-1)^m A_{n+m}(g) = sum_k S(m,k;a,-b,-g) c_lk k! (-b)^k "
         "A^{l+k}_n(g+ma+kb) x^k",
-        lambda g: _poly_pts(g, min_lam=1, need_beta=True, ms=g.shift_ms),
+        lambda g: _poly_pts(g, shifted=True),
         _ev_shift_raise),
     Identity(
         "shift-inverse", "recorded",
         "A^{l+m}_n(a,-b,g) at -x-1 = (-1)^m sum_k (-1)^k S(m,k;-b,a,g-ma+lb) "
         "A^l_{n+k}(g-sa+lb)(x) / ((l)^(m) (bx)^m); s read as m (printed) "
         "or k (rowwise)",
-        lambda g: _poly_pts(g, min_lam=1, need_beta=True, ms=g.shift_ms),
+        lambda g: _poly_pts(g, shifted=True),
         _ev_shift_inverse),
     Identity(
         "spivey", "recorded",
@@ -808,12 +846,12 @@ REGISTRY: tuple[Identity, ...] = (
         "routes-euler", "hard",
         "E_n by A-specialization == generating series == both explicit sums "
         "== gamma polynomial",
-        _euler_pts, _ev_routes_euler),
+        lambda g: _poly_pts(g, g.euler_points), _ev_routes_euler),
     Identity(
         "euler-rec", "recorded",
         "order raising, argument raising, and order lowering for E_n; "
         "printed forms plus repaired readings",
-        lambda g: _euler_pts(g, min_lam=1, need_beta=True, ms=g.shift_ms),
+        lambda g: _poly_pts(g, g.euler_points, shifted=True),
         _ev_euler_rec),
     Identity(
         "euler-conv", "recorded",

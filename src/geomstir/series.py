@@ -19,8 +19,12 @@ from typing import Sequence, Union
 
 from .xpoly import XPolynomial
 
-Rational = Fraction
 Coeff = Union[Fraction, XPolynomial]
+
+
+def _q(v) -> Fraction:
+    """v as a Fraction; an int exactly, a float by its exact binary value."""
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def gff(t, alpha, n: int):

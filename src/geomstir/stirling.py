@@ -31,15 +31,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import Series, binom, binomial_series, gff, series_int_pow
-
-Rational = Fraction
+from .series import Series, _q, binomial_series, gff, series_int_pow
 
 _ZERO = Fraction(0)
-
-
-def _q(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -190,8 +184,3 @@ def param_swap_rhs(params: StirlingParams, n: int, k: int) -> Fraction:
     for s in range(k, n + 1):
         acc += math.comb(n, s) * gff(g, a, n - s) * stirling_rec(params, s, k)
     return acc
-
-
-def binom_rational(a, k: int) -> Fraction:
-    """Re-export of the rational binomial for callers living at this level."""
-    return binom(a, k)

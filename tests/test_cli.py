@@ -248,10 +248,23 @@ def test_verify_unknown_identity(capsys):
 
 def test_verify_bad_grid_file(tmp_path, capsys):
     grid = tmp_path / "grid.json"
-    grid.write_text("{not json")
-    code, _, err = run(capsys, "verify", "--grid", str(grid))
-    assert code == 2
-    assert "bad grid" in err
+    for text in (
+        "{not json",
+        '{"poly_points": [[1, 0, 1]]}',          # short row
+        '{"pair_points": [[1, 0, 1, 0, 0]]}',
+        '{"exp_points": [["1", "1", "1", "1"]]}', # long row
+        '{"poly_points": [[1, "1/0", 1, 0]]}',   # zero denominator
+        "[1, 2]",                                # not an object
+        '{"poly_points": [[1, 0.1, 1, 0]]}',     # binary float
+        '{"poly_points": [[1.5, 0, 1, 0]]}',     # fractional order
+        '{"n_max": true}',
+        '{"select": "thm6"}',                    # a string, not a list of ids
+        "[" * 100000,                            # nests past the parser's stack
+    ):
+        grid.write_text(text)
+        code, out, err = run(capsys, "verify", "--grid", str(grid))
+        assert code == 2, text
+        assert out == "" and err.startswith("error: bad grid"), text
 
     code, _, err = run(capsys, "verify", "--grid", str(tmp_path / "absent.json"))
     assert code == 2

@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -5,13 +6,12 @@ import pytest
 from geomstir import (
     EulerParams,
     XPolynomial,
-    check_euler_convolutions,
-    check_euler_recurrences,
     euler_egf,
     euler_explicit,
     euler_polynomial,
     euler_via_a,
 )
+from identities import holds
 
 Q = Fraction
 
@@ -66,28 +66,26 @@ def test_repaired_recurrences_hold():
             continue
         for n in range(6):
             for m in range(3):
-                out = check_euler_recurrences(p, g, n, m)
-                assert out.rec1_lifted
-                assert out.rec2_lifted
-                assert out.rec2_derived
-                assert out.rec3_derived
+                out = holds("euler-rec", **asdict(p), gamma=g, n=n, m=m)
+                assert out["rec1-lifted"]
+                assert out["rec2-lifted"]
+                assert out["rec2-derived"]
+                assert out["rec3-derived"]
 
 
 def test_printed_recurrences_fail_as_recorded():
-    out = check_euler_recurrences(EulerParams(1, Q(0), Q(1)), Q(0), 2, 2)
-    assert not out.rec1_printed
-    assert not out.rec2_printed
-    assert not out.rec3_printed
-    assert out.rec1_lifted and out.rec2_lifted and out.rec3_derived
+    out = holds("euler-rec", **asdict(EulerParams(1, Q(0), Q(1))), gamma=Q(0),
+                n=2, m=2)
+    assert not out["rec1-printed"]
+    assert not out["rec2-printed"]
+    assert not out["rec3-printed"]
+    assert out["rec1-lifted"] and out["rec2-lifted"] and out["rec3-derived"]
 
 
-def test_recurrence_preconditions():
-    with pytest.raises(ValueError):
-        check_euler_recurrences(EulerParams(0, Q(0), Q(1)), Q(0), 2, 1)
-    with pytest.raises(ValueError):
-        check_euler_recurrences(EulerParams(1, Q(0), Q(0)), Q(0), 2, 1)
-    with pytest.raises(ValueError):
-        check_euler_recurrences(CLASSIC, Q(0), 2, -1)
+def _conv(p1: EulerParams, p2: EulerParams, g1, g2, n: int) -> dict:
+    assert (p1.alpha, p1.beta) == (p2.alpha, p2.beta)
+    return holds("euler-conv", lam1=p1.lam, gamma1=g1, lam2=p2.lam, gamma2=g2,
+                 alpha=p1.alpha, beta=p1.beta, n=n)
 
 
 def test_convolutions_repaired_readings():
@@ -98,30 +96,23 @@ def test_convolutions_repaired_readings():
     ]
     for p1, p2, g1, g2 in pairs:
         for n in range(6):
-            out = check_euler_convolutions(p1, p2, g1, g2, n)
-            assert out.conv1_shifted
-            assert out.conv2
-            assert out.conv3_lam2
+            out = _conv(p1, p2, g1, g2, n)
+            assert out["conv1-shifted"]
+            assert out["conv2"]
+            assert out["conv3-lam2"]
 
 
 def test_convolution_printed_and_order_misreadings_fail():
-    out = check_euler_convolutions(
+    out = _conv(
         EulerParams(1, Q(1), Q(1)), EulerParams(2, Q(1), Q(1)), Q(1), Q(-1), 3
     )
-    assert not out.conv1_printed
-    assert not out.conv3_lam1
+    assert not out["conv1-printed"]
+    assert not out["conv3-lam1"]
     # with equal orders the two readings of the unsubscripted order coincide
-    same = check_euler_convolutions(
+    same = _conv(
         EulerParams(1, Q(1), Q(1)), EulerParams(1, Q(1), Q(1)), Q(1), Q(2), 3
     )
-    assert same.conv3_lam1 and same.conv3_lam2
-
-
-def test_convolution_requires_shared_base():
-    with pytest.raises(ValueError):
-        check_euler_convolutions(
-            EulerParams(1, Q(0), Q(1)), EulerParams(1, Q(1), Q(1)), Q(0), Q(0), 2
-        )
+    assert same["conv3-lam1"] and same["conv3-lam2"]
 
 
 def test_params_validation():

@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -6,14 +7,13 @@ from geomstir import (
     ExpPolyParams,
     PolyParams,
     check_integral_rep,
-    check_lemma34,
-    check_spivey,
     lemma34_sides,
     s_exp_egf,
     s_exp_eval,
     s_exp_explicit,
 )
 from bruteforce import bell_count, stirling2_count
+from identities import holds
 
 Q = Fraction
 
@@ -60,20 +60,19 @@ def test_addition_formula_classical_reading():
         for x in X_VALUES:
             for n in range(5):
                 for m in range(4):
-                    out = check_spivey(p, x, n, m)
-                    assert out.classical
+                    assert holds("spivey", **asdict(p), x=x, n=n, m=m)["classical"]
 
 
 def test_addition_formula_printed_index_fails():
-    out = check_spivey(CLASSIC, Q(1), 2, 1)
-    assert not out.printed and out.classical
+    out = holds("spivey", **asdict(CLASSIC), x=Q(1), n=2, m=1)
+    assert not out["printed"] and out["classical"]
 
 
 def test_shifted_series_identity():
     for p in GRID:
         for x in X_VALUES:
             for m in range(4):
-                assert check_lemma34(p, x, m, 8)
+                assert holds("lemma34", **asdict(p), x=x, m=m, order=8)["main"]
 
 
 def test_shifted_series_m0_reduces_to_plain_series():

@@ -1,5 +1,6 @@
 import inspect
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -12,21 +13,12 @@ from geomstir import (
     a_eval,
     a_explicit,
     a_recurrence,
-    check_31_32,
-    check_38,
-    check_convolutions,
-    check_eq6,
-    check_eq7,
-    check_shift_theorem,
-    check_symmetry_37,
-    check_thm2,
-    check_thm4,
-    check_thm6,
     lam_binom,
     m_numbers,
     m_polynomial,
 )
 from bruteforce import fubini_count, stirling2_count
+from identities import holds
 
 Q = Fraction
 
@@ -136,53 +128,58 @@ def test_explicit_equals_recurrence_property(lam, a, b, g, n):
     assert a_explicit(p, n) == a_recurrence(p, n)
 
 
+def _pair(p1: PolyParams, p2: PolyParams, n: int) -> dict:
+    assert (p1.alpha, p1.beta) == (p2.alpha, p2.beta)
+    return {"lam1": p1.lam, "gamma1": p1.gamma, "lam2": p2.lam,
+            "gamma2": p2.gamma, "alpha": p1.alpha, "beta": p1.beta, "n": n}
+
+
 def test_raising_identities_hold_on_grid():
     for p in GRID:
         for n in range(7):
-            assert check_thm6(p, n)
-            assert check_thm4(p, n)
-            thm2 = check_thm2(p, n)
-            assert thm2.statement and thm2.proof
-            pair = check_31_32(p, n)
-            assert pair.shift_split and pair.raise_mixed
+            assert holds("thm6", **asdict(p), n=n)["main"]
+            assert holds("thm4", **asdict(p), n=n)["main"]
+            thm2 = holds("thm2", **asdict(p), n=n)
+            assert thm2["statement"] and thm2["proof"]
+            assert holds("eq31", **asdict(p), n=n)["main"]
+            assert holds("eq32", **asdict(p), n=n)["main"]
 
 
 def test_removal_identity_reflected_reading():
     for p in GRID:
         for n in range(7):
-            out = check_eq6(p, n)
-            assert out.reflected
+            assert holds("eq6", **asdict(p), n=n)["reflected"]
             if p.alpha == 0:
-                assert out.printed
+                assert holds("eq6-printed", **asdict(p), n=n)["printed"]
 
 
 def test_removal_identity_printed_fails_off_axis():
     # the as-printed sign only survives when alpha = 0
-    out = check_eq6(PolyParams(1, Q(1), Q(1), Q(1)), 2)
-    assert not out.printed and out.reflected
+    out = holds("eq6-printed", **asdict(PolyParams(1, Q(1), Q(1), Q(1))), n=2)
+    assert not out["printed"] and out["reflected"]
 
 
 def test_gamma_split_expansion():
     for p in GRID:
         for n in range(7):
-            assert check_eq7(p, n)
+            assert holds("eq7", **asdict(p), n=n)["main"]
 
 
 def test_symmetry_substitutions():
     for p in GRID:
         for n in range(7):
-            out = check_symmetry_37(p, n)
-            assert out.pair and out.third_reflected
+            out = holds("eq37", **asdict(p), n=n)
+            assert out["pair"] and out["third-reflected"]
             if p.alpha == 0:
-                assert out.third_printed
-    bad = check_symmetry_37(PolyParams(1, Q(1), Q(1), Q(1)), 2)
-    assert not bad.third_printed
+                assert holds("eq37-printed", **asdict(p), n=n)["third-printed"]
+    bad = holds("eq37-printed", **asdict(PolyParams(1, Q(1), Q(1), Q(1))), n=2)
+    assert not bad["third-printed"]
 
 
 def test_shifted_argument_expansion():
     for p in GRID:
         for n in range(7):
-            assert check_38(p, n)
+            assert holds("eq38", **asdict(p), n=n)["main"]
 
 
 def test_convolution_product_form():
@@ -194,23 +191,14 @@ def test_convolution_product_form():
     ]
     for p1, p2 in pairs:
         for n in range(7):
-            out = check_convolutions(p1, p2, n)
-            assert out.teo2
-            assert out.teo1_shifted
+            assert holds("teo2", **_pair(p1, p2, n))["main"]
+            assert holds("teo1", **_pair(p1, p2, n))["shifted"]
 
 
 def test_convolution_printed_reading_fails():
-    out = check_convolutions(
-        PolyParams(1, Q(1), Q(1), Q(1)), PolyParams(2, Q(1), Q(1), Q(-1)), 3
-    )
-    assert not out.teo1_printed and out.teo1_shifted
-
-
-def test_convolution_requires_shared_base():
-    with pytest.raises(ValueError):
-        check_convolutions(
-            PolyParams(1, Q(0), Q(1), Q(0)), PolyParams(1, Q(1), Q(1), Q(0)), 2
-        )
+    out = holds("teo1", **_pair(
+        PolyParams(1, Q(1), Q(1), Q(1)), PolyParams(2, Q(1), Q(1), Q(-1)), 3))
+    assert not out["printed"] and out["shifted"]
 
 
 def test_shift_theorem_raising_direction():
@@ -219,25 +207,16 @@ def test_shift_theorem_raising_direction():
             continue
         for n in range(6):
             for m in range(3):
-                out = check_shift_theorem(p, n, m)
-                assert out.raise_ok
+                assert holds("shift-raise", **asdict(p), n=n, m=m)["main"]
                 if m <= 1:
-                    assert out.inverse_rowwise
+                    assert holds("shift-inverse", **asdict(p), n=n, m=m)["rowwise"]
 
 
 def test_shift_theorem_inverse_breaks_at_m2():
     # no m-dependent argument shift makes the solved-for form hold at m = 2
     # once alpha is nonzero; both readings are tracked as failing
-    out = check_shift_theorem(PolyParams(1, Q(1), Q(1), Q(1)), 2, 2)
-    assert out.raise_ok
-    assert not out.inverse_printed
-    assert not out.inverse_rowwise
-
-
-def test_shift_theorem_preconditions():
-    with pytest.raises(ValueError):
-        check_shift_theorem(PolyParams(0, Q(1), Q(1), Q(1)), 2, 1)
-    with pytest.raises(ValueError):
-        check_shift_theorem(PolyParams(1, Q(1), Q(0), Q(1)), 2, 1)
-    with pytest.raises(ValueError):
-        check_shift_theorem(PolyParams(1, Q(1), Q(1), Q(1)), 2, -1)
+    p = asdict(PolyParams(1, Q(1), Q(1), Q(1)))
+    assert holds("shift-raise", **p, n=2, m=2)["main"]
+    out = holds("shift-inverse", **p, n=2, m=2)
+    assert not out["printed"]
+    assert not out["rowwise"]
