@@ -23,7 +23,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .asymptotics import error_decay_report, format_sig
-from .euler import EulerParams, euler_polynomial, euler_via_a
+from .euler import EulerParams, _gamma_polynomials, euler_via_a
 from .exppoly import ExpPolyParams, s_exp_eval, s_exp_explicit
 from .geom import PolyParams, a_explicit, a_eval, m_numbers, m_polynomial
 from .harness import GridSpec, _parse_rational, default_grid, run_suite
@@ -175,7 +175,9 @@ def _compute_rows(args):
                        "beta": str(p.beta)}
         at = args.gamma
         value = lambda n: euler_via_a(p, at, n)
-        poly = lambda n: euler_polynomial(p, n)
+        if at is None:
+            # every row is read from one gamma-polynomial build at the top n
+            poly = _gamma_polynomials(p, max(ns)).__getitem__
     else:
         raise ValueError(f"unsupported family {fam!r}")
 

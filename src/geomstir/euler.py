@@ -101,11 +101,15 @@ def euler_explicit(p: EulerParams, gamma, n: int) -> tuple[Fraction, Fraction]:
 
 def euler_polynomial(p: EulerParams, n: int) -> XPolynomial:
     """E_n as a polynomial in the gamma argument."""
-    base = binomial_series(p.alpha, p.beta, n).add_const(1).scale(HALF)
+    return _gamma_polynomials(p, n)[n]
+
+
+def _gamma_polynomials(p: EulerParams, order: int) -> tuple[XPolynomial, ...]:
+    """E_0 .. E_order as polynomials in gamma, from one order-`order` product
+    of the gamma-free factor with sum_j (gamma | alpha)_j t^j / j!."""
+    base = binomial_series(p.alpha, p.beta, order).add_const(1).scale(HALF)
     core = lift_to_poly(series_int_pow(base, -p.lam))
     sym = Series.from_egf(
-        [gff(XPolynomial.x(), p.alpha, j) for j in range(n + 1)]
+        [gff(XPolynomial.x(), p.alpha, j) for j in range(order + 1)]
     )
-    prod = core * sym
-    val = prod.egf_value(n)
-    return val if isinstance(val, XPolynomial) else XPolynomial.constant(val)
+    return tuple((core * sym).egf_values())

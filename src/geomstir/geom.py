@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .series import (
+    SERIES_CACHE_SIZE,
     _q,
     binomial_series,
     lift_to_poly,
@@ -95,12 +96,14 @@ def a_eval(params: PolyParams, n: int, x) -> Fraction:
     return a_explicit(params, n)(_q(x))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def a_egf(params: PolyParams, order: int) -> ASequence:
     """A_0..A_order from the closed generating series.
 
     The series is built with XPolynomial coefficients so the marker stays
-    symbolic; no order extension ever happens past `order`.
+    symbolic; no order extension ever happens past `order`.  The build is
+    prefix-stable, so a_egf(params, N).values[n] == a_egf(params, n).values[n]
+    for every N >= n.
     """
     p = lift_to_poly(binomial_series(-params.alpha, params.gamma, order))
     grow = lift_to_poly(binomial_series(-params.alpha, params.beta, order))

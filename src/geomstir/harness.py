@@ -1,9 +1,11 @@
 """Conformance harness: every identity in the library, run over a grid.
 
 Each registry entry owns an id, a kind, an anchor (a plain rendering of the
-statement being tested), a point generator, and an evaluator that returns
-both sides of the identity for every reading of it.  A reading passes at a
-point when its two sides are exactly equal.
+statement being tested), a point generator, a domain predicate (the points
+the identity is stated for; both the grid and the counterexample shrinker
+stay inside it), and an evaluator that returns both sides of the identity
+for every reading of it.  A reading passes at a point when its two sides
+are exactly equal.
 
 Kinds:
   * hard      -- identities that hold for all parameters; any failure is an
@@ -22,10 +24,19 @@ import re
 import reprlib
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable
 
-from .euler import EulerParams, HALF, _ev as euler_value
+from .euler import (
+    EulerParams,
+    HALF,
+    _ev as euler_value,
+    _gamma_polynomials,
+    euler_egf,
+    euler_explicit,
+    euler_via_a,
+)
 from .exppoly import ExpPolyParams, lemma34_sides, s_exp_eval, s_exp_egf
 from .geom import (
     PolyParams,
@@ -37,7 +48,7 @@ from .geom import (
     lam_binom,
 )
 from .oracle import MAX_ORACLE_N, BPAConfig, count_bpa
-from .series import Series, _q, gff, rising
+from .series import SERIES_CACHE_SIZE, Series, gff, rising
 from .stirling import (
     StirlingParams,
     param_swap_rhs,
@@ -84,32 +95,16 @@ class GridSpec:
     select: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.n_max < 0 or self.oracle_n_max < 0:
-            raise ValueError("grid needs nonnegative n ranges")
-        object.__setattr__(
-            self,
-            "poly_points",
-            tuple((int(l), _q(a), _q(b), _q(g)) for l, a, b, g in self.poly_points),
-        )
-        object.__setattr__(
-            self,
-            "pair_points",
-            tuple(
-                (int(l1), _q(g1), int(l2), _q(g2), _q(a), _q(b))
-                for l1, g1, l2, g2, a, b in self.pair_points
-            ),
-        )
-        object.__setattr__(
-            self, "exp_points",
-            tuple((_q(a), _q(b), _q(r)) for a, b, r in self.exp_points),
-        )
-        object.__setattr__(
-            self,
-            "euler_points",
-            tuple((int(l), _q(a), _q(b), _q(g)) for l, a, b, g in self.euler_points),
-        )
-        object.__setattr__(self, "x_values", tuple(_q(x) for x in self.x_values))
-        object.__setattr__(self, "shift_ms", tuple(int(m) for m in self.shift_ms))
+        # only exact values get in: ints (not bools) for orders, ints or
+        # Fractions for parameters; anything else is a ValueError
+        for key in ("n_max", "oracle_n_max"):
+            _count(key, getattr(self, key))
+        for key in _ROW_KINDS:
+            object.__setattr__(self, key, _rows(key, getattr(self, key)))
+        object.__setattr__(self, "x_values",
+                           tuple(_exact("x_values", x) for x in self.x_values))
+        object.__setattr__(self, "shift_ms",
+                           tuple(_count("shift_ms", m) for m in self.shift_ms))
         if self.select is not None:
             object.__setattr__(self, "select", tuple(str(s) for s in self.select))
 
@@ -145,7 +140,8 @@ class GridSpec:
         """Parse a grid file; any malformed field raises ValueError.
 
         Keys left out of the file keep their shipped defaults, so a file
-        like {"n_max": 10} widens the standard grid instead of emptying it.
+        like {"n_max": 10} widens the standard grid instead of emptying it;
+        a key GridSpec does not have is an error, not a silent default.
         """
         try:
             raw = json.loads(text)
@@ -153,12 +149,15 @@ class GridSpec:
             raise ValueError("JSON nested too deeply") from None
         if not isinstance(raw, dict):
             raise ValueError("a grid file holds one JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown grid keys: {', '.join(map(repr, unknown))}")
         return replace(default_grid(), **{
-            f.name: _field(f.name, raw[f.name]) for f in fields(cls) if f.name in raw
+            key: _field(key, value) for key, value in raw.items()
         })
 
 
-# grid-file rows: "n" is a non-negative int (an order), "q" an exact rational
+# grid rows: "n" is a non-negative int (an order), "q" an exact rational
 _ROW_KINDS = {
     "poly_points": "nqqq",    # lam, alpha, beta, gamma
     "pair_points": "nqnqqq",  # lam1, gamma1, lam2, gamma2, alpha, beta
@@ -168,31 +167,43 @@ _ROW_KINDS = {
 
 
 def _field(key: str, value):
-    """One grid-file field, checked against the schema; ValueError if off."""
-    if key in ("n_max", "oracle_n_max"):
-        return _count(key, value)
-    if key == "select" and value is None:
-        return None
+    """One grid-file field in the types GridSpec takes: JSON lists become
+    tuples and "p/q" strings Fractions; GridSpec checks the values."""
+    if key in ("n_max", "oracle_n_max") or (key == "select" and value is None):
+        return value
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a list, got {reprlib.repr(value)}")
     if key == "select":
         if not all(isinstance(s, str) for s in value):
             raise ValueError("select must be null or a list of identity ids")
         return tuple(value)
-    if key == "shift_ms":
-        return tuple(_count(key, m) for m in value)
-    if key == "x_values":
-        return tuple(_rational(key, x) for x in value)
-    kinds = _ROW_KINDS[key]
+    if key not in _ROW_KINDS:
+        return tuple(_json_scalar(key, v) for v in value)
     for row in value:
-        if not isinstance(row, list) or len(row) != len(kinds):
+        if not isinstance(row, list):
+            raise ValueError(f"each {key} row is a list, got {reprlib.repr(row)}")
+    return tuple(tuple(_json_scalar(key, v) for v in row) for row in value)
+
+
+def _json_scalar(key: str, value):
+    if not isinstance(value, str):
+        return value
+    try:
+        return _parse_rational(value)
+    except ValueError as e:
+        raise ValueError(f"{key}: {e}") from None
+
+
+def _rows(key: str, rows) -> tuple:
+    kinds = _ROW_KINDS[key]
+    out = []
+    for row in rows:
+        if not isinstance(row, (tuple, list)) or len(row) != len(kinds):
             raise ValueError(f"each {key} row has {len(kinds)} entries, "
                              f"got {reprlib.repr(row)}")
-    return tuple(
-        tuple(_count(key, v) if kind == "n" else _rational(key, v)
-              for kind, v in zip(kinds, row))
-        for row in value
-    )
+        out.append(tuple(_count(key, v) if kind == "n" else _exact(key, v)
+                         for kind, v in zip(kinds, row)))
+    return tuple(out)
 
 
 def _count(key: str, value) -> int:
@@ -202,16 +213,14 @@ def _count(key: str, value) -> int:
     return value
 
 
-def _rational(key: str, value) -> Fraction:
+def _exact(key: str, value) -> Fraction:
+    # a float would get in as its binary value, 0.1 as 3602879701896397/2**55
     if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return _parse_rational(value)
-        except ValueError as e:
-            raise ValueError(f"{key}: {e}") from None
-    raise ValueError(f"{key} needs integers or \"p/q\" strings, "
-                     f"got {reprlib.repr(value)}")
+    if isinstance(value, Fraction):
+        return value
+    raise ValueError(f"{key} needs integers or Fractions (in a grid file, "
+                     f"integers or \"p/q\" strings), got {reprlib.repr(value)}")
 
 
 def default_grid() -> GridSpec:
@@ -262,15 +271,10 @@ def _params(pt: Point) -> PolyParams:
 
 
 def _poly_pts(grid: GridSpec, rows=None, shifted=False):
-    """(lam, alpha, beta, gamma, n) points over rows (default: poly_points).
-
-    shifted adds every m of shift_ms and keeps only the rows with lam >= 1
-    and beta != 0, the domain of the index-shift and order-lowering forms.
-    """
+    """(lam, alpha, beta, gamma, n) points over rows (default: poly_points);
+    shifted adds every m of shift_ms."""
     pts = []
     for lam, a, b, g in grid.poly_points if rows is None else rows:
-        if shifted and (lam < 1 or b == 0):
-            continue
         for n in range(grid.n_max + 1):
             pt = {"lam": lam, "alpha": a, "beta": b, "gamma": g, "n": n}
             if shifted:
@@ -280,11 +284,23 @@ def _poly_pts(grid: GridSpec, rows=None, shifted=False):
     return pts
 
 
-def _stirling_pts(grid: GridSpec, need_beta=False):
+def _at_top_order(points):
+    """points plus "order": grid.n_max, for a route that reads every n from
+    one series build per parameter set at the grid's top order."""
+    return lambda grid: [{**pt, "order": grid.n_max} for pt in points(grid)]
+
+
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
+def _series_build(route, *args):
+    """route(*args), built once: every point of a parameter set reads its n
+    from the same order-`order` build (truncated series are prefix-stable)."""
+    return route(*args)
+
+
+def _stirling_pts(grid: GridSpec):
     return [
         {"alpha": a, "beta": b, "gamma": g, "n": n}
         for a, b, g in grid.stirling_triples()
-        if not (need_beta and b == 0)
         for n in range(grid.n_max + 1)
     ]
 
@@ -302,7 +318,7 @@ def _ev_routes_a(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
     e = a_explicit(p, n)
     return {
-        "explicit-vs-series": (e, a_egf(p, n).values[n]),
+        "explicit-vs-series": (e, a_egf(p, pt["order"]).values[n]),
         "explicit-vs-recurrence": (e, a_recurrence(p, n)),
     }
 
@@ -605,7 +621,6 @@ def _lemma34_pts(grid: GridSpec):
     return [
         {"alpha": a, "beta": b, "r": r, "x": x, "m": m, "order": grid.n_max}
         for a, b, r in grid.exp_points
-        if b != 0
         for x in grid.x_values
         for m in range(min(3, grid.n_max) + 1)
     ]
@@ -619,9 +634,8 @@ def _ev_lemma34(pt: Point) -> dict:
 
 def _exp_route_pts(grid: GridSpec):
     return [
-        {"alpha": a, "beta": b, "r": r, "x": x, "n": n}
+        {"alpha": a, "beta": b, "r": r, "x": x, "n": n, "order": grid.n_max}
         for a, b, r in grid.exp_points
-        if b != 0
         for x in grid.x_values
         for n in range(grid.n_max + 1)
     ]
@@ -629,23 +643,23 @@ def _exp_route_pts(grid: GridSpec):
 
 def _ev_routes_exp(pt: Point) -> dict:
     p = ExpPolyParams(pt["alpha"], pt["beta"], pt["r"])
-    lhs = s_exp_eval(p, pt["n"], pt["x"])
-    rhs = s_exp_egf(p, pt["x"], pt["n"]).egf_value(pt["n"])
-    return {"explicit-vs-series": (lhs, rhs)}
+    x, n = pt["x"], pt["n"]
+    rhs = _series_build(s_exp_egf, p, x, pt["order"]).egf_value(n)
+    return {"explicit-vs-series": (s_exp_eval(p, n, x), rhs)}
 
 
 def _ev_routes_euler(pt: Point) -> dict:
-    from .euler import euler_egf, euler_explicit, euler_polynomial, euler_via_a
-
     p = EulerParams(pt["lam"], pt["alpha"], pt["beta"])
-    g, n = pt["gamma"], pt["n"]
+    g, n, order = pt["gamma"], pt["n"], pt["order"]
     v = euler_via_a(p, g, n)
     e1, e2 = euler_explicit(p, g, n)
+    series = _series_build(euler_egf, p, g, order)
+    gamma_polys = _series_build(_gamma_polynomials, p, order)
     return {
-        "a-vs-series": (v, euler_egf(p, g, n).egf_value(n)),
+        "a-vs-series": (v, series.egf_value(n)),
         "a-vs-explicit-plus": (v, e1),
         "a-vs-explicit-minus": (v, e2),
-        "a-vs-polynomial": (v, euler_polynomial(p, n)(g)),
+        "a-vs-polynomial": (v, gamma_polys[n](g)),
     }
 
 
@@ -726,20 +740,42 @@ def _ev_euler_conv(pt: Point) -> dict:
     }
 
 
+def _anywhere(pt: Point) -> bool:
+    return True
+
+
+def _beta_nonzero(pt: Point) -> bool:
+    # the generating-series brackets and finite differences divide by beta
+    return pt["beta"] != 0
+
+
+def _shiftable(pt: Point) -> bool:
+    # the index-shift and order-lowering forms divide by (lam)^(m) and beta
+    return pt["lam"] >= 1 and pt["beta"] != 0
+
+
 @dataclass(frozen=True)
 class Identity:
+    """One identity: `generate` lays out candidate points over a grid,
+    `domain` says which points the identity is stated for, and `evaluate`
+    returns both sides of every reading at a point."""
+
     id: str
     kind: str
     anchor: str
-    points: Callable[[GridSpec], list]
+    generate: Callable[[GridSpec], list]
     evaluate: Callable[[Point], dict]
+    domain: Callable[[Point], bool] = _anywhere
+
+    def points(self, grid: GridSpec) -> list:
+        return [pt for pt in self.generate(grid) if self.domain(pt)]
 
 
 REGISTRY: tuple[Identity, ...] = (
     Identity(
         "routes-stirling", "hard",
         "S(n,k;a,b,g) = sum_s (-1)^(k-s) C(k,s) (b s + g | a)_n / (b^k k!)",
-        lambda g: _stirling_pts(g, need_beta=True), _ev_routes_stirling),
+        _stirling_pts, _ev_routes_stirling, _beta_nonzero),
     Identity(
         "orthogonality", "hard",
         "sum_k S(n,k;a,b,g) S(k,m;b,a,-g) = [n == m], both orders",
@@ -747,7 +783,7 @@ REGISTRY: tuple[Identity, ...] = (
     Identity(
         "routes-a", "hard",
         "A_n by explicit column sum == generating series == raising recurrence",
-        _poly_pts, _ev_routes_a),
+        _at_top_order(_poly_pts), _ev_routes_a),
     Identity(
         "oracle", "hard",
         "A_n(x) at integer parameters counts barred preferential arrangements",
@@ -819,15 +855,13 @@ REGISTRY: tuple[Identity, ...] = (
         "shift-raise", "hard",
         "(-1)^m A_{n+m}(g) = sum_k S(m,k;a,-b,-g) c_lk k! (-b)^k "
         "A^{l+k}_n(g+ma+kb) x^k",
-        lambda g: _poly_pts(g, shifted=True),
-        _ev_shift_raise),
+        lambda g: _poly_pts(g, shifted=True), _ev_shift_raise, _shiftable),
     Identity(
         "shift-inverse", "recorded",
         "A^{l+m}_n(a,-b,g) at -x-1 = (-1)^m sum_k (-1)^k S(m,k;-b,a,g-ma+lb) "
         "A^l_{n+k}(g-sa+lb)(x) / ((l)^(m) (bx)^m); s read as m (printed) "
         "or k (rowwise)",
-        lambda g: _poly_pts(g, shifted=True),
-        _ev_shift_inverse),
+        lambda g: _poly_pts(g, shifted=True), _ev_shift_inverse, _shiftable),
     Identity(
         "spivey", "recorded",
         "S_{n+m}(x) = sum_j sum_k C(n,k) S(M,J) (j b - m a | a)_{n-k} S_k(x) "
@@ -837,22 +871,22 @@ REGISTRY: tuple[Identity, ...] = (
         "lemma34", "hard",
         "sum_n S_{n+m}(x) t^n/n! = (1+at)^((r-ma)/a) exp((x/b) u) "
         "S_m(x (1+at)^(b/a)), u = (1+at)^(b/a) - 1",
-        _lemma34_pts, _ev_lemma34),
+        _lemma34_pts, _ev_lemma34, _beta_nonzero),
     Identity(
         "routes-exp", "hard",
         "S_n(x) from triangle rows == generating series coefficients",
-        _exp_route_pts, _ev_routes_exp),
+        _exp_route_pts, _ev_routes_exp, _beta_nonzero),
     Identity(
         "routes-euler", "hard",
         "E_n by A-specialization == generating series == both explicit sums "
         "== gamma polynomial",
-        lambda g: _poly_pts(g, g.euler_points), _ev_routes_euler),
+        _at_top_order(lambda g: _poly_pts(g, g.euler_points)), _ev_routes_euler),
     Identity(
         "euler-rec", "recorded",
         "order raising, argument raising, and order lowering for E_n; "
         "printed forms plus repaired readings",
-        lambda g: _poly_pts(g, g.euler_points, shifted=True),
-        _ev_euler_rec),
+        lambda g: _poly_pts(g, g.euler_points, shifted=True), _ev_euler_rec,
+        _shiftable),
     Identity(
         "euler-conv", "recorded",
         "binomial convolutions for E_n: weighted, plain, alternating; "
@@ -1026,13 +1060,16 @@ def _point_rank(pt: Point) -> int:
 def counterexample_minimize(identity_id: str, reading: str, point: Point) -> Point:
     """Shrink a failing point: n and m first, then parameter magnitudes.
 
-    Raises ValueError when the starting point does not fail the reading.
+    Every candidate stays inside the identity's domain.  Raises ValueError
+    when the starting point does not fail the reading.
     """
     ident = _BY_ID.get(identity_id)
     if ident is None:
         raise ValueError(f"unknown identity id: {identity_id}")
 
     def fails(pt: Point) -> bool:
+        if not ident.domain(pt):
+            return False
         try:
             res = ident.evaluate(pt)
         except (ValueError, ZeroDivisionError):

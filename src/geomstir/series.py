@@ -8,6 +8,17 @@ two series requires equal orders, and results are exact.
 Coefficients are Fractions in the plain case; XPolynomial coefficients are
 supported as well (anything that forms a commutative ring with the scalars
 works), which is how polynomial-valued generating functions are built.
+
+Every operation is prefix-stable: coefficient n of an order-N result equals
+coefficient n of the order-n result for every N >= n.  So a route that
+needs A_0 .. A_N builds one order-N series and reads every n from it.
+
+series_exp uses the recurrence of g = exp(f), g' = f' g (Knuth, TAOCP
+vol. 2, 4.7):
+
+    g_0 = 1,    m g_m = sum_{k=1..m} k f_k g_{m-k},
+
+which is O(N^2) coefficient products instead of summing N series powers.
 """
 
 from __future__ import annotations
@@ -20,6 +31,11 @@ from typing import Sequence, Union
 from .xpoly import XPolynomial
 
 Coeff = Union[Fraction, XPolynomial]
+
+# Entries kept by each memo of whole series builds (a_egf, and the harness's
+# one build per parameter set).  A route reads all its orders from one build
+# before moving to the next parameter set, so a small bound loses no hits.
+SERIES_CACHE_SIZE = 32
 
 
 def _q(v) -> Fraction:
@@ -185,19 +201,22 @@ def series_int_pow(f: Series, m: int) -> Series:
 
 
 def series_exp(f: Series) -> Series:
-    """exp(f) for a series with zero constant term (so the sum is finite)."""
+    """exp(f) for a series with zero constant term (so the sum is finite),
+    by the recurrence m g_m = sum_{k=1..m} k f_k g_{m-k}, g_0 = 1."""
     c0 = f.coeffs[0]
     if not (c0 == 0 or (isinstance(c0, XPolynomial) and c0.is_zero())):
         raise ValueError("series_exp needs a zero constant term")
-    n = f.order
-    out = series_one(n)
+    one = Fraction(1)
     if any(isinstance(c, XPolynomial) for c in f.coeffs):
-        out = lift_to_poly(out)
-    power = out
-    for j in range(1, n + 1):
-        power = series_mul(power, f)
-        out = out + power.scale(Fraction(1, math.factorial(j)))
-    return out
+        one = XPolynomial.constant(one)
+    df = [k * c for k, c in enumerate(f.coeffs)]  # k f_k, the coefficients of t f'
+    out = [one]
+    for m in range(1, f.order + 1):
+        acc = df[1] * out[m - 1]
+        for k in range(2, m + 1):
+            acc = acc + df[k] * out[m - k]
+        out.append(acc * Fraction(1, m))
+    return Series(tuple(out))
 
 
 def binomial_series(alpha, beta, order: int) -> Series:

@@ -266,6 +266,12 @@ def test_verify_bad_grid_file(tmp_path, capsys):
         assert code == 2, text
         assert out == "" and err.startswith("error: bad grid"), text
 
+    # a misspelt key is named, not dropped for the default
+    grid.write_text('{"n-max": 3}')
+    code, out, err = run(capsys, "verify", "--grid", str(grid))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad grid") and "unknown grid keys: 'n-max'" in err
+
     code, _, err = run(capsys, "verify", "--grid", str(tmp_path / "absent.json"))
     assert code == 2
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomstir import GridSpec, counterexample_minimize, default_grid, run_suite
+from geomstir import GridSpec, a_egf, counterexample_minimize, default_grid, run_suite
+from geomstir import harness
 from geomstir.harness import REGISTRY
 
 Q = Fraction
@@ -21,6 +22,36 @@ def test_default_report_bytes_are_pinned():
     # report format that moves a single byte of the default report fails here
     digest = hashlib.sha256(REPORT.to_json().encode()).hexdigest()
     assert digest == "6429ce54eaed1f7b3d2112b8374bab61daa32b7578a60b99ce6e791c0af03137"
+
+
+def test_n_max_12_report_bytes_are_pinned():
+    # the second oracle: past the default n_max the series routes read
+    # orders 9..12 from the same one-per-parameter-set builds
+    wide = run_suite(replace(GRID, n_max=12)).to_json()
+    digest = hashlib.sha256(wide.encode()).hexdigest()
+    assert digest == "0039414bd9171c28100b127cffb3488066e0453c720b5b956c4216cad64f9012"
+
+
+def test_series_routes_build_once_per_parameter_set():
+    harness._series_build.cache_clear()
+    a_egf.cache_clear()
+    run_suite(replace(GRID, select=("routes-a", "routes-exp", "routes-euler")))
+    # routes-exp: one build per (alpha, beta, r, x); routes-euler: one egf
+    # and one gamma-polynomial build per row; routes-a: one a_egf per row
+    exp_sets = len(GRID.exp_points) * len(GRID.x_values)
+    assert harness._series_build.cache_info().misses == exp_sets + 2 * len(GRID.euler_points)
+    assert a_egf.cache_info().misses == len(GRID.poly_points)
+    assert a_egf.cache_info().hits == len(GRID.poly_points) * GRID.n_max
+
+
+def test_only_the_series_routes_carry_an_order():
+    with_order = {"routes-a", "routes-exp", "routes-euler", "lemma34"}
+    for ident in REGISTRY:
+        pts = ident.points(GRID)
+        carries = {"order" in pt for pt in pts}
+        assert carries == {ident.id in with_order}, ident.id
+        if ident.id in with_order:
+            assert {pt["order"] for pt in pts} == {GRID.n_max}
 
 
 def test_hard_identities_all_pass():
@@ -147,6 +178,37 @@ def test_grid_validation():
         GridSpec(n_max=-1)
 
 
+@pytest.mark.parametrize("bad", [
+    {"poly_points": ((1.5, Q(0), Q(1), Q(0)),)},     # fractional order
+    {"poly_points": ((1, 0.1, 1, 0),)},              # binary float parameter
+    {"poly_points": ((True, 0, 1, 0),)},             # bool order
+    {"poly_points": ((1, 0, 1),)},                   # short row
+    {"pair_points": ((1, 0, 1, 0, False, 1),)},      # bool parameter
+    {"euler_points": ((-1, 0, 1, 0),)},              # negative order
+    {"exp_points": ((Q(1), "1/2", Q(1)),)},          # a string, not a number
+    {"x_values": (0.5,)},
+    {"shift_ms": (1.0,)},
+    {"n_max": True},
+    {"oracle_n_max": 2.0},
+])
+def test_grid_rejects_inexact_values(bad):
+    with pytest.raises(ValueError):
+        GridSpec(**bad)
+
+
+def test_grid_keeps_exact_values_exact():
+    spec = GridSpec(poly_points=((1, 1, Q(1, 2), -3),), x_values=(2,))
+    assert spec.poly_points == ((1, Q(1), Q(1, 2), Q(-3)),)
+    assert [type(v) for v in spec.poly_points[0]] == [int, Q, Q, Q]
+    assert spec.x_values == (Q(2),) and type(spec.x_values[0]) is Q
+
+
+def test_grid_file_rejects_unknown_keys():
+    for text in ('{"n-max": 3}', '{"n_max": 3, "extra": null}', '{"N_MAX": [3]}'):
+        with pytest.raises(ValueError, match="unknown grid key"):
+            GridSpec.from_json(text)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(min_value=-3) | st.floats()
     | st.text(max_size=6)
@@ -204,6 +266,39 @@ def test_point_generators_stay_in_domain():
     assert any(pt["beta"] == 0 for pt in BY_ID["routes-a"].points(wide))
     assert any(pt["lam"] == 0 for pt in BY_ID["routes-euler"].points(wide))
     assert any(pt["beta"] == 0 for pt in BY_ID["spivey"].points(wide))
+
+
+def test_minimized_points_stay_in_domain():
+    # the recorded failures of euler-rec and shift-inverse, shrunk
+    seen = 0
+    for ident in REPORT.identities:
+        if ident.id not in ("euler-rec", "shift-inverse"):
+            continue
+        for r in ident.readings:
+            if not r.failed:
+                continue
+            seed = {k: v if isinstance(v, int) else Q(v)
+                    for k, v in r.first_counterexample["point"].items()}
+            small = counterexample_minimize(ident.id, r.name, seed)
+            assert small["lam"] >= 1 and small["beta"] != 0, (ident.id, r.name, small)
+            seen += 1
+    assert seen >= 4
+
+
+@pytest.mark.parametrize("ident_id", ["euler-rec", "shift-raise", "shift-inverse"])
+def test_minimizer_rejects_candidates_outside_domain(monkeypatch, ident_id):
+    # a reading that fails everywhere shrinks as far as the domain allows
+    ident = BY_ID[ident_id]
+    monkeypatch.setitem(harness._BY_ID, ident_id,
+                        replace(ident, evaluate=lambda pt: {"broken": (0, 1)}))
+    start = _pt(3, Q(3, 2), Q(-2), Q(5, 2), 4, m=2)
+    small = counterexample_minimize(ident_id, "broken", start)
+    assert small["lam"] == 1 and small["beta"] in (1, -1), small
+    assert small["n"] == small["m"] == 0
+    assert small["alpha"] == small["gamma"] == 0
+    # a start outside the domain is not a counterexample of the identity
+    with pytest.raises(ValueError):
+        counterexample_minimize(ident_id, "broken", {**start, "lam": 0})
 
 
 def _pt(lam, a, b, g, n, **extra):

@@ -4,8 +4,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomstir import Series, XPolynomial, binom, falling, gff, rising
+from geomstir import (
+    EulerParams,
+    ExpPolyParams,
+    PolyParams,
+    Series,
+    XPolynomial,
+    a_egf,
+    a_explicit,
+    binom,
+    euler_egf,
+    euler_via_a,
+    falling,
+    gff,
+    rising,
+    s_exp_egf,
+    s_exp_eval,
+)
+from geomstir.euler import _gamma_polynomials
 from geomstir.series import (
+    SERIES_CACHE_SIZE,
     binomial_series,
     lift_to_poly,
     series_exp,
@@ -106,11 +124,50 @@ def test_series_exp_of_t():
     e = series_exp(t)
     for n in range(5):
         assert e.coefficient(n) == Q(1, math.factorial(n))
+    # exp(x t) has EGF values x^n
+    xt = Series.from_ordinary([XPolynomial.zero(), XPolynomial.x(), 0, 0, 0])
+    assert series_exp(xt).egf_values() == [XPolynomial.x() ** n for n in range(5)]
 
 
 def test_series_exp_rejects_nonzero_constant():
     with pytest.raises(ValueError):
         series_exp(series_one(2))
+    with pytest.raises(ValueError):
+        series_exp(lift_to_poly(series_one(2)))
+
+
+def _exp_by_powers(f: Series) -> Series:
+    """Reference exp(f) = sum_{j=0..N} f^j / j!, N series products."""
+    one = series_one(f.order)
+    if any(isinstance(c, XPolynomial) for c in f.coeffs):
+        one = lift_to_poly(one)
+    out, power = one, one
+    for j in range(1, f.order + 1):
+        power = power * f
+        out = out + power.scale(Q(1, math.factorial(j)))
+    return out
+
+
+@settings(max_examples=60)
+@given(st.lists(small_q, max_size=8))
+def test_series_exp_matches_power_sum(tail):
+    f = Series.from_ordinary([Q(0)] + tail)
+    got = series_exp(f)
+    assert got == _exp_by_powers(f)
+    assert all(type(c) is Q for c in got.coeffs)
+
+
+small_poly = st.lists(small_q, max_size=3).map(XPolynomial)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.one_of(small_poly, small_q), max_size=6))
+def test_series_exp_matches_power_sum_polynomial_coefficients(tail):
+    # mixed Fraction and XPolynomial coefficients, constant term the zero poly
+    f = Series.from_ordinary([XPolynomial.zero()] + tail)
+    got = series_exp(f)
+    assert got == _exp_by_powers(f)
+    assert all(isinstance(c, XPolynomial) for c in got.coeffs)
 
 
 def test_binomial_series_values_are_gff():
@@ -147,3 +204,54 @@ def test_lift_to_poly_promotes_coefficients():
     assert isinstance(f.coefficient(0), XPolynomial)
     scaled = f.scale(XPolynomial.x())
     assert scaled.coefficient(0) == XPolynomial.x()
+
+
+# ---------------------------------------------------------------------------
+# series routes: coefficient n of an order-N build is the order-n value, so
+# the harness builds each series once per parameter set at its top order
+
+routes_q = st.sampled_from([Q(0), Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(-3, 2)])
+orders = st.tuples(st.integers(0, 6), st.integers(0, 4)).map(
+    lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), routes_q, routes_q, routes_q, orders)
+def test_a_egf_prefix_stable(lam, a, b, g, nn):
+    n, top = nn
+    p = PolyParams(lam, a, b, g)
+    assert a_egf(p, top).values[n] == a_egf(p, n).values[n] == a_explicit(p, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(routes_q, routes_q.filter(bool), routes_q, routes_q, orders)
+def test_s_exp_egf_prefix_stable(a, b, r, x, nn):
+    n, top = nn
+    p = ExpPolyParams(a, b, r)
+    got = s_exp_egf(p, x, top).egf_value(n)
+    assert got == s_exp_egf(p, x, n).egf_value(n) == s_exp_eval(p, n, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), routes_q, routes_q, routes_q, orders)
+def test_euler_routes_prefix_stable(lam, a, b, g, nn):
+    n, top = nn
+    p = EulerParams(lam, a, b)
+    want = euler_via_a(p, g, n)
+    assert euler_egf(p, g, top).egf_value(n) == euler_egf(p, g, n).egf_value(n) == want
+    polys = _gamma_polynomials(p, top)
+    assert len(polys) == top + 1
+    assert polys[n] == _gamma_polynomials(p, n)[n]
+    assert polys[n](g) == want
+
+
+def test_series_memos_stay_within_their_bound():
+    from geomstir.harness import _series_build
+
+    for memo in (a_egf, _series_build):
+        assert memo.cache_info().maxsize == SERIES_CACHE_SIZE
+    for i in range(SERIES_CACHE_SIZE + 5):
+        a_egf(PolyParams(1, Q(i), Q(1), Q(0)), 1)
+        _series_build(s_exp_egf, ExpPolyParams(Q(0), Q(1), Q(i)), Q(1), 1)
+    for memo in (a_egf, _series_build):
+        assert memo.cache_info().currsize == SERIES_CACHE_SIZE
