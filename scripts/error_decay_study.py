@@ -13,6 +13,7 @@ Example:
 
 import argparse
 import math
+import sys
 from fractions import Fraction
 
 from geomstir.asymptotics import error_decay_report, format_sig
@@ -33,6 +34,15 @@ def main() -> int:
     args = ap.parse_args()
 
     lams = [args.lambda_start * 2**i for i in range(args.doublings + 1)]
+    # every report is computed before the first line is printed, so a bad
+    # input ends in one error line and exit 2, with no partial table
+    try:
+        reports = {s: error_decay_report(args.alpha, args.beta, args.gamma,
+                                         args.x, args.n, s, lams)
+                   for s in args.depths if s <= args.n}
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(f"n={args.n}  alpha={args.alpha} beta={args.beta} "
           f"gamma={args.gamma} x={args.x}")
     print(f"lambda ladder: {', '.join(map(str, lams))}\n")
@@ -42,8 +52,7 @@ def main() -> int:
         if s > args.n:
             print(f"s={s}: skipped (depth cannot exceed n={args.n})")
             continue
-        report = error_decay_report(args.alpha, args.beta, args.gamma,
-                                    args.x, args.n, s, lams)
+        report = reports[s]
         print(f"s={s}")
         print(f"  {'lambda':>8s} {'rel_error':>16s} {'ratio':>14s} "
               f"{'order':>7s}")

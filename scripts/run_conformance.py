@@ -47,14 +47,18 @@ def main() -> int:
     args = ap.parse_args()
 
     grid = default_grid()
-    if args.n_max is not None:
-        grid = replace(grid, n_max=args.n_max)
-    if args.oracle_n_max is not None:
-        grid = replace(grid, oracle_n_max=args.oracle_n_max)
-    if args.select is not None:
-        grid = replace(grid, select=tuple(args.select))
-
-    report = run_suite(grid)
+    try:
+        if args.n_max is not None:
+            grid = replace(grid, n_max=args.n_max)
+        if args.oracle_n_max is not None:
+            grid = replace(grid, oracle_n_max=args.oracle_n_max)
+        if args.select is not None:
+            grid = replace(grid, select=tuple(args.select))
+        report = run_suite(grid)
+    except ValueError as e:
+        # exit 1 means a hard identity failed; a bad grid is a usage error
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     sys.stdout.write(report.to_text())
 
     if args.json is not None:

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 identity/oracle failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -33,6 +34,11 @@ from .xpoly import XPolynomial
 
 FAMILIES = ("stirling", "stirling-dual", "A", "M", "exp-poly", "euler")
 
+# Input caps: past one, the command exits 2 before any work
+MAX_N = 400  # the top index of compute --n and of asymptotic --n
+MAX_S = 40   # asymptotic --s; W(n, j) sums over about p(j) partitions, j <= s
+
+
 def parse_rational(text: str) -> Fraction:
     try:
         return _parse_rational(text)
@@ -42,15 +48,21 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_n_range(text: str) -> list[int]:
     """Single index "4" or inclusive range "0..5"."""
+    return list(_n_span(text))
+
+
+def _n_span(text: str) -> range:
+    """parse_n_range as a range, so a huge --n is not built before the cap
+    check rejects it."""
     text = text.strip()
     m = re.match(r"^(\d+)\.\.(\d+)$", text)
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo > hi:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if re.match(r"^\d+$", text):
-        return [int(text)]
+        return range(int(text), int(text) + 1)
     raise argparse.ArgumentTypeError(f"{text!r} is not an index or lo..hi range")
 
 
@@ -66,12 +78,13 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _write(text: str, out: str | None):
+def _write(lines, out: str | None):
+    """Write the strings of lines, each as it comes, to stdout or to out."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def _csv_cell(v) -> str:
@@ -90,23 +103,22 @@ def _json_cell(v):
 
 def _table(header: list[str], records: list[dict], fmt: str, out: str | None,
            prefix: dict | None = None):
-    """Render records keyed by header, in the one format asked for.
+    """Render records keyed by header, in the one format asked for, and
+    write each row as it is rendered.
 
     Cells stay raw values until here, so each big rational is turned into a
-    string once.  JSON writes rationals as strings, polynomials as lists of
-    coefficient strings and everything else as is; every JSON record starts
-    with the prefix fields.
+    string once, and only one rendered row is held at a time.  JSON writes
+    rationals as strings, polynomials as lists of coefficient strings and
+    everything else as is; every JSON record starts with the prefix fields.
     """
     if fmt == "csv":
-        lines = [",".join(header)] + [
-            ",".join(_csv_cell(rec[h]) for h in header) for rec in records
-        ]
-        _write("\n".join(lines) + "\n", out)
+        rows = (",".join(_csv_cell(rec[h]) for h in header) + "\n"
+                for rec in records)
+        _write(itertools.chain([",".join(header) + "\n"], rows), out)
     else:
-        _write("".join(
-            json.dumps({**(prefix or {}),
-                        **{h: _json_cell(rec[h]) for h in header}}) + "\n"
-            for rec in records), out)
+        _write((json.dumps({**(prefix or {}),
+                            **{h: _json_cell(rec[h]) for h in header}}) + "\n"
+                for rec in records), out)
 
 
 def _need(args, names: list[str]):
@@ -134,6 +146,8 @@ def _compute_rows(args):
     ns = args.n
     if ns is None:
         raise ValueError("compute needs --n")
+    if ns[-1] > MAX_N:
+        raise ValueError(f"--n goes up to {ns[-1]}, past the cap of {MAX_N}")
 
     if fam in ("stirling", "stirling-dual"):
         _need(args, ["alpha", "beta", "gamma"])
@@ -204,7 +218,7 @@ def cmd_verify(args) -> int:
     except ValueError as e:
         return _fail(str(e))
     text = report.to_json() + "\n" if args.format == "json" else report.to_text()
-    _write(text, args.out)
+    _write([text], args.out)
     return 0 if report.hard_pass else 1
 
 
@@ -226,6 +240,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
+    if args.n > MAX_N:
+        return _fail(f"--n {args.n} is past the cap of {MAX_N}")
+    if args.s > MAX_S:
+        return _fail(f"--s {args.s} is past the cap of {MAX_S}")
     try:
         report = error_decay_report(args.alpha, args.beta, args.gamma,
                                     args.x, args.n, args.s, args.lambdas)
@@ -262,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--family", dest="family_flag", choices=FAMILIES,
                       default=None)
     add_rationals(comp, ["alpha", "beta", "gamma", "lambda", "x"])
-    comp.add_argument("--n", type=parse_n_range, default=None,
+    comp.add_argument("--n", type=_n_span, default=None,
                       help='index or inclusive range "0..5"')
     comp.add_argument("--k", type=int, default=None)
     comp.add_argument("--format", choices=("csv", "jsonl"), default="csv")

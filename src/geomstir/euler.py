@@ -22,9 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .geom import PolyParams, a_eval, lam_binom
-from .series import Series, _q, binomial_series, gff, lift_to_poly, series_int_pow
+from .series import (SERIES_CACHE_SIZE, Series, _q, binomial_series, gff,
+                     lift_to_poly, series_int_pow)
 from .stirling import StirlingParams, stirling_rec
 from .xpoly import XPolynomial
 
@@ -63,6 +65,7 @@ def euler_via_a(p: EulerParams, gamma, n: int) -> Fraction:
     return v1
 
 
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def euler_egf(p: EulerParams, gamma, order: int) -> Series:
     """Truncated series whose EGF values are E_0 .. E_order."""
     base = binomial_series(p.alpha, p.beta, order).add_const(1).scale(HALF)
@@ -104,6 +107,7 @@ def euler_polynomial(p: EulerParams, n: int) -> XPolynomial:
     return _gamma_polynomials(p, n)[n]
 
 
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def _gamma_polynomials(p: EulerParams, order: int) -> tuple[XPolynomial, ...]:
     """E_0 .. E_order as polynomials in gamma, from one order-`order` product
     of the gamma-free factor with sum_j (gamma | alpha)_j t^j / j!."""

@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .geom import PolyParams, a_eval
-from .series import Series, _q, binomial_series, series_exp
+from .series import (POLY_CACHE_SIZE, SERIES_CACHE_SIZE, Series, _q,
+                     binomial_series, series_exp)
 from .stirling import StirlingParams, stirling_int_row
 from .xpoly import XPolynomial
 
@@ -36,6 +38,7 @@ class ExpPolyParams:
         return StirlingParams(self.alpha, self.beta, self.r)
 
 
+@lru_cache(maxsize=POLY_CACHE_SIZE)
 def s_exp_explicit(p: ExpPolyParams, n: int) -> XPolynomial:
     """S_n as a polynomial in x, straight from the triangle rows.
 
@@ -50,6 +53,7 @@ def s_exp_eval(p: ExpPolyParams, n: int, x) -> Fraction:
     return s_exp_explicit(p, n)(_q(x))
 
 
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def s_exp_egf(p: ExpPolyParams, x, order: int) -> Series:
     """Truncated generating series with EGF values S_n(x):
 

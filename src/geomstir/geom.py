@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .series import (
+    POLY_CACHE_SIZE,
     SERIES_CACHE_SIZE,
     _q,
     binomial_series,
@@ -73,7 +74,7 @@ def _stirling_a(params: PolyParams):
     return StirlingParams(params.alpha, -params.beta, -params.gamma)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=POLY_CACHE_SIZE)
 def a_explicit(params: PolyParams, n: int) -> XPolynomial:
     """A_n via the generalized Stirling column sum."""
     if n < 0:
@@ -116,7 +117,8 @@ def a_egf(params: PolyParams, order: int) -> ASequence:
     ))
 
 
-@lru_cache(maxsize=None)
+# maxsize=0 keeps nothing; it stays an lru_cache for the tracer's cache_info()
+@lru_cache(maxsize=0)
 def a_recurrence(params: PolyParams, n: int) -> XPolynomial:
     """A_n by iterating the order/argument raising recurrence from A_0 = 1.
 

@@ -24,7 +24,6 @@ import re
 import reprlib
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Callable
 
@@ -48,7 +47,7 @@ from .geom import (
     lam_binom,
 )
 from .oracle import MAX_ORACLE_N, BPAConfig, count_bpa
-from .series import SERIES_CACHE_SIZE, Series, gff, rising
+from .series import Series, gff, rising
 from .stirling import (
     StirlingParams,
     param_swap_rhs,
@@ -59,6 +58,9 @@ from .stirling import (
 from .xpoly import XPolynomial
 
 SCHEMA = "geomstir-conformance/1"
+
+# The largest index a grid may make the harness read, n_max + max(shift_ms) + 1
+MAX_GRID_INDEX = 48
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -105,6 +107,10 @@ class GridSpec:
                            tuple(_exact("x_values", x) for x in self.x_values))
         object.__setattr__(self, "shift_ms",
                            tuple(_count("shift_ms", m) for m in self.shift_ms))
+        top = self.n_max + max(self.shift_ms, default=0) + 1
+        if top > MAX_GRID_INDEX:
+            raise ValueError(f"the grid reads up to index n_max + max(shift_ms) + 1 "
+                             f"= {top}, past the cap of {MAX_GRID_INDEX}")
         if self.select is not None:
             object.__setattr__(self, "select", tuple(str(s) for s in self.select))
 
@@ -288,13 +294,6 @@ def _at_top_order(points):
     """points plus "order": grid.n_max, for a route that reads every n from
     one series build per parameter set at the grid's top order."""
     return lambda grid: [{**pt, "order": grid.n_max} for pt in points(grid)]
-
-
-@lru_cache(maxsize=SERIES_CACHE_SIZE)
-def _series_build(route, *args):
-    """route(*args), built once: every point of a parameter set reads its n
-    from the same order-`order` build (truncated series are prefix-stable)."""
-    return route(*args)
 
 
 def _stirling_pts(grid: GridSpec):
@@ -644,7 +643,7 @@ def _exp_route_pts(grid: GridSpec):
 def _ev_routes_exp(pt: Point) -> dict:
     p = ExpPolyParams(pt["alpha"], pt["beta"], pt["r"])
     x, n = pt["x"], pt["n"]
-    rhs = _series_build(s_exp_egf, p, x, pt["order"]).egf_value(n)
+    rhs = s_exp_egf(p, x, pt["order"]).egf_value(n)
     return {"explicit-vs-series": (s_exp_eval(p, n, x), rhs)}
 
 
@@ -653,8 +652,8 @@ def _ev_routes_euler(pt: Point) -> dict:
     g, n, order = pt["gamma"], pt["n"], pt["order"]
     v = euler_via_a(p, g, n)
     e1, e2 = euler_explicit(p, g, n)
-    series = _series_build(euler_egf, p, g, order)
-    gamma_polys = _series_build(_gamma_polynomials, p, order)
+    series = euler_egf(p, g, order)
+    gamma_polys = _gamma_polynomials(p, order)
     return {
         "a-vs-series": (v, series.egf_value(n)),
         "a-vs-explicit-plus": (v, e1),
@@ -693,16 +692,17 @@ def _ev_euler_rec(pt: Point) -> dict:
         lhs3, Fraction(2) ** m / (rising(Fraction(lam), m) * b ** m) * acc
     )
 
-    def lowered(lam_, steps, theta, n_):
-        if steps == 0:
-            return ev(lam_, theta, n_)
-        prev = lam_ + steps - 1
-        return (2 / (prev * b)) * (
-            (theta + a - b) * lowered(lam_, steps - 1, theta - b, n_)
-            - lowered(lam_, steps - 1, theta - b + a, n_ + 1)
-        )
-
-    out["rec3-derived"] = (lhs3, lowered(lam, m, -g, n))
+    # Lowering E^(lam+s)(theta, n) one order at a time:
+    #   L_s(theta, n) = 2/((lam+s-1) b) ((theta+a-b) L_{s-1}(theta-b, n)
+    #                                    - L_{s-1}(theta-b+a, n+1)),
+    # L_0 = E^(lam).  After d steps from L_m(-g, n) the terms are
+    # L_{m-d}(-g - d b + j a, n + j) for 0 <= j <= d; build them from d = m up.
+    row = [ev(lam, -g - m * b + j * a, n + j) for j in range(m + 1)]
+    for d in range(m - 1, -1, -1):
+        scale = 2 / ((lam + m - d - 1) * b)
+        row = [scale * ((-g - d * b + j * a + a - b) * row[j] - row[j + 1])
+               for j in range(d + 1)]
+    out["rec3-derived"] = (lhs3, row[0])
     return out
 
 

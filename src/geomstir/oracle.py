@@ -172,19 +172,24 @@ def partitions_with_parts(n: int, p: int) -> list[Partition]:
     decreasing."""
     if n < 0 or p < 0:
         raise ValueError("need n, p >= 0")
+    if p == 0 or n < p:
+        return [Partition(())] if n == p else []
     out: list[Partition] = []
-
-    def rec(remaining: int, parts_left: int, cap: int, acc: list[int]):
-        if parts_left == 0:
-            if remaining == 0:
-                out.append(Partition(tuple(acc)))
-            return
-        # each remaining part is >= 1, and <= cap
-        hi = min(cap, remaining - (parts_left - 1))
-        for first in range(hi, 0, -1):
-            acc.append(first)
-            rec(remaining - first, parts_left - 1, first, acc)
-            acc.pop()
-
-    rec(n, p, n, [])
-    return out
+    # the largest is n-p+1 then ones; each next one lowers the last part that
+    # can drop by one and refills the parts after it as large as they may be
+    parts = [n - p + 1] + [1] * (p - 1)
+    while True:
+        out.append(Partition(tuple(parts)))
+        tail = parts[-1]  # sum of parts[i+1:]
+        for i in range(p - 2, -1, -1):
+            cap = parts[i] - 1
+            if tail + 1 <= cap * (p - 1 - i):
+                break
+            tail += parts[i]
+        else:
+            return out
+        parts[i] = cap
+        remaining = tail + 1
+        for j in range(i + 1, p):
+            parts[j] = cap = min(cap, remaining - (p - 1 - j))
+            remaining -= cap

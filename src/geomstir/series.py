@@ -32,10 +32,13 @@ from .xpoly import XPolynomial
 
 Coeff = Union[Fraction, XPolynomial]
 
-# Entries kept by each memo of whole series builds (a_egf, and the harness's
-# one build per parameter set).  A route reads all its orders from one build
-# before moving to the next parameter set, so a small bound loses no hits.
-SERIES_CACHE_SIZE = 32
+# Memo bounds: every builder whose value is read again is an lru_cache at its
+# own definition with one of these, and nothing else memoises.  Each is at
+# least twice the largest working set of one memo on verify-wide (n_max=12,
+# seeds 1 and 301-310): 161 tables, 2707 polynomials, 12 series builds.
+TABLE_CACHE_SIZE = 512  # stirling._table
+POLY_CACHE_SIZE = 8192  # a_explicit, s_exp_explicit
+SERIES_CACHE_SIZE = 32  # a_egf, s_exp_egf, euler_egf, euler._gamma_polynomials
 
 
 def _q(v) -> Fraction:

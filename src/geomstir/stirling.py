@@ -30,8 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .series import Series, _q, binomial_series, gff, series_int_pow
+from .series import TABLE_CACHE_SIZE, Series, _q, binomial_series, gff, series_int_pow
 
 _ZERO = Fraction(0)
 
@@ -104,15 +105,9 @@ class StirlingTable:
         return self._rows.setdefault(n, row)
 
 
-_tables: dict[StirlingParams, StirlingTable] = {}
-
-
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _table(params: StirlingParams) -> StirlingTable:
-    try:
-        return _tables[params]
-    except KeyError:
-        table = _tables[params] = StirlingTable(params)
-        return table
+    return StirlingTable(params)
 
 
 def stirling_row(params: StirlingParams, n: int) -> tuple[Fraction, ...]:

@@ -9,7 +9,9 @@ import json
 
 import pytest
 
-from geomstir.cli import main, parse_n_range, parse_rational
+from geomstir import cli
+from geomstir.cli import MAX_N, MAX_S, main, parse_n_range, parse_rational
+from geomstir.harness import MAX_GRID_INDEX
 
 
 def run(capsys, *argv):
@@ -211,6 +213,76 @@ def test_compute_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "n,value\n0,1\n1,1\n2,3\n"
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["compute", "stirling", "--alpha", "0", "--beta", "1", "--gamma", "0",
+      "--n", "0..3"], 1 + 10),
+    (["compute", "A", "--lambda", "1", "--alpha", "0", "--beta", "1",
+      "--gamma", "0", "--n", "0..4", "--format", "jsonl"], 5),
+])
+def test_tables_are_written_row_by_row(monkeypatch, argv, rows):
+    # the table reaches stdout as one writelines over single rows, not as one
+    # rendered string, so a deep table is never held in memory twice
+    chunks = []
+
+    class Sink:
+        def writelines(self, lines):
+            assert not isinstance(lines, (str, list, tuple))
+            chunks.extend(lines)
+
+    monkeypatch.setattr(cli.sys, "stdout", Sink())
+    assert main(argv) == 0
+    assert len(chunks) == rows
+    assert all(c.endswith("\n") and c.count("\n") == 1 for c in chunks)
+
+
+# ------------------------------------------------------------------- caps
+
+
+def assert_rejected(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cap" in err
+    assert "Traceback" not in err
+
+
+def test_compute_caps_the_top_index(capsys):
+    stirling = ("compute", "stirling", "--alpha", "0", "--beta", "1", "--gamma", "0")
+    assert_rejected(capsys, *stirling, "--n", str(MAX_N + 1))
+    assert_rejected(capsys, "compute", "A", "--lambda", "1", "--alpha", "0",
+                    "--beta", "1", "--gamma", "0", "--n", f"0..{MAX_N + 1}")
+    # checked before the range is ever built
+    assert_rejected(capsys, *stirling, "--n", "0..1000000000000")
+    code, out, _ = run(capsys, *stirling, "--n", str(MAX_N), "--k", str(MAX_N))
+    assert code == 0 and out == f"n,k,value\n{MAX_N},{MAX_N},1\n"
+
+
+ASYMPTOTIC = ("asymptotic", "--alpha", "1", "--beta", "1", "--gamma", "0", "--x", "1")
+
+
+def test_asymptotic_caps_n(capsys):
+    assert_rejected(capsys, *ASYMPTOTIC, "--n", str(MAX_N + 1), "--s", "0",
+                    "--lambdas", str(MAX_N + 2))
+
+
+def test_asymptotic_caps_s(capsys):
+    assert_rejected(capsys, *ASYMPTOTIC, "--n", str(2 * MAX_S + 2),
+                    "--s", str(MAX_S + 1), "--lambdas", str(4 * MAX_S))
+
+
+def test_verify_caps_the_grid_index(tmp_path, capsys):
+    # n_max + max(shift_ms) + 1 is the largest index the harness reads
+    for text in (f'{{"n_max": {MAX_GRID_INDEX - 2}}}',
+                 '{"n_max": 0, "shift_ms": [1100], "select": ["euler-rec"]}'):
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        assert_rejected(capsys, "verify", "--grid", str(path))
+    path.write_text(f'{{"n_max": 0, "shift_ms": [{MAX_GRID_INDEX - 1}], '
+                    f'"select": ["euler-rec", "shift-raise"]}}')
+    code, out, _ = run(capsys, "verify", "--grid", str(path))
+    assert code == 0 and out.endswith("hard identities: PASS\n")
 
 
 # ----------------------------------------------------------------- verify

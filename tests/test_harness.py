@@ -1,13 +1,17 @@
 import hashlib
+import inspect
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomstir import GridSpec, a_egf, counterexample_minimize, default_grid, run_suite
+from geomstir import (GridSpec, a_egf, counterexample_minimize, default_grid,
+                      euler_egf, run_suite, s_exp_egf)
 from geomstir import harness
+from geomstir.euler import _ev as euler_value, _gamma_polynomials
 from geomstir.harness import REGISTRY
 
 Q = Fraction
@@ -33,13 +37,15 @@ def test_n_max_12_report_bytes_are_pinned():
 
 
 def test_series_routes_build_once_per_parameter_set():
-    harness._series_build.cache_clear()
-    a_egf.cache_clear()
+    for route in (s_exp_egf, euler_egf, _gamma_polynomials, a_egf):
+        route.cache_clear()
     run_suite(replace(GRID, select=("routes-a", "routes-exp", "routes-euler")))
     # routes-exp: one build per (alpha, beta, r, x); routes-euler: one egf
     # and one gamma-polynomial build per row; routes-a: one a_egf per row
     exp_sets = len(GRID.exp_points) * len(GRID.x_values)
-    assert harness._series_build.cache_info().misses == exp_sets + 2 * len(GRID.euler_points)
+    assert s_exp_egf.cache_info().misses == exp_sets
+    assert euler_egf.cache_info().misses == len(GRID.euler_points)
+    assert _gamma_polynomials.cache_info().misses == len(GRID.euler_points)
     assert a_egf.cache_info().misses == len(GRID.poly_points)
     assert a_egf.cache_info().hits == len(GRID.poly_points) * GRID.n_max
 
@@ -328,3 +334,37 @@ def test_minimize_keeps_already_minimal_point():
     seed = counterexample_minimize("eq6-printed", "printed", _pt(1, 1, 1, 1, 2))
     again = counterexample_minimize("eq6-printed", "printed", dict(seed))
     assert again == seed
+
+
+def _lowered_recursive(lam, a, b, theta, n, steps):
+    """The recursive rec3-derived lowering the evaluator replaced (2^steps
+    calls), kept as the reference for its values."""
+    if steps == 0:
+        return euler_value(lam, a, b, theta, n)
+    prev = lam + steps - 1
+    return (2 / (prev * b)) * (
+        (theta + a - b) * _lowered_recursive(lam, a, b, theta - b, n, steps - 1)
+        - _lowered_recursive(lam, a, b, theta - b + a, n + 1, steps - 1))
+
+
+def test_euler_rec_lowering_matches_recursive_form():
+    ident = BY_ID["euler-rec"]
+    pts = ident.points(replace(GRID, n_max=2, shift_ms=(0, 1, 2, 3, 4, 5)))
+    assert {pt["m"] for pt in pts} == set(range(6))
+    for pt in pts:
+        want = _lowered_recursive(pt["lam"], pt["alpha"], pt["beta"], -pt["gamma"],
+                                  pt["n"], pt["m"])
+        assert ident.evaluate(pt)["rec3-derived"][1] == want, pt
+
+
+def test_euler_rec_deep_shift_runs_without_recursion():
+    # m = 90 lowering steps: the recursive form needed 90 frames and 2^90
+    # calls; with only 60 frames to spare this must be built bottom-up
+    pt = {"lam": 1, "alpha": Q(1), "beta": Q(1), "gamma": Q(1), "n": 0, "m": 90}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        lhs, rhs = BY_ID["euler-rec"].evaluate(pt)["rec3-derived"]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert lhs == rhs

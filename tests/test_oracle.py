@@ -1,3 +1,6 @@
+import inspect
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +16,9 @@ from geomstir import (
     gff,
     partitions_with_parts,
     section_poly_value,
+    w_coefficient,
 )
+from geomstir.oracle import Partition
 from bruteforce import (
     barred_fubini_count,
     bell_count,
@@ -135,3 +140,46 @@ def test_partition_count_recurrence(n, p):
     first = len(partitions_with_parts(n - 1, p - 1))
     second = len(partitions_with_parts(n - p, p))
     assert lhs == first + second
+
+
+def _partitions_recursive(n, p):
+    """The recursive enumeration partitions_with_parts replaced, kept as the
+    reference for its values and order."""
+    out = []
+
+    def rec(remaining, parts_left, cap, acc):
+        if parts_left == 0:
+            if remaining == 0:
+                out.append(Partition(tuple(acc)))
+            return
+        for first in range(min(cap, remaining - (parts_left - 1)), 0, -1):
+            rec(remaining - first, parts_left - 1, first, acc + [first])
+
+    rec(n, p, n, [])
+    return out
+
+
+def test_partitions_match_recursive_form():
+    for n in range(14):
+        for p in range(n + 2):
+            assert partitions_with_parts(n, p) == _partitions_recursive(n, p), (n, p)
+
+
+def test_partitions_run_without_recursion():
+    # one frame per part would need 1000 frames; only 60 are left to spare
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        ones = partitions_with_parts(1000, 1000)
+        near = partitions_with_parts(300, 290)
+        w = w_coefficient([Q(1)] * 300, 300, 10)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ones == [Partition((1,) * 1000)]
+    # partitions of 300 into 290 parts match the 42 partitions of 10
+    assert len(near) == 42
+    assert near[0].parts == (11,) + (1,) * 289
+    assert near[-1].parts == (2,) * 10 + (1,) * 280
+    # with every a_i = 1, W(n, j) sums prod 1/k_i! over those partitions
+    assert w == sum(Q(1, math.prod(math.factorial(k) for k in part.multiplicities().values()))
+                    for part in near)

@@ -1,0 +1,34 @@
+"""The scripts under scripts/ end a bad input in one error line and exit 2,
+as `geomstir verify` does; exit 1 stays the "hard identity failed" code."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import geomstir
+
+SRC = os.path.dirname(os.path.dirname(geomstir.__file__))
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "scripts")
+
+
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, name), *args],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("name, args", [
+    ("run_conformance.py", ["--n-max", "-1"]),
+    ("run_conformance.py", ["--select", "nope"]),
+    ("error_decay_study.py", ["--n", "3", "--lambda-start", "1"]),
+])
+def test_bad_input_is_a_usage_error(name, args):
+    out = run_script(name, *args)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr

@@ -9,6 +9,7 @@ from geomstir import (
     ExpPolyParams,
     PolyParams,
     Series,
+    StirlingParams,
     XPolynomial,
     a_egf,
     a_explicit,
@@ -22,8 +23,12 @@ from geomstir import (
     s_exp_eval,
 )
 from geomstir.euler import _gamma_polynomials
+from geomstir.exppoly import s_exp_explicit
+from geomstir.geom import a_recurrence
 from geomstir.series import (
+    POLY_CACHE_SIZE,
     SERIES_CACHE_SIZE,
+    TABLE_CACHE_SIZE,
     binomial_series,
     lift_to_poly,
     series_exp,
@@ -246,12 +251,30 @@ def test_euler_routes_prefix_stable(lam, a, b, g, nn):
 
 
 def test_series_memos_stay_within_their_bound():
-    from geomstir.harness import _series_build
+    from geomstir.stirling import _table
 
-    for memo in (a_egf, _series_build):
-        assert memo.cache_info().maxsize == SERIES_CACHE_SIZE
-    for i in range(SERIES_CACHE_SIZE + 5):
-        a_egf(PolyParams(1, Q(i), Q(1), Q(0)), 1)
-        _series_build(s_exp_egf, ExpPolyParams(Q(0), Q(1), Q(i)), Q(1), 1)
-    for memo in (a_egf, _series_build):
-        assert memo.cache_info().currsize == SERIES_CACHE_SIZE
+    # every memo of the package, with one cheap build per distinct key
+    memos = {
+        _table: (TABLE_CACHE_SIZE, lambda i: _table(StirlingParams(0, 1, i))),
+        a_explicit: (POLY_CACHE_SIZE, lambda i: a_explicit(PolyParams(0, 0, 1, i), 0)),
+        s_exp_explicit: (POLY_CACHE_SIZE,
+                         lambda i: s_exp_explicit(ExpPolyParams(0, 1, i), 0)),
+        a_egf: (SERIES_CACHE_SIZE, lambda i: a_egf(PolyParams(1, Q(i), Q(1), Q(0)), 1)),
+        s_exp_egf: (SERIES_CACHE_SIZE,
+                    lambda i: s_exp_egf(ExpPolyParams(Q(0), Q(1), Q(i)), Q(1), 1)),
+        euler_egf: (SERIES_CACHE_SIZE, lambda i: euler_egf(EulerParams(1, 0, 1), i, 1)),
+        _gamma_polynomials: (SERIES_CACHE_SIZE,
+                             lambda i: _gamma_polynomials(EulerParams(1, i, 1), 1)),
+    }
+    try:
+        for memo, (bound, build) in memos.items():
+            assert memo.cache_info().maxsize == bound
+            for i in range(bound + 5):
+                build(i)
+            assert memo.cache_info().currsize == bound
+        # a_recurrence keeps nothing
+        a_recurrence(PolyParams(1, 1, 1, 0), 3)
+        assert a_recurrence.cache_info()[2:] == (0, 0)
+    finally:
+        for memo in memos:
+            memo.cache_clear()
