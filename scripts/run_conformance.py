@@ -62,7 +62,13 @@ def main() -> int:
     sys.stdout.write(report.to_text())
 
     if args.json is not None:
-        with open(args.json, "w") as fh:
+        try:
+            fh = open(args.json, "w")
+        except OSError as e:
+            print(f"error: cannot write {args.json}: {e.strerror or e}",
+                  file=sys.stderr)
+            return 2
+        with fh:
             fh.write(report.to_json() + "\n")
         print(f"\nreport written to {args.json}")
 

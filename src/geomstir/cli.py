@@ -10,7 +10,8 @@ All parameters are exact rationals written as integers or "p/q"; decimal
 input is rejected to keep binary floats out of the pipeline.  Output for a
 fixed invocation is byte-identical across runs.
 
-Exit codes: 0 success, 1 identity/oracle failure, 2 usage or parse error.
+Exit codes: 0 success, 1 identity/oracle failure, 2 usage or parse error
+(an --out path that cannot be opened for writing counts as one).
 """
 
 from __future__ import annotations
@@ -78,13 +79,19 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _write(lines, out: str | None):
-    """Write the strings of lines, each as it comes, to stdout or to out."""
+def _write(lines, out: str | None) -> int:
+    """Write the strings of lines, each as it comes, to stdout or to out;
+    0, or the usage-error code 2 if out cannot be opened."""
     if out is None:
         sys.stdout.writelines(lines)
-    else:
-        with open(out, "w") as fh:
-            fh.writelines(lines)
+        return 0
+    try:
+        fh = open(out, "w")
+    except OSError as e:
+        return _fail(f"cannot write {out}: {e.strerror or e}")
+    with fh:
+        fh.writelines(lines)
+    return 0
 
 
 def _csv_cell(v) -> str:
@@ -102,7 +109,7 @@ def _json_cell(v):
 
 
 def _table(header: list[str], records: list[dict], fmt: str, out: str | None,
-           prefix: dict | None = None):
+           prefix: dict | None = None) -> int:
     """Render records keyed by header, in the one format asked for, and
     write each row as it is rendered.
 
@@ -114,11 +121,10 @@ def _table(header: list[str], records: list[dict], fmt: str, out: str | None,
     if fmt == "csv":
         rows = (",".join(_csv_cell(rec[h]) for h in header) + "\n"
                 for rec in records)
-        _write(itertools.chain([",".join(header) + "\n"], rows), out)
-    else:
-        _write((json.dumps({**(prefix or {}),
-                            **{h: _json_cell(rec[h]) for h in header}}) + "\n"
-                for rec in records), out)
+        return _write(itertools.chain([",".join(header) + "\n"], rows), out)
+    return _write((json.dumps({**(prefix or {}),
+                               **{h: _json_cell(rec[h]) for h in header}}) + "\n"
+                   for rec in records), out)
 
 
 def _need(args, names: list[str]):
@@ -135,9 +141,8 @@ def cmd_compute(args) -> int:
         header, params_repr, records = _compute_rows(args)
     except ValueError as e:
         return _fail(str(e))
-    _table(header, records, args.format, args.out,
-           {"family": args.family, "params": params_repr})
-    return 0
+    return _table(header, records, args.format, args.out,
+                  {"family": args.family, "params": params_repr})
 
 
 def _compute_rows(args):
@@ -218,8 +223,7 @@ def cmd_verify(args) -> int:
     except ValueError as e:
         return _fail(str(e))
     text = report.to_json() + "\n" if args.format == "json" else report.to_text()
-    _write([text], args.out)
-    return 0 if report.hard_pass else 1
+    return _write([text], args.out) or (0 if report.hard_pass else 1)
 
 
 def cmd_oracle(args) -> int:
@@ -256,8 +260,7 @@ def cmd_asymptotic(args) -> int:
          "ratio": None if ratio is None else format_sig(ratio)}
         for row, ratio in zip(report.rows, report.ratios())
     ]
-    _table(header, records, args.format, args.out)
-    return 0
+    return _table(header, records, args.format, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,6 @@ readings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +26,7 @@ from functools import lru_cache
 from .geom import PolyParams, a_eval, lam_binom
 from .series import (SERIES_CACHE_SIZE, Series, _q, binomial_series, gff,
                      lift_to_poly, series_int_pow)
-from .stirling import StirlingParams, stirling_rec
+from .stirling import StirlingParams, stirling_int_row
 from .xpoly import XPolynomial
 
 HALF = Fraction(1, 2)
@@ -73,33 +72,32 @@ def euler_egf(p: EulerParams, gamma, order: int) -> Series:
 
 
 def euler_explicit(p: EulerParams, gamma, n: int) -> tuple[Fraction, Fraction]:
-    """The two closed Stirling sums.  Both equal euler_via_a."""
+    """The two closed Stirling sums.  Both equal euler_via_a.
+
+        f1 = sum_k S(n, k; alpha, beta, gamma) C(k+lam-1, k) k! (-beta/2)^k
+        f2 = sum_k S(n, k; alpha, -beta, gamma - lam beta) C(k+lam-1, k) k! (beta/2)^k
+    """
     gamma = _q(gamma)
     s_plus = StirlingParams(p.alpha, p.beta, gamma)
     s_minus = StirlingParams(p.alpha, -p.beta, gamma - p.beta * p.lam)
-    f1 = sum(
-        (
-            stirling_rec(s_plus, n, k)
-            * lam_binom(p.lam, k)
-            * math.factorial(k)
-            * (-p.beta) ** k
-            / Fraction(2) ** k
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-    f2 = sum(
-        (
-            stirling_rec(s_minus, n, k)
-            * lam_binom(p.lam, k)
-            * math.factorial(k)
-            * p.beta ** k
-            / Fraction(2) ** k
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-    return f1, f2
+    return _euler_sum(s_plus, p.lam, n), _euler_sum(s_minus, p.lam, n)
+
+
+def _euler_sum(sp: StirlingParams, lam: int, n: int) -> Fraction:
+    """sum_k S(n, k) C(k+lam-1, k) k! (-beta/2)^k for the triangle sp.
+
+    With S(n, k) = T(n, k) / d^(n-k) and beta = (beta d) / d, every term is
+    an integer over d^n 2^n:
+        T(n, k) C(k+lam-1, k) k! (-beta d)^k 2^(n-k).
+    """
+    d, row = stirling_int_row(sp, n)
+    step = -int(sp.beta * d)  # exact: d is a multiple of beta's denominator
+    acc, mult = 0, 1  # mult = k! (-beta d)^k
+    for k, t in enumerate(row):
+        if t:
+            acc += t * lam_binom(lam, k) * mult << (n - k)
+        mult *= (k + 1) * step
+    return Fraction(acc, d ** n << n)
 
 
 def euler_polynomial(p: EulerParams, n: int) -> XPolynomial:

@@ -33,6 +33,11 @@ class ExpPolyParams:
         object.__setattr__(self, "alpha", _q(self.alpha))
         object.__setattr__(self, "beta", _q(self.beta))
         object.__setattr__(self, "r", _q(self.r))
+        # every memo read hashes the params; hash the Fractions once
+        object.__setattr__(self, "_hash", hash((self.alpha, self.beta, self.r)))
+
+    def __hash__(self):
+        return self._hash
 
     def stirling(self) -> StirlingParams:
         return StirlingParams(self.alpha, self.beta, self.r)

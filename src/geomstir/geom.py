@@ -52,6 +52,12 @@ class PolyParams:
         object.__setattr__(self, "alpha", _q(self.alpha))
         object.__setattr__(self, "beta", _q(self.beta))
         object.__setattr__(self, "gamma", _q(self.gamma))
+        # every memo read hashes the params; hash the Fractions once
+        object.__setattr__(self, "_hash",
+                           hash((self.lam, self.alpha, self.beta, self.gamma)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)

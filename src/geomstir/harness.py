@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 import reprlib
 from dataclasses import dataclass, fields, replace
@@ -52,6 +53,7 @@ from .stirling import (
     StirlingParams,
     param_swap_rhs,
     stirling_explicit,
+    stirling_int_row,
     stirling_rec,
     stirling_row,
 )
@@ -329,22 +331,28 @@ def _ev_routes_stirling(pt: Point) -> dict:
     return {"explicit-vs-recurrence": (exp_row, stirling_row(sp, n))}
 
 
+def _row_product(first: StirlingParams, second: StirlingParams, n: int) -> tuple:
+    """sum_k S1(n, k) S2(k, m) for m = 0..n, where S1 and S2 are the
+    triangles of a triple and its dual.
+
+    The two share the lcm d, so with S(n, k) = T(n, k) / d^(n-k) each entry
+    is sum_k T1(n, k) T2(k, m) over the one denominator d^(n-m).
+    """
+    d, top = stirling_int_row(first, n)
+    rows = [stirling_int_row(second, k)[1] for k in range(n + 1)]
+    return tuple(
+        Fraction(sum(top[k] * rows[k][m] for k in range(m, n + 1)), d ** (n - m))
+        for m in range(n + 1)
+    )
+
+
 def _ev_orthogonality(pt: Point) -> dict:
     sp = StirlingParams(pt["alpha"], pt["beta"], pt["gamma"])
     dp = sp.dual()
     n = pt["n"]
     unit = tuple(Fraction(int(m == n)) for m in range(n + 1))
-    fwd = tuple(
-        sum((stirling_rec(sp, n, k) * stirling_rec(dp, k, m)
-             for k in range(n + 1)), Fraction(0))
-        for m in range(n + 1)
-    )
-    bwd = tuple(
-        sum((stirling_rec(dp, n, k) * stirling_rec(sp, k, m)
-             for k in range(n + 1)), Fraction(0))
-        for m in range(n + 1)
-    )
-    return {"forward": (fwd, unit), "backward": (bwd, unit)}
+    return {"forward": (_row_product(sp, dp, n), unit),
+            "backward": (_row_product(dp, sp, n), unit)}
 
 
 def _oracle_pts(grid: GridSpec):
@@ -560,28 +568,28 @@ def _ev_shift_raise(pt: Point) -> dict:
 _SHIFT_MARKERS = (Fraction(1), Fraction(2), Fraction(-3, 2))
 
 
-def _shift_inverse_sides(pt: Point, arg_shift) -> tuple:
+def _ev_shift_inverse(pt: Point) -> dict:
+    # Both readings sum (-1)^k s(m, k) A_(n+k)(x0) over the dual row s(m, .)
+    # and scale by (-1)^m / ((lam)^(m) (b x0)^m); they differ only in the
+    # gamma shift of A, m a (printed) or k a (rowwise).  Everything but the
+    # A polynomials is shared, and each is built once for all markers.
     p, n, m = _params(pt), pt["n"], pt["m"]
     lam, a, b, g = p.lam, p.alpha, p.beta, p.gamma
     dual = StirlingParams(a, -b, -g + m * a - lam * b).dual()
-    lhs_vals, rhs_vals = [], []
-    for x0 in _SHIFT_MARKERS:
-        lhs_vals.append(a_explicit(PolyParams(lam + m, a, -b, g), n)(-x0 - 1))
-        acc = Fraction(0)
-        for k in range(m + 1):
-            acc += ((-1) ** k * stirling_rec(dual, m, k)
-                    * a_eval(PolyParams(lam, a, b, g - arg_shift(k) * a + lam * b),
-                             n + k, x0))
-        rhs_vals.append((-1) ** m * acc / (rising(Fraction(lam), m) * (b * x0) ** m))
-    return tuple(lhs_vals), tuple(rhs_vals)
+    signed = [c if k % 2 == 0 else -c for k, c in enumerate(stirling_row(dual, m))]
+    lifted = a_explicit(PolyParams(lam + m, a, -b, g), n)
+    lhs = tuple(lifted(-x0 - 1) for x0 in _SHIFT_MARKERS)
+    rise = rising(Fraction(lam), m)
+    scales = [(-1) ** m / (rise * (b * x0) ** m) for x0 in _SHIFT_MARKERS]
 
+    def rhs(shift) -> tuple:
+        polys = [a_explicit(PolyParams(lam, a, b, g - shift(k) * a + lam * b), n + k)
+                 for k in range(m + 1)]
+        return tuple(scale * sum((c * poly(x0) for c, poly in zip(signed, polys)),
+                                 Fraction(0))
+                     for x0, scale in zip(_SHIFT_MARKERS, scales))
 
-def _ev_shift_inverse(pt: Point) -> dict:
-    m = pt["m"]
-    return {
-        "printed": _shift_inverse_sides(pt, lambda k: m),
-        "rowwise": _shift_inverse_sides(pt, lambda k: k),
-    }
+    return {"printed": (lhs, rhs(lambda k: m)), "rowwise": (lhs, rhs(lambda k: k))}
 
 
 def _spivey_pts(grid: GridSpec):
@@ -596,24 +604,47 @@ def _spivey_pts(grid: GridSpec):
 
 
 def _ev_spivey(pt: Point) -> dict:
-    # both readings share every factor but the triangle entry, which is
-    # S(n, k) (printed) or S(m, j) (classical)
+    # Both readings sum C(n,k) S_k(x) (j b - m a | a)_(n-k) x^j over k, j,
+    # times S(n, k) (printed) or S(m, j) (classical).  With d the triangle's
+    # lcm, T its integer rows, x = u/v and ad, bd = alpha d, beta d:
+    #   S(n, k) = T(n, k) / d^(n-k),
+    #   S_k(x) = N_k / (d v)^k,  N_k = sum_i T(k, i) (d u)^i v^(k-i),
+    #   (j b - m a | a)_L = G(j, L) / d^L,  G(j, L) = prod_(l<L) (j bd - (m+l) ad),
+    # so the printed reading is one integer sum over d^(2n) v^(n+m) and the
+    # classical one over d^(n+m) v^(n+m); term (k, j) is raised to them by
+    # d^k (printed) or d^j (classical) and v^(n-k) v^(m-j).
     p = ExpPolyParams(pt["alpha"], pt["beta"], pt["r"])
     x, n, m = pt["x"], pt["n"], pt["m"]
+    u, v = x.numerator, x.denominator
     sp = p.stirling()
-    outer, inner = stirling_row(sp, n), stirling_row(sp, m)
-    powers = [x ** j for j in range(m + 1)]
-    printed = classical = Fraction(0)
+    d, outer = stirling_int_row(sp, n)
+    inner = stirling_int_row(sp, m)[1]
+    ad, bd = int(sp.alpha * d), int(sp.beta * d)  # exact: d clears them
+    du = d * u
+    # falls[j][L] = G(j, L)
+    falls = []
+    for j in range(m + 1):
+        run, top = [1], j * bd - m * ad
+        for _ in range(n):
+            run.append(run[-1] * top)
+            top -= ad
+        falls.append(run)
+    powers = [u ** j * v ** (m - j) for j in range(m + 1)]
+    weights = [t * d ** j * w for j, (t, w) in enumerate(zip(inner, powers))]
+    printed = classical = 0
     for k in range(n + 1):
-        head = math.comb(n, k) * s_exp_eval(p, k, x)
-        for j in range(m + 1):
-            if not (outer[k] or inner[j]):
-                continue
-            term = head * gff(j * p.beta - m * p.alpha, p.alpha, n - k) * powers[j]
-            printed += outer[k] * term
-            classical += inner[j] * term
+        nk, vpow = 0, 1
+        for t in reversed(stirling_int_row(sp, k)[1]):
+            nk = nk * du + t * vpow
+            vpow *= v
+        head = math.comb(n, k) * nk * v ** (n - k)
+        col = [run[n - k] for run in falls]
+        printed += outer[k] * d ** k * head * sum(map(operator.mul, col, powers))
+        classical += head * sum(map(operator.mul, col, weights))
+    vden = v ** (n + m)
     lhs = s_exp_eval(p, n + m, x)
-    return {"printed": (lhs, printed), "classical": (lhs, classical)}
+    return {"printed": (lhs, Fraction(printed, d ** (2 * n) * vden)),
+            "classical": (lhs, Fraction(classical, d ** (n + m) * vden))}
 
 
 def _lemma34_pts(grid: GridSpec):

@@ -19,11 +19,22 @@ vol. 2, 4.7):
     g_0 = 1,    m g_m = sum_{k=1..m} k f_k g_{m-k},
 
 which is O(N^2) coefficient products instead of summing N series powers.
+
+series_mul has an integer path for the plain case.  When every coefficient
+of both factors is a Fraction, each factor is written over one denominator,
+f_i = a_i / df and g_j = b_j / dg with df, dg the lcms of its coefficient
+denominators, so the product coefficients are
+
+    c_m = (sum_{i<=m} a_i b_{m-i}) / (df dg),
+
+an integer convolution with one Fraction built per coefficient.  Any other
+coefficients (XPolynomial, or int mixed in) take the generic Cauchy loop.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -151,15 +162,27 @@ def series_one(order: int) -> Series:
     return Series((Fraction(1),) + (Fraction(0),) * order)
 
 
+def _scaled(coeffs: tuple) -> tuple[list[int], int]:
+    """(numerators, d) with every coefficient equal to its numerator / d."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 def series_mul(f: Series, g: Series) -> Series:
     """Cauchy product truncated at the shared order."""
     f._check_order(g)
     n = f.order
+    fc, gc = f.coeffs, g.coeffs
+    if all(isinstance(c, Fraction) for c in fc + gc):
+        (a, df), (b, dg) = _scaled(fc), _scaled(gc)
+        den = df * dg
+        return Series(tuple(Fraction(sum(map(operator.mul, a[:m + 1], b[m::-1])), den)
+                            for m in range(n + 1)))
     out = []
     for m in range(n + 1):
-        acc = f.coeffs[0] * g.coeffs[m]
+        acc = fc[0] * gc[m]
         for i in range(1, m + 1):
-            acc = acc + f.coeffs[i] * g.coeffs[m - i]
+            acc = acc + fc[i] * gc[m - i]
         out.append(acc)
     return Series(tuple(out))
 

@@ -285,6 +285,23 @@ def test_verify_caps_the_grid_index(tmp_path, capsys):
     assert code == 0 and out.endswith("hard identities: PASS\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "A", "--lambda", "1", "--alpha", "0", "--beta", "1",
+     "--gamma", "0", "--n", "0..3"),
+    ("verify", "--select", "thm6"),
+    (*ASYMPTOTIC, "--n", "4", "--s", "2", "--lambdas", "64"),
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    # exit 1 means an identity failed; a path that cannot be opened is exit 2
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 # ----------------------------------------------------------------- verify
 
 

@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -110,3 +110,13 @@ def test_import_leaves_scipy_unloaded():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_params_hash_once_and_rehash_on_replace():
+    p = ExpPolyParams(Q(1, 2), 1, Q(-3, 2))
+    q = ExpPolyParams(Q(2, 4), Q(1), Q(-6, 4))
+    assert p == q and hash(p) == hash(q)
+    assert hash(p) == hash((Q(1, 2), Q(1), Q(-3, 2)))
+    r = replace(p, r=Q(2))
+    assert r == ExpPolyParams(Q(1, 2), Q(1), Q(2)) and r != p
+    assert hash(r) == hash((Q(1, 2), Q(1), Q(2))) != hash(p)

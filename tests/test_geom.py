@@ -1,6 +1,6 @@
 import inspect
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -220,3 +220,13 @@ def test_shift_theorem_inverse_breaks_at_m2():
     out = holds("shift-inverse", **p, n=2, m=2)
     assert not out["printed"]
     assert not out["rowwise"]
+
+
+def test_params_hash_once_and_rehash_on_replace():
+    p = PolyParams(2, Q(1, 2), 1, Q(3, 2))
+    q = PolyParams(2, Q(2, 4), Q(1), Q(6, 4))
+    assert p == q and hash(p) == hash(q)
+    assert hash(p) == hash((2, Q(1, 2), Q(1), Q(3, 2)))
+    r = replace(p, gamma=Q(-1))
+    assert r == PolyParams(2, Q(1, 2), Q(1), Q(-1)) and r != p
+    assert hash(r) == hash((2, Q(1, 2), Q(1), Q(-1))) != hash(p)

@@ -32,3 +32,11 @@ def test_bad_input_is_a_usage_error(name, args):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
+def test_unwritable_json_report_is_a_usage_error(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    out = run_script("run_conformance.py", "--select", "thm6", "--json", str(target))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+    assert not target.exists()
