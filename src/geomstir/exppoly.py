@@ -6,7 +6,9 @@ are the (0, 1, 0) instance and the shifted variant is (0, 1, r).
 Includes both sides of the shifted generating series (the Spivey-type
 addition formula is checked in the conformance harness), and the
 weighted-integral route from S_n to the geometric family (the one
-deliberately floating-point computation in the package).
+deliberately floating-point computation in the package), on generalized
+Gauss-Laguerre nodes found by Newton's method on the Laguerre three-term
+recurrence.
 """
 
 from __future__ import annotations
@@ -91,13 +93,12 @@ def lemma34_sides(p: ExpPolyParams, x, m: int, order: int) -> tuple[Series, Seri
     lhs = Series.from_egf(
         [s_exp_eval(p, n + m, x) for n in range(order + 1)]
     )
+    # (1+alpha t)^((r - m alpha)/alpha) = (1+alpha t)^(r/alpha) (1+alpha t)^(-m),
+    # so the unshifted series (memoised) carries the first two factors
     grow = binomial_series(p.alpha, p.beta, order)
-    shifted = binomial_series(p.alpha, p.r - m * p.alpha, order)
-    expo = series_exp(
-        binomial_series(p.alpha, p.beta, order).add_const(-1).scale(x / p.beta)
-    )
     poly_at_series = _poly_of_series(s_exp_explicit(p, m), grow.scale(x))
-    return lhs, shifted * expo * poly_at_series
+    return lhs, (s_exp_egf(p, x, order)
+                 * binomial_series(p.alpha, -m * p.alpha, order) * poly_at_series)
 
 
 def _poly_of_series(poly: XPolynomial, arg: Series) -> Series:
@@ -109,6 +110,55 @@ def _poly_of_series(poly: XPolynomial, arg: Series) -> Series:
     return acc
 
 
+def _laguerre(n: int, alpha: float, z: float) -> tuple[float, float, float]:
+    """L_n^(alpha)(z), L_(n-1)^(alpha)(z) and the derivative of L_n^(alpha)
+    at z, from the three-term recurrence."""
+    p1, p2 = 1.0, 0.0
+    for j in range(1, n + 1):
+        p1, p2 = ((2 * j - 1 + alpha - z) * p1 - (j - 1 + alpha) * p2) / j, p1
+    return p1, p2, (n * p1 - (n + alpha) * p2) / z
+
+
+def _gauss_laguerre(n: int, alpha: float) -> tuple[list[float], list[float]]:
+    """Nodes and weights of the n-point Gauss rule for the weight
+    z^alpha e^-z on (0, inf).
+
+    Each node is a root of L_n^(alpha), found by Newton's method from the
+    starting guesses of Press et al., Numerical Recipes, section 4.6
+    (gaulag).  The weight at node z is
+    -Gamma(n+alpha) / (n! L_n'(z) L_(n-1)(z)), the Gamma ratio from
+    math.lgamma.  Raises ArithmeticError if Newton's method stalls.
+    """
+    nodes: list[float] = []
+    weights: list[float] = []
+    scale = math.exp(math.lgamma(alpha + n) - math.lgamma(n))
+    for i in range(n):
+        if i == 0:
+            z = (1 + alpha) * (3 + 0.92 * alpha) / (1 + 2.4 * n + 1.8 * alpha)
+        elif i == 1:
+            z += (15 + 6.25 * alpha) / (1 + 0.9 * alpha + 2.5 * n)
+        else:
+            ai = i - 1
+            z += ((1 + 2.55 * ai) / (1.9 * ai) + 1.26 * ai * alpha / (1 + 3.5 * ai)
+                  ) * (z - nodes[i - 2]) / (1 + 0.3 * alpha)
+        # Newton squares the error each step, so after a step of 1e-10
+        # relative the node is at roundoff; a tighter test can stall on
+        # the recurrence's own noise (about 4e-14 relative at n = 80)
+        for _ in range(100):
+            p1, _, dp = _laguerre(n, alpha, z)
+            step = p1 / dp
+            z -= step
+            if abs(step) <= 1e-10 * z:
+                break
+        else:
+            raise ArithmeticError(
+                f"Gauss-Laguerre node {i} of {n} did not converge (alpha={alpha})")
+        _, p2, dp = _laguerre(n, alpha, z)
+        nodes.append(z)
+        weights.append(-scale / (n * dp * p2))
+    return nodes, weights
+
+
 def check_integral_rep(params: PolyParams, x: float, n: int) -> tuple[float, float]:
     """Weighted-integral route to the geometric family:
 
@@ -117,14 +167,12 @@ def check_integral_rep(params: PolyParams, x: float, n: int) -> tuple[float, flo
 
     evaluated with generalized Gauss-Laguerre nodes (weight z^(lam-1) e^-z),
     max(n+2, 16) of them, so the degree-n integrand is integrated exactly up
-    to roundoff.  Returns (quadrature value, exact value as float).
+    to roundoff; the nodes come from Newton's method on the Laguerre
+    recurrence.  Returns (quadrature value, exact value as float).
     """
     if params.lam < 1:
         raise ValueError("integral route needs lam >= 1")
-    # scipy is the slowest import in the package and only this route needs it
-    from scipy.special import roots_genlaguerre
-
-    nodes, weights = roots_genlaguerre(max(n + 2, 16), params.lam - 1)
+    nodes, weights = _gauss_laguerre(max(n + 2, 16), params.lam - 1)
     inner = ExpPolyParams(params.alpha, -params.beta, -params.gamma)
     sn = s_exp_explicit(inner, n)
     scale = -float(params.beta) * x

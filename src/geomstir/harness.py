@@ -270,7 +270,6 @@ def default_grid() -> GridSpec:
 # ---------------------------------------------------------------------------
 # identity registry
 
-Sides = "tuple[object, object]"
 Point = dict
 
 

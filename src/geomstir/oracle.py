@@ -13,7 +13,8 @@ cell is weighted by the marker x.  A barred arrangement with lam bars has
 one gamma-cell followed by lam sections.
 
 Enumeration is hard-capped at n <= 8; the counts grow fast enough that
-anything larger stops being a useful cross-check anyway.
+anything larger stops being a useful cross-check anyway.  So is lam <= 12:
+count_bpa walks all C(n + lam, n) ordered splits, 0.8 s at n = 8, lam = 12.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 MAX_ORACLE_N = 8
+MAX_ORACLE_LAM = 12
 
 
 def _check_divisibility(alpha: int, value: int, what: str):
@@ -96,6 +98,8 @@ class BPAConfig:
                 raise ValueError(f"{name} must be an integer >= 0")
         if self.n > MAX_ORACLE_N:
             raise ValueError(f"enumeration capped at n <= {MAX_ORACLE_N}")
+        if self.lam > MAX_ORACLE_LAM:
+            raise ValueError(f"lam {self.lam} is past the cap of {MAX_ORACLE_LAM}")
         _check_divisibility(self.alpha, self.beta, "beta")
         _check_divisibility(self.alpha, self.gamma, "gamma")
         if (self.alpha, self.beta, self.gamma, self.x) == (0, 0, 0, 0):

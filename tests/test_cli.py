@@ -12,6 +12,7 @@ import pytest
 from geomstir import cli
 from geomstir.cli import MAX_N, MAX_S, main, parse_n_range, parse_rational
 from geomstir.harness import MAX_GRID_INDEX
+from geomstir.oracle import MAX_ORACLE_LAM
 
 
 def run(capsys, *argv):
@@ -416,6 +417,19 @@ def test_oracle_rejects_large_n(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_oracle_rejects_large_lambda(capsys):
+    # past the cap the count would recurse once per bar (RecursionError) or
+    # walk C(n + lambda, n) splits; either way it must stop before any work
+    for n, lam in (("1", "3000"), ("8", "40"), ("0", str(MAX_ORACLE_LAM + 1))):
+        code, out, err = run(
+            capsys, "oracle", "--n", n, "--lambda", lam, "--alpha", "0",
+            "--beta", "1", "--gamma", "0", "--x", "1",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_oracle_requires_integers():

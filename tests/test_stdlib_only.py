@@ -1,0 +1,32 @@
+"""The package runs on the Python standard library alone."""
+
+import ast
+import sys
+from pathlib import Path
+
+import geomstir
+
+PACKAGE = Path(geomstir.__file__).parent
+
+
+def _imported_top_names(tree: ast.AST):
+    # every import statement, including those inside functions; relative
+    # imports (level > 0) stay inside the package
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    foreign = {
+        (path.name, name)
+        for path in sources
+        for name in _imported_top_names(ast.parse(path.read_text(), str(path)))
+        if name not in sys.stdlib_module_names and name != "geomstir"
+    }
+    assert not foreign, sorted(foreign)
