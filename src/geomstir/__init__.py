@@ -19,12 +19,14 @@ from .asymptotics import (
     hsu_expansion,
     predict_a,
     w_coefficient,
+    w_row,
 )
 from .euler import (
     EulerParams,
     euler_egf,
     euler_explicit,
     euler_polynomial,
+    euler_values,
     euler_via_a,
 )
 from .exppoly import (
@@ -34,6 +36,7 @@ from .exppoly import (
     s_exp_egf,
     s_exp_eval,
     s_exp_explicit,
+    s_exp_values,
 )
 from .geom import (
     ASequence,
@@ -42,6 +45,7 @@ from .geom import (
     a_eval,
     a_explicit,
     a_recurrence,
+    a_values,
     lam_binom,
     m_numbers,
     m_polynomial,
@@ -103,6 +107,7 @@ __all__ = [
     "a_eval",
     "a_explicit",
     "a_recurrence",
+    "a_values",
     "binom",
     "binomial_series",
     "check_integral_rep",
@@ -116,6 +121,7 @@ __all__ = [
     "euler_egf",
     "euler_explicit",
     "euler_polynomial",
+    "euler_values",
     "euler_via_a",
     "falling",
     "format_sig",
@@ -133,6 +139,7 @@ __all__ = [
     "s_exp_egf",
     "s_exp_eval",
     "s_exp_explicit",
+    "s_exp_values",
     "section_poly_value",
     "stirling_dual",
     "stirling_egf_check",
@@ -140,4 +147,5 @@ __all__ = [
     "stirling_rec",
     "stirling_row",
     "w_coefficient",
+    "w_row",
 ]

@@ -8,7 +8,15 @@ admits the expansion
 with falling factorials (lam)_j = lam(lam-1)...(lam-j+1) and
 
     W(n,j) = sum over partitions of n into n-j parts of
-             prod a_i^(k_i) / k_i!.
+             prod a_i^(k_i) / k_i!,
+
+the t^n u^(n-j) coefficient of exp(u (psi - 1)).  It is read from the
+recurrence of g = exp(f), m g_m = sum_k k f_k g_(m-k) (Knuth, TAOCP vol. 2,
+4.7), with f = u (psi - 1) and each g_m a polynomial in u; in integers this
+is the exponential Bell polynomial recurrence (Comtet, Advanced
+Combinatorics, ch. 3).  W(n, 0..s) needs only the u-band p >= m - s of each
+g_m, and on it only k <= s + 1, so the row costs O(n s^2) products and no
+partition is enumerated.
 
 Taking psi to be the order-1 geometric generating series makes the left
 side A_n^(lam,x)(alpha, beta, lam*gamma) / (lam)_n / n!, which is what
@@ -26,8 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geom import PolyParams, a_eval
-from .oracle import partitions_with_parts
+from .geom import PolyParams, a_eval, a_values
 from .series import _q, falling, gff
 
 
@@ -38,24 +45,59 @@ def w_coefficient(a: Sequence[Fraction], n: int, j: int) -> Fraction:
     """
     if not 0 <= j <= n:
         raise IndexError(f"need 0 <= j <= n, got j={j}, n={n}")
+    return w_row(a, n, j)[j]
+
+
+def w_row(a: Sequence[Fraction], n: int, s: int) -> list[Fraction]:
+    """W(n, 0..s) from a = [a_1, ..., a_n], by one banded exp recurrence.
+
+    Over integers: with D the lcm of the denominators of the a_k read,
+    x_k = k! a_k D and G_m(p) = m! D^p [t^m u^p] exp(u sum_k a_k t^k),
+
+        G_0(0) = 1,   G_m(p) = sum_k C(m-1, k-1) x_k G_(m-k)(p-1),
+
+    and W(n, j) = G_n(n-j) / (n! D^(n-j)).  G_(m-k)(p-1) vanishes unless
+    k <= m-p+1, and the row needs p >= m-s only, so k <= s+1.
+    """
+    if not 0 <= s <= n:
+        raise IndexError(f"need 0 <= s <= n, got s={s}, n={n}")
     if len(a) < n:
         raise IndexError(f"need at least {n} coefficients, got {len(a)}")
-    total = Fraction(0)
-    for part in partitions_with_parts(n, n - j):
-        term = Fraction(1)
-        for size, mult in part.multiplicities().items():
-            term *= _q(a[size - 1]) ** mult / math.factorial(mult)
-        total += term
-    return total
+    top = min(n, s + 1)  # x_k for k > s+1 is never read
+    qs = [_q(v) for v in a[:top]]
+    D = math.lcm(*(q.denominator for q in qs))
+    xs = [0]
+    fact = 1
+    for k, q in enumerate(qs, 1):
+        fact *= k
+        xs.append(fact * q.numerator * (D // q.denominator))
+    # band[m][i] = G_m(lo(m) + i) for p from lo(m) = max(0, m - s) to m
+    band = [[1]]
+    for m in range(1, n + 1):
+        lo = max(0, m - s)
+        coef = [0] + [math.comb(m - 1, k - 1) * xs[k]
+                      for k in range(1, min(m, s + 1) + 1)]
+        row = [0] if lo == 0 else []  # no u^0 term once m >= 1
+        for p in range(max(lo, 1), m + 1):
+            acc = 0
+            for k in range(1, m - p + 2):
+                acc += coef[k] * band[m - k][p - 1 - max(0, m - k - s)]
+            row.append(acc)
+        band.append(row)
+    last, lo = band[n], max(0, n - s)
+    den = math.factorial(n)
+    return [Fraction(last[n - j - lo], den * D ** (n - j)) for j in range(s + 1)]
 
 
 def a_coefficients(alpha, beta, gamma, x, n: int) -> list[Fraction]:
-    """a_1 .. a_n of the order-1 generating series, a_j = A_j(x) / j!."""
-    x = _q(x)
+    """a_1 .. a_n of the order-1 generating series, a_j = A_j(x) / j!,
+    read from one a_values sweep."""
     base = PolyParams(1, _q(alpha), _q(beta), _q(gamma))
-    return [
-        a_eval(base, j, x) / math.factorial(j) for j in range(1, n + 1)
-    ]
+    out, fact = [], 1
+    for j, v in enumerate(a_values(base, x, n)[1:], 1):
+        fact *= j
+        out.append(v / fact)
+    return out
 
 
 @dataclass(frozen=True)
@@ -80,12 +122,7 @@ class ExpansionResult:
 
 
 def hsu_expansion(inp: ExpansionInput) -> ExpansionResult:
-    return _expand(_w_row(inp), inp.n, inp.lam)
-
-
-def _w_row(inp: ExpansionInput) -> list[Fraction]:
-    """W(n, 0..s); these do not depend on lam."""
-    return [w_coefficient(inp.a, inp.n, j) for j in range(inp.s + 1)]
+    return _expand(w_row(inp.a, inp.n, inp.s), inp.n, inp.lam)
 
 
 def _expand(ws: Sequence[Fraction], n: int, lam: Fraction) -> ExpansionResult:
@@ -201,15 +238,12 @@ def error_decay_report(alpha, beta, gamma, x, n: int, s: int,
     if not lambdas:
         raise ValueError("need at least one lambda")
     al, b, g, x = _q(alpha), _q(beta), _q(gamma), _q(x)
-    a = a_coefficients(al, b, g, x, n)
-    ws = None  # W(n, 0..s), shared by every lam
+    ws = w_row(a_coefficients(al, b, g, x, n), n, s)  # shared by every lam
     rows = []
     for lam in lambdas:
         if not isinstance(lam, int) or lam <= n - 1:
             raise ValueError(f"lam={lam} must be an integer > n-1 = {n - 1}")
         exact = a_eval(PolyParams(lam, al, b, lam * g), n, x)
-        if ws is None:
-            ws = _w_row(ExpansionInput(tuple(a), n, s, Fraction(lam)))
         rows.append(DecayRow(lam, exact, _expand(ws, n, Fraction(lam)).predicted))
     return DecayReport(al, b, g, x, n, s, tuple(rows))
 

@@ -25,9 +25,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .asymptotics import error_decay_report, format_sig
-from .euler import EulerParams, _gamma_polynomials, euler_via_a
-from .exppoly import ExpPolyParams, s_exp_eval, s_exp_explicit
-from .geom import PolyParams, a_explicit, a_eval, m_numbers, m_polynomial
+from .euler import EulerParams, _gamma_polynomials, euler_values
+from .exppoly import ExpPolyParams, s_exp_explicit, s_exp_values
+from .geom import PolyParams, a_eval, a_explicit, a_values
 from .harness import GridSpec, _parse_rational, default_grid, run_suite
 from .oracle import BPAConfig, count_bpa
 from .stirling import StirlingParams, stirling_dual, stirling_rec
@@ -37,7 +37,7 @@ FAMILIES = ("stirling", "stirling-dual", "A", "M", "exp-poly", "euler")
 
 # Input caps: past one, the command exits 2 before any work
 MAX_N = 400  # the top index of compute --n and of asymptotic --n
-MAX_S = 40   # asymptotic --s; W(n, j) sums over about p(j) partitions, j <= s
+MAX_S = 40   # asymptotic --s; W(n, 0..s) is one banded exp recurrence, O(n s^2)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -165,27 +165,27 @@ def _compute_rows(args):
                    for k in ([args.k] if args.k is not None else range(n + 1))]
         return ["n", "k", "value"], params_repr, records
 
-    if fam == "A":
-        _need(args, ["lam", "alpha", "beta", "gamma"])
-        p = PolyParams(args.lam, args.alpha, args.beta, args.gamma)
-        params_repr = {"lambda": p.lam, "alpha": str(p.alpha),
-                       "beta": str(p.beta), "gamma": str(p.gamma)}
+    if fam in ("A", "M"):
+        if fam == "A":
+            _need(args, ["lam", "alpha", "beta", "gamma"])
+            p = PolyParams(args.lam, args.alpha, args.beta, args.gamma)
+            params_repr = {"lambda": p.lam, "alpha": str(p.alpha),
+                           "beta": str(p.beta), "gamma": str(p.gamma)}
+        else:
+            _need(args, ["alpha", "beta"])
+            # the single-section member: lam == 1, gamma == 0
+            p = PolyParams(1, args.alpha, args.beta, 0)
+            params_repr = {"alpha": str(p.alpha), "beta": str(p.beta)}
         at = args.x
-        value = lambda n: a_eval(p, n, at)
+        values = lambda top: a_values(p, at, top)
         poly = lambda n: a_explicit(p, n)
-    elif fam == "M":
-        _need(args, ["alpha", "beta"])
-        params_repr = {"alpha": str(args.alpha), "beta": str(args.beta)}
-        at = args.x
-        value = lambda n: m_numbers(args.alpha, args.beta, at, n)
-        poly = lambda n: m_polynomial(args.alpha, args.beta, n)
     elif fam == "exp-poly":
         _need(args, ["alpha", "beta", "gamma"])
         p = ExpPolyParams(args.alpha, args.beta, args.gamma)
         params_repr = {"alpha": str(p.alpha), "beta": str(p.beta),
                        "r": str(p.r)}
         at = args.x
-        value = lambda n: s_exp_eval(p, n, at)
+        values = lambda top: s_exp_values(p, at, top)
         poly = lambda n: s_exp_explicit(p, n)
     elif fam == "euler":
         _need(args, ["lam", "alpha", "beta"])
@@ -193,7 +193,7 @@ def _compute_rows(args):
         params_repr = {"lambda": p.lam, "alpha": str(p.alpha),
                        "beta": str(p.beta)}
         at = args.gamma
-        value = lambda n: euler_via_a(p, at, n)
+        values = lambda top: euler_values(p, at, top)
         if at is None:
             # every row is read from one gamma-polynomial build at the top n
             poly = _gamma_polynomials(p, max(ns)).__getitem__
@@ -204,7 +204,9 @@ def _compute_rows(args):
         return ["n", "coeffs"], params_repr, [
             {"n": n, "coeffs": poly(n)} for n in ns]
     params_repr["gamma" if fam == "euler" else "x"] = str(at)
-    return ["n", "value"], params_repr, [{"n": n, "value": value(n)} for n in ns]
+    # every value is read from one sweep at the top n
+    column = values(ns[-1])
+    return ["n", "value"], params_repr, [{"n": n, "value": column[n]} for n in ns]
 
 
 def cmd_verify(args) -> int:

@@ -9,8 +9,9 @@ and tied to the geometric family by
     E_n^(lam)(alpha, beta, gamma) = (-1)^n A_n^(lam, -1/2)(alpha, -beta, -gamma)
                                   = A_n^(lam, -1/2)(-alpha, beta, gamma).
 
-Routes: generating series (euler_egf), both A-specializations (euler_via_a),
-and two explicit Stirling sums (euler_explicit).  All four agree exactly.
+Routes: generating series (euler_egf), both A-specializations (euler_via_a,
+or euler_values for a whole column E_0..E_N at one gamma), and two explicit
+Stirling sums (euler_explicit).  All four agree exactly.
 
 The circulating recurrence and convolution displays, several of which fail
 as written, are checked by the conformance harness next to their repaired
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .geom import PolyParams, a_eval, lam_binom
+from .geom import PolyParams, a_eval, a_values, lam_binom
 from .series import (SERIES_CACHE_SIZE, Series, _q, binomial_series, gff,
                      lift_to_poly, series_int_pow)
 from .stirling import StirlingParams, stirling_int_row
@@ -53,10 +54,23 @@ def _ev(lam: int, alpha, beta, gamma, n: int) -> Fraction:
 def euler_via_a(p: EulerParams, gamma, n: int) -> Fraction:
     """Both A-route values; they must agree or something is broken."""
     gamma = _q(gamma)
-    v1 = (-1) ** n * a_eval(
-        PolyParams(p.lam, p.alpha, -p.beta, -gamma), n, -HALF
-    )
+    v1 = a_eval(PolyParams(p.lam, p.alpha, -p.beta, -gamma), n, -HALF)
     v2 = a_eval(PolyParams(p.lam, -p.alpha, p.beta, gamma), n, -HALF)
+    return _agreed(p, gamma, n, (-1) ** n * v1, v2)
+
+
+def euler_values(p: EulerParams, gamma, order: int) -> list[Fraction]:
+    """E_0 .. E_order at one gamma: euler_via_a with each A-specialization
+    read from one a_values sweep."""
+    gamma = _q(gamma)
+    v1s = a_values(PolyParams(p.lam, p.alpha, -p.beta, -gamma), -HALF, order)
+    v2s = a_values(PolyParams(p.lam, -p.alpha, p.beta, gamma), -HALF, order)
+    return [_agreed(p, gamma, n, (-1) ** n * v1, v2)
+            for n, (v1, v2) in enumerate(zip(v1s, v2s))]
+
+
+def _agreed(p: EulerParams, gamma: Fraction, n: int, v1: Fraction,
+            v2: Fraction) -> Fraction:
     if v1 != v2:
         raise RuntimeError(
             f"A-route disagreement for E_{n}: {v1} vs {v2} at {p}, gamma={gamma}"

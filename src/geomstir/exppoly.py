@@ -21,7 +21,7 @@ from functools import lru_cache
 from .geom import PolyParams, a_eval
 from .series import (POLY_CACHE_SIZE, SERIES_CACHE_SIZE, Series, _q,
                      binomial_series, series_exp)
-from .stirling import StirlingParams, stirling_int_row
+from .stirling import StirlingParams, _value_sweep, stirling_int_row
 from .xpoly import XPolynomial
 
 
@@ -58,6 +58,14 @@ def s_exp_explicit(p: ExpPolyParams, n: int) -> XPolynomial:
 
 def s_exp_eval(p: ExpPolyParams, n: int, x) -> Fraction:
     return s_exp_explicit(p, n)(_q(x))
+
+
+def s_exp_values(p: ExpPolyParams, x, order: int) -> list[Fraction]:
+    """S_0(x) .. S_order(x) from one integer sweep of the Stirling recurrence:
+    with w_k = d^k, S_n(x) = V_n / (d v)^n.  For a whole column read once;
+    s_exp_eval serves repeated single reads.  Prefix-stable."""
+    sweep = _value_sweep(p.stirling(), _q(x), order, lambda k, d, b: d)
+    return [Fraction(v, den) for v, den in sweep]
 
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
@@ -121,17 +129,20 @@ def _laguerre(n: int, alpha: float, z: float) -> tuple[float, float, float]:
 
 def _gauss_laguerre(n: int, alpha: float) -> tuple[list[float], list[float]]:
     """Nodes and weights of the n-point Gauss rule for the weight
-    z^alpha e^-z on (0, inf).
+    z^alpha e^-z / Gamma(alpha+1) on (0, inf), whose moments are
+    Gamma(alpha+k+1) / Gamma(alpha+1).
 
     Each node is a root of L_n^(alpha), found by Newton's method from the
     starting guesses of Press et al., Numerical Recipes, section 4.6
     (gaulag).  The weight at node z is
-    -Gamma(n+alpha) / (n! L_n'(z) L_(n-1)(z)), the Gamma ratio from
-    math.lgamma.  Raises ArithmeticError if Newton's method stalls.
+    -Gamma(n+alpha) / (Gamma(alpha+1) n! L_n'(z) L_(n-1)(z)), the Gamma
+    ratio formed in log space with math.lgamma, so it stays finite where
+    Gamma(n+alpha) alone overflows a float (n + alpha past 171).  Raises
+    ArithmeticError if Newton's method stalls.
     """
     nodes: list[float] = []
     weights: list[float] = []
-    scale = math.exp(math.lgamma(alpha + n) - math.lgamma(n))
+    scale = math.exp(math.lgamma(alpha + n) - math.lgamma(n) - math.lgamma(alpha + 1))
     for i in range(n):
         if i == 0:
             z = (1 + alpha) * (3 + 0.92 * alpha) / (1 + 2.4 * n + 1.8 * alpha)
@@ -165,10 +176,11 @@ def check_integral_rep(params: PolyParams, x: float, n: int) -> tuple[float, flo
     A_n(x) = (-1)^n / (lam-1)! * integral_0^inf z^(lam-1) e^-z
              S_n(-beta x z; alpha, -beta, -gamma) dz
 
-    evaluated with generalized Gauss-Laguerre nodes (weight z^(lam-1) e^-z),
-    max(n+2, 16) of them, so the degree-n integrand is integrated exactly up
-    to roundoff; the nodes come from Newton's method on the Laguerre
-    recurrence.  Returns (quadrature value, exact value as float).
+    evaluated with generalized Gauss-Laguerre nodes (weight z^(lam-1) e^-z,
+    with the 1/(lam-1)! folded into the weights), max(n+2, 16) of them, so
+    the degree-n integrand is integrated exactly up to roundoff; the nodes
+    come from Newton's method on the Laguerre recurrence.  Returns
+    (quadrature value, exact value as float).
     """
     if params.lam < 1:
         raise ValueError("integral route needs lam >= 1")
@@ -179,7 +191,7 @@ def check_integral_rep(params: PolyParams, x: float, n: int) -> tuple[float, flo
     total = 0.0
     for z, w in zip(nodes, weights):
         total += w * sn(scale * z)
-    quad = (-1.0) ** n * total / math.factorial(params.lam - 1)
+    quad = (-1.0) ** n * total
     # a_eval reads the float as its exact binary value
     exact = float(a_eval(params, n, x))
     return quad, exact

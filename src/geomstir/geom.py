@@ -36,7 +36,7 @@ from .series import (
     series_int_pow,
     series_one,
 )
-from .stirling import StirlingParams, stirling_int_row
+from .stirling import StirlingParams, _value_sweep, stirling_int_row
 from .xpoly import XPolynomial
 
 @dataclass(frozen=True)
@@ -101,6 +101,21 @@ def a_explicit(params: PolyParams, n: int) -> XPolynomial:
 def a_eval(params: PolyParams, n: int, x) -> Fraction:
     """A_n evaluated at a rational marker value."""
     return a_explicit(params, n)(_q(x))
+
+
+def a_values(params: PolyParams, x, order: int) -> list[Fraction]:
+    """A_0(x) .. A_order(x) from one integer sweep of the Stirling recurrence.
+
+    a_explicit's column sum with the weights w_k = C(k+lam-1, k) k! (-beta d)^k,
+    so w_k = w_(k-1) (k+lam-1) B with B = -beta d the triangle's own scaled
+    beta, and A_n(x) = (-1)^n V_n / (d v)^n.  Builds no polynomial, so it
+    pays for a whole column read once; repeated single reads belong to
+    a_eval, which shares the cached polynomials.  Prefix-stable.
+    """
+    lam = params.lam
+    sweep = _value_sweep(_stirling_a(params), _q(x), order,
+                         lambda k, d, b: (k + lam - 1) * b)
+    return [Fraction(-v if n % 2 else v, den) for n, (v, den) in enumerate(sweep)]
 
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)

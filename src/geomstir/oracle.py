@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+from .series import SECTION_CACHE_SIZE  # a memo bound only; no arithmetic
 
 MAX_ORACLE_N = 8
 MAX_ORACLE_LAM = 12
@@ -75,8 +78,12 @@ def count_m_sections(n: int, k: int, alpha: int, beta: int) -> int:
     return sum(w for occ, w in states.items() if all(occ))
 
 
+@lru_cache(maxsize=SECTION_CACHE_SIZE)
 def section_poly_value(n: int, alpha: int, beta: int, x: int) -> int:
-    """Weight of one section over all cell counts: sum_k count * x^k."""
+    """Weight of one section over all cell counts: sum_k count * x^k.
+
+    Memoised: a conformance grid asks for the same few sections in every
+    count_bpa call."""
     return sum(
         count_m_sections(n, k, alpha, beta) * x ** k for k in range(n + 1)
     )

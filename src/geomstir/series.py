@@ -46,10 +46,12 @@ Coeff = Union[Fraction, XPolynomial]
 # Memo bounds: every builder whose value is read again is an lru_cache at its
 # own definition with one of these, and nothing else memoises.  Each is at
 # least twice the largest working set of one memo on verify-wide (n_max=12,
-# seeds 1 and 301-310): 161 tables, 2707 polynomials, 12 series builds.
+# seeds 1 and 301-310): 161 tables, 2707 polynomials, 12 series builds,
+# 48 section values.
 TABLE_CACHE_SIZE = 512  # stirling._table
 POLY_CACHE_SIZE = 8192  # a_explicit, s_exp_explicit
 SERIES_CACHE_SIZE = 32  # a_egf, s_exp_egf, euler_egf, euler._gamma_polynomials
+SECTION_CACHE_SIZE = 128  # oracle.section_poly_value
 
 
 def _q(v) -> Fraction:

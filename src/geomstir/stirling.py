@@ -23,6 +23,16 @@ entries T(n, k) = S(n, k) * d^(n-k) are integers satisfying
 
 so a row costs integer multiply-adds and no gcd.  The rational row
 S(n, k) = T(n, k) / d^(n-k) is formed once, the first time it is read.
+
+A whole column of row sums at one rational x = u/v, the values of the
+polynomial families built on the triangle, comes from one sweep of the same
+recurrence with the weights folded in: for w_0 = 1, w_k = w_(k-1) r(k) and
+
+    R_n(k) = T(n, k) w_k u^k v^(n-k),
+    R_(n+1)(k) = r(k) u R_n(k-1) + (k*B - n*A + G) v R_n(k),
+
+V_n = sum_k R_n(k) for n = 0..N costs small-by-big integer products and
+no polynomial, gcd or table row (_value_sweep).
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, Iterator
 
 from .series import TABLE_CACHE_SIZE, Series, _q, binomial_series, gff, series_int_pow
 
@@ -57,6 +68,14 @@ class StirlingParams:
         return StirlingParams(self.beta, self.alpha, -self.gamma)
 
 
+def _scaled_params(params: StirlingParams) -> tuple[int, int, int, int]:
+    """(d, A, B, G): d the lcm of the parameter denominators and A, B, G
+    the parameters times d, all integers."""
+    a, b, g = params.alpha, params.beta, params.gamma
+    d = math.lcm(a.denominator, b.denominator, g.denominator)
+    return d, int(a * d), int(b * d), int(g * d)  # exact: d clears them
+
+
 class StirlingTable:
     """Row-by-row memoized triangle for one parameter triple.
 
@@ -66,9 +85,8 @@ class StirlingTable:
 
     def __init__(self, params: StirlingParams):
         self.params = params
-        a, b, g = params.alpha, params.beta, params.gamma
-        self.scale = d = math.lcm(a.denominator, b.denominator, g.denominator)
-        self._abg = (int(a * d), int(b * d), int(g * d))  # exact: d clears them
+        self.scale, a, b, g = _scaled_params(params)
+        self._abg = (a, b, g)
         self._ints: list[tuple[int, ...]] = [(1,)]
         self._rows: dict[int, tuple[Fraction, ...]] = {}
 
@@ -119,6 +137,33 @@ def stirling_int_row(params: StirlingParams, n: int) -> tuple[int, tuple[int, ..
     """(d, T(n, 0..n)) with S(n, k) = T(n, k) / d^(n-k) and every T an integer."""
     table = _table(params)
     return table.scale, table.int_row(n)
+
+
+def _value_sweep(params: StirlingParams, x: Fraction, order: int,
+                 ratio: Callable[[int, int, int], int]) -> Iterator[tuple[int, int]]:
+    """(V_n, (d v)^n) for n = 0..order, V_n = sum_k T(n, k) w_k u^k v^(n-k).
+
+    x = u/v in lowest terms, d is the triangle's scale and w_k = w_(k-1) *
+    ratio(k, d, B), w_0 = 1, with B = beta * d.  So V_n / (d v)^n is
+    sum_k S(n, k) (w_k / d^k) x^k.  Prefix-stable: V_n does not depend on
+    order.  No table is built or kept.
+    """
+    d, a, b, g = _scaled_params(params)
+    u, v = x.numerator, x.denominator
+    ru = [0] + [ratio(k, d, b) * u for k in range(1, order + 1)]  # r(k) u
+    bv, dv = b * v, d * v
+    row, den = [1], 1  # R_0 and (d v)^0
+    for n in range(order + 1):
+        yield sum(row), den
+        if n == order:
+            return
+        cv = (g - n * a) * v  # (k*B - n*A + G) v at k = 0
+        new = [cv * row[0]]
+        for k in range(1, n + 1):
+            cv += bv
+            new.append(ru[k] * row[k - 1] + cv * row[k])
+        new.append(ru[n + 1] * row[n])
+        row, den = new, den * dv
 
 
 def stirling_rec(params: StirlingParams, n: int, k: int) -> Fraction:

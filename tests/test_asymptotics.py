@@ -14,7 +14,9 @@ from geomstir import (
     hsu_expansion,
     predict_a,
     w_coefficient,
+    w_row,
 )
+from geomstir.oracle import partitions_with_parts
 from bruteforce import poly_power_coeff
 
 Q = Fraction
@@ -44,6 +46,39 @@ def test_w_against_power_series_extraction():
         for j in range(n + 1):
             direct = poly_power_coeff(a, n - j, n) / math.factorial(n - j)
             assert w_coefficient(a, n, j) == direct
+
+
+def _w_by_partitions(a, n, j):
+    """W(n, j) as the sum over partitions of n into n-j parts of
+    prod a_i^(k_i) / k_i!."""
+    total = Q(0)
+    for part in partitions_with_parts(n, n - j):
+        term = Q(1)
+        for size, mult in part.multiplicities().items():
+            term *= a[size - 1] ** mult / math.factorial(mult)
+        total += term
+    return total
+
+
+def test_w_row_equals_partition_sums():
+    a = [Q(2), Q(-1, 3), Q(5), Q(1, 2), Q(3), Q(7), Q(-4, 5), Q(0), Q(9, 2)]
+    a = a * 3  # 27 coefficients
+    for n in range(len(a) + 1):
+        for s in range(min(n, 9) + 1):
+            want = [_w_by_partitions(a, n, j) for j in range(s + 1)]
+            assert w_row(a, n, s) == want, (n, s)
+            assert w_coefficient(a, n, s) == want[s]
+
+
+def test_w_row_reads_only_the_first_s_plus_one_coefficients():
+    # a partition of n into n - j parts has no part above j + 1
+    a = [Q(3, 2), Q(-2), Q(1, 7)] + [Q(10 ** 9 + k) for k in range(20)]
+    b = a[:3] + [Q(0)] * 20
+    assert w_row(a, 23, 2) == w_row(b, 23, 2)
+    with pytest.raises(IndexError):
+        w_row(a[:5], 6, 1)
+    with pytest.raises(IndexError):
+        w_row(a, 3, 4)
 
 
 def test_closed_forms_match():

@@ -504,3 +504,64 @@ def test_asymptotic_checks_s_and_lambdas_up_front(capsys, s_arg, lambdas, messag
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+# ------------------------------------------------------------ value tables
+
+# sha256 of each table as printed before the value columns were read from
+# one integer sweep (and W(n, .) from the exp recurrence)
+VALUE_TABLE_DIGESTS = {
+    ("compute", "A", "--lambda", "2", "--alpha", "1/2", "--beta", "3",
+     "--gamma=-1", "--x", "5/3", "--n", "0..60"):
+        "93e308847402fcc5f8d256b4c824632e76fa0cd646a6dc99de2dc0381b6bc06b",
+    ("compute", "M", "--alpha", "1/2", "--beta", "3", "--x=-2/7", "--n", "0..60"):
+        "447fbe4d47ef8eed5c1365e1b4ee0dad894afa6644cfbb62a54dedf46b6cd0f9",
+    ("compute", "exp-poly", "--alpha", "1/2", "--beta", "3", "--gamma=-1",
+     "--x", "5/3", "--n", "0..60"):
+        "aee769fe076cf746f8e013f3ef0b13167aff745ee5de41b69f1089dc1385023d",
+    ("compute", "euler", "--lambda", "2", "--alpha", "1/2", "--beta", "1",
+     "--gamma", "3/2", "--n", "0..60"):
+        "8da43a150c48b4b3d65a8342b1cf876c42c18f8547920619ddfefdb2f00fae26",
+    ("asymptotic", "--alpha", "1/2", "--beta", "1", "--gamma", "3/2", "--x", "2",
+     "--n", "24", "--s", "6", "--lambdas", "50,100,200,400"):
+        "34bd16c21cc2ea073669a0dc844e2921669bf98a202646eaf9911d0f235c16c2",
+}
+
+
+@pytest.mark.parametrize("argv", list(VALUE_TABLE_DIGESTS))
+def test_value_tables_keep_their_bytes(capsys, argv):
+    import hashlib
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VALUE_TABLE_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("family", ["A", "M", "exp-poly", "euler"])
+def test_value_tables_at_the_cap_match_single_reads(capsys, family):
+    from fractions import Fraction
+
+    from geomstir.euler import EulerParams, euler_via_a
+    from geomstir.exppoly import ExpPolyParams, s_exp_eval
+    from geomstir.geom import PolyParams, a_eval
+
+    a, b, g, x = Fraction(1, 2), Fraction(3), Fraction(-1), Fraction(5, 3)
+    params = ["--alpha", "1/2", "--beta", "3"]
+    if family == "A":
+        argv = ["--lambda", "2", *params, "--gamma=-1", "--x", "5/3"]
+        read = lambda n: a_eval(PolyParams(2, a, b, g), n, x)
+    elif family == "M":
+        argv = [*params, "--x", "5/3"]
+        read = lambda n: a_eval(PolyParams(1, a, b, 0), n, x)
+    elif family == "exp-poly":
+        argv = [*params, "--gamma=-1", "--x", "5/3"]
+        read = lambda n: s_exp_eval(ExpPolyParams(a, b, g), n, x)
+    else:
+        argv = ["--lambda", "2", *params, "--gamma", "5/3"]
+        read = lambda n: euler_via_a(EulerParams(2, a, b), x, n)
+    code, out, _ = run(capsys, "compute", family, *argv, "--n", f"0..{MAX_N}")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(MAX_N + 1))
+    for n in (0, 1, 2, 57, 233, MAX_N - 1, MAX_N):
+        assert Fraction(rows[n][1]) == read(n), n

@@ -9,6 +9,7 @@ from geomstir import (
     euler_egf,
     euler_explicit,
     euler_polynomial,
+    euler_values,
     euler_via_a,
 )
 from identities import holds
@@ -118,3 +119,27 @@ def test_convolution_printed_and_order_misreadings_fail():
 def test_params_validation():
     with pytest.raises(ValueError):
         EulerParams(-1, Q(0), Q(1))
+
+
+def test_euler_values_match_single_reads():
+    for p, g in GRID + [(EulerParams(0, Q(1), Q(2)), Q(1, 3)),
+                        (EulerParams(2, Q(-1), Q(0)), Q(2))]:
+        assert euler_values(p, g, 9) == [euler_via_a(p, g, n) for n in range(10)]
+    assert euler_values(CLASSIC, Q(0), 0) == [1]
+
+
+def test_euler_values_reject_disagreeing_routes(monkeypatch):
+    import geomstir.euler as euler
+    real = euler.a_values
+
+    def skewed(params, x, order):
+        values = real(params, x, order)
+        if params.alpha < 0 and order >= 3:  # the second specialization
+            values[3] += 1
+        return values
+
+    monkeypatch.setattr(euler, "a_values", skewed)
+    p, g = GRID[2]
+    assert euler_values(p, g, 2) == [euler_via_a(p, g, n) for n in range(3)]
+    with pytest.raises(RuntimeError, match="E_3"):
+        euler_values(p, g, 5)

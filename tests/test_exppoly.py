@@ -12,6 +12,7 @@ from geomstir import (
     s_exp_egf,
     s_exp_eval,
     s_exp_explicit,
+    s_exp_values,
 )
 from geomstir.exppoly import _gauss_laguerre
 from bruteforce import bell_count, stirling2_count
@@ -91,6 +92,19 @@ def test_integral_route_matches_exact():
             assert abs(quad - exact) <= 1e-8 * max(1.0, abs(exact))
 
 
+@pytest.mark.parametrize("lam", (163, 200, 300))
+def test_integral_route_past_float_factorials(lam):
+    # from lam = 163 on, Gamma(lam + 15) / Gamma(16) (16 nodes) is past the
+    # largest float; the weights carry 1/(lam-1)! in log space instead
+    for p in (PolyParams(lam, Q(1), Q(1), Q(0)),
+              PolyParams(lam, Q(1, 2), Q(-1), Q(3, 2))):
+        for x in (1.0, -0.5, 0.5):
+            for n in (0, 1, 3, 8):
+                quad, exact = check_integral_rep(p, x, n)
+                assert math.isfinite(quad)
+                assert abs(quad - exact) <= 1e-8 * max(1.0, abs(exact)), (n, x)
+
+
 def test_integral_route_needs_positive_order():
     with pytest.raises(ValueError):
         check_integral_rep(PolyParams(0, Q(0), Q(1), Q(0)), 1.0, 2)
@@ -103,10 +117,11 @@ def test_gauss_laguerre_rule(n, alpha):
     assert len(nodes) == len(weights) == n
     assert 0 < nodes[0] and all(a < b for a, b in zip(nodes, nodes[1:]))
     assert all(w > 0 for w in weights)
-    # the n-point Gauss rule is the one rule exact on every degree < 2n
+    # the n-point Gauss rule is the one rule exact on every degree < 2n;
+    # the weights carry 1/Gamma(alpha+1)
     for k in range(2 * n):
         moment = sum(w * z ** k for z, w in zip(nodes, weights))
-        exact = math.exp(math.lgamma(alpha + k + 1))
+        exact = math.exp(math.lgamma(alpha + k + 1) - math.lgamma(alpha + 1))
         assert abs(moment - exact) <= 1e-10 * exact, (k, moment, exact)
 
 
@@ -152,3 +167,17 @@ def test_params_hash_once_and_rehash_on_replace():
     r = replace(p, r=Q(2))
     assert r == ExpPolyParams(Q(1, 2), Q(1), Q(2)) and r != p
     assert hash(r) == hash((Q(1, 2), Q(1), Q(2))) != hash(p)
+
+
+def test_s_exp_values_match_eval_and_series():
+    params = GRID + [ExpPolyParams(Q(1), Q(0), Q(2)),      # beta == 0
+                     ExpPolyParams(Q(-1, 2), Q(5, 2), Q(0)),
+                     ExpPolyParams(Q(0), Q(0), Q(-3, 4))]
+    for p in params:
+        for x in (Q(0), Q(1), Q(-2), Q(5, 3), Q(-7, 2)):
+            values = s_exp_values(p, x, 10)
+            assert values == [s_exp_eval(p, n, x) for n in range(11)], (p, x)
+            if p.beta != 0:
+                assert values == s_exp_egf(p, x, 10).egf_values(), (p, x)
+    assert s_exp_values(CLASSIC, Q(5, 3), 0) == [1]
+    assert s_exp_values(CLASSIC, Q(2), 9)[:4] == s_exp_values(CLASSIC, Q(2), 3)

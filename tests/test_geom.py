@@ -13,6 +13,7 @@ from geomstir import (
     a_eval,
     a_explicit,
     a_recurrence,
+    a_values,
     lam_binom,
     m_numbers,
     m_polynomial,
@@ -230,3 +231,36 @@ def test_params_hash_once_and_rehash_on_replace():
     r = replace(p, gamma=Q(-1))
     assert r == PolyParams(2, Q(1, 2), Q(1), Q(-1)) and r != p
     assert hash(r) == hash((2, Q(1, 2), Q(1), Q(-1))) != hash(p)
+
+
+# lam == 0, beta == 0, gamma == 0 and alpha == 0 members beside the grid
+VALUE_PARAMS = GRID + [
+    PolyParams(0, Q(1, 2), Q(3), Q(-1)),
+    PolyParams(2, Q(1), Q(0), Q(2)),
+    PolyParams(3, Q(-3, 2), Q(2, 3), Q(0)),
+    PolyParams(1, Q(0), Q(0), Q(5, 4)),
+]
+# zero, negative, and u/v with v != 1
+VALUE_XS = (Q(0), Q(1), Q(-2), Q(5, 3), Q(-7, 2))
+
+
+def test_a_values_match_the_single_read_routes():
+    for p in VALUE_PARAMS:
+        for x in VALUE_XS:
+            values = a_values(p, x, 10)
+            assert len(values) == 11
+            for n, v in enumerate(values):
+                assert v == a_eval(p, n, x) == a_recurrence(p, n)(x), (p, x, n)
+
+
+def test_a_values_order_zero_and_prefix_stable():
+    p = PolyParams(2, Q(1, 2), Q(1), Q(3, 2))
+    assert a_values(p, Q(5, 3), 0) == [1]
+    assert a_values(p, Q(-7, 2), 12)[:5] == a_values(p, Q(-7, 2), 4)
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=0, max_value=3), small_q, small_q, small_q, small_q)
+def test_a_values_match_a_eval(lam, alpha, beta, gamma, x):
+    p = PolyParams(lam, alpha, beta, gamma)
+    assert a_values(p, x, 7) == [a_eval(p, n, x) for n in range(8)]
