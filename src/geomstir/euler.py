@@ -11,7 +11,8 @@ and tied to the geometric family by
 
 Routes: generating series (euler_egf), both A-specializations (euler_via_a,
 or euler_values for a whole column E_0..E_N at one gamma), and two explicit
-Stirling sums (euler_explicit).  All four agree exactly.
+Stirling sums (euler_explicit).  All four agree exactly.  euler_polynomial
+gives E_n as a polynomial in gamma, by integer Horner in the Newton basis.
 
 The circulating recurrence and convolution displays, several of which fail
 as written, are checked by the conformance harness next to their repaired
@@ -20,13 +21,14 @@ readings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .geom import PolyParams, a_eval, a_values, lam_binom
-from .series import (SERIES_CACHE_SIZE, Series, _q, binomial_series, gff,
-                     lift_to_poly, series_int_pow)
+from .series import (SERIES_CACHE_SIZE, Series, _q, _scaled, binomial_series,
+                     series_int_pow)
 from .stirling import StirlingParams, stirling_int_row
 from .xpoly import XPolynomial
 
@@ -121,11 +123,28 @@ def euler_polynomial(p: EulerParams, n: int) -> XPolynomial:
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
 def _gamma_polynomials(p: EulerParams, order: int) -> tuple[XPolynomial, ...]:
-    """E_0 .. E_order as polynomials in gamma, from one order-`order` product
-    of the gamma-free factor with sum_j (gamma | alpha)_j t^j / j!."""
+    """E_0 .. E_order as polynomials in gamma.
+
+    With c_m the EGF values of the gamma-free factor of the generating
+    function, E_n = sum_j C(n, j) c_(n-j) (gamma | alpha)_j is a sum in the
+    Newton basis of the factors gamma - j alpha, so Horner runs from H = c_0
+    with H <- C(n, j) c_(n-j) + (gamma - j alpha) H for j = n-1 .. 0.  With
+    alpha = a/b and D the lcm of the denominators of the c_m, the integers
+    K_m = c_m D b^m make every step integer:
+
+        H <- C(n, j) K_(n-j) + (b gamma - j a) H,    E_n = H / (D b^n).
+    """
     base = binomial_series(p.alpha, p.beta, order).add_const(1).scale(HALF)
-    core = lift_to_poly(series_int_pow(base, -p.lam))
-    sym = Series.from_egf(
-        [gff(XPolynomial.x(), p.alpha, j) for j in range(order + 1)]
-    )
-    return tuple((core * sym).egf_values())
+    nums, d = _scaled(series_int_pow(base, -p.lam).egf_values())
+    a, b = p.alpha.numerator, p.alpha.denominator
+    ks = [c * b ** m for m, c in enumerate(nums)]
+    out = []
+    for n in range(order + 1):
+        h = [ks[0]]  # ascending coefficients in gamma
+        for j in range(n - 1, -1, -1):
+            ja = j * a
+            h = [math.comb(n, j) * ks[n - j] - ja * h[0],
+                 *(b * lo - ja * hi for lo, hi in zip(h, h[1:])),
+                 b * h[-1]]
+        out.append(XPolynomial.from_ints(h, d * b ** n))
+    return tuple(out)

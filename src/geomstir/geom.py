@@ -7,7 +7,8 @@ routes compute it:
   * a_explicit  -- finite sum over a generalized Stirling column,
         A_n = sum_k C(k+lam-1, k) (-1)^(n+k) beta^k k! S(n,k; alpha,-beta,-gamma) x^k
   * a_egf       -- coefficient extraction from the closed generating series
-        (1 - alpha t)^(-gamma/alpha) * [1 / (1 - x ((1 - alpha t)^(-beta/alpha) - 1))]^lam
+        (1 - alpha t)^(-gamma/alpha) * [1 / (1 - x ((1 - alpha t)^(-beta/alpha) - 1))]^lam,
+        read one power of x at a time
   * a_recurrence -- the order/argument raising recurrence
         A_{n+1}(gamma) = gamma A_n(gamma+alpha) + x lam beta A_n^{lam+1}(gamma+beta+alpha)
 
@@ -26,16 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import (
-    POLY_CACHE_SIZE,
-    SERIES_CACHE_SIZE,
-    _q,
-    binomial_series,
-    lift_to_poly,
-    series_geom_inverse,
-    series_int_pow,
-    series_one,
-)
+from .series import POLY_CACHE_SIZE, SERIES_CACHE_SIZE, _q, binomial_series
 from .stirling import StirlingParams, _value_sweep, stirling_int_row
 from .xpoly import XPolynomial
 
@@ -122,19 +114,27 @@ def a_values(params: PolyParams, x, order: int) -> list[Fraction]:
 def a_egf(params: PolyParams, order: int) -> ASequence:
     """A_0..A_order from the closed generating series.
 
-    The series is built with XPolynomial coefficients so the marker stays
-    symbolic; no order extension ever happens past `order`.  The build is
-    prefix-stable, so a_egf(params, N).values[n] == a_egf(params, n).values[n]
-    for every N >= n.
+    With p = (1 - alpha t)^(-gamma/alpha) and u = (1 - alpha t)^(-beta/alpha) - 1,
+    the binomial theorem in x gives
+
+        p [1 - x u]^(-lam) = sum_k C(k+lam-1, k) x^k p u^k,
+
+    so the x^k coefficient of every A_n is an EGF value of the rational
+    series p u^k, one series product per power of x.  u has no constant
+    term, so p u^k starts at t^k and k stops at `order` (at 0 when
+    lam == 0).  The build is prefix-stable, so
+    a_egf(params, N).values[n] == a_egf(params, n).values[n] for every N >= n.
     """
-    p = lift_to_poly(binomial_series(-params.alpha, params.gamma, order))
-    grow = lift_to_poly(binomial_series(-params.alpha, params.beta, order))
-    u = grow.add_const(XPolynomial.constant(-1))
-    d = lift_to_poly(series_one(order)) - u.scale(XPolynomial.x())
-    core = series_int_pow(series_geom_inverse(d), params.lam)
-    total = p * core
+    term = binomial_series(-params.alpha, params.gamma, order)
+    u = binomial_series(-params.alpha, params.beta, order).add_const(-1)
+    columns = []  # columns[k][n]: the x^k coefficient of A_n
+    for k in range(order + 1 if params.lam else 1):
+        if k:
+            term = term * u
+        c = lam_binom(params.lam, k)
+        columns.append([c * v for v in term.egf_values()])
     return ASequence(params, order, tuple(
-        total.egf_value(n) for n in range(order + 1)
+        XPolynomial([col[n] for col in columns]) for n in range(order + 1)
     ))
 
 

@@ -5,9 +5,10 @@ sequence it represents in the exponential view is a_n = c_n * n!, read off
 with egf_value().  Operations never extend the truncation order: combining
 two series requires equal orders, and results are exact.
 
-Coefficients are Fractions in the plain case; XPolynomial coefficients are
-supported as well (anything that forms a commutative ring with the scalars
-works), which is how polynomial-valued generating functions are built.
+Coefficients are rationals: Fractions, with ints accepted on input.  A
+generating function with a symbolic argument is not a Series of
+polynomials; its builder reads one rational series per power of the
+argument (see geom.a_egf and euler._gamma_polynomials).
 
 Every operation is prefix-stable: coefficient n of an order-N result equals
 coefficient n of the order-n result for every N >= n.  So a route that
@@ -20,15 +21,13 @@ vol. 2, 4.7):
 
 which is O(N^2) coefficient products instead of summing N series powers.
 
-series_mul has an integer path for the plain case.  When every coefficient
-of both factors is a Fraction, each factor is written over one denominator,
-f_i = a_i / df and g_j = b_j / dg with df, dg the lcms of its coefficient
-denominators, so the product coefficients are
+series_mul writes each factor over one denominator, f_i = a_i / df and
+g_j = b_j / dg with df, dg the lcms of its coefficient denominators, so the
+product coefficients are
 
     c_m = (sum_{i<=m} a_i b_{m-i}) / (df dg),
 
-an integer convolution with one Fraction built per coefficient.  Any other
-coefficients (XPolynomial, or int mixed in) take the generic Cauchy loop.
+an integer convolution with one Fraction built per coefficient.
 """
 
 from __future__ import annotations
@@ -37,11 +36,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
-
-from .xpoly import XPolynomial
-
-Coeff = Union[Fraction, XPolynomial]
+from typing import Sequence
 
 # Memo bounds: every builder whose value is read again is an lru_cache at its
 # own definition with one of these, and nothing else memoises.  Each is at
@@ -62,25 +57,21 @@ def _q(v) -> Fraction:
 def gff(t, alpha, n: int):
     """Generalized falling factorial (t | alpha)_n = prod_{k<n} (t - k*alpha).
 
-    (t | alpha)_0 == 1.  t may be a Fraction or an XPolynomial; alpha is a
-    Fraction.  With alpha == 0 this is t**n, with alpha == 1 the ordinary
-    falling factorial.
+    (t | alpha)_0 == 1.  t and alpha are rationals (a float is read by its
+    exact binary value).  With alpha == 0 this is t**n, with alpha == 1 the
+    ordinary falling factorial.
     """
     if n < 0:
         raise ValueError("gff needs n >= 0")
-    if isinstance(t, (int, Fraction)) and isinstance(alpha, (int, Fraction)):
-        # t = p/q, alpha = a/b: prod_k (p b - k a q) / (q b)^n over ints
-        q, b = t.denominator, alpha.denominator
-        term, step = t.numerator * b, alpha.numerator * q
-        num = 1
-        for _ in range(n):
-            num *= term
-            term -= step
-        return Fraction(num, (q * b) ** n)
-    out = t - t + 1 if isinstance(t, XPolynomial) else Fraction(1)
-    for k in range(n):
-        out = out * (t - k * alpha)
-    return out
+    t, alpha = _q(t), _q(alpha)
+    # t = p/q, alpha = a/b: prod_k (p b - k a q) / (q b)^n over ints
+    q, b = t.denominator, alpha.denominator
+    term, step = t.numerator * b, alpha.numerator * q
+    num = 1
+    for _ in range(n):
+        num *= term
+        term -= step
+    return Fraction(num, (q * b) ** n)
 
 
 def falling(a, n: int):
@@ -111,26 +102,23 @@ class Series:
             raise ValueError("a Series needs at least the constant term")
 
     @classmethod
-    def from_ordinary(cls, coeffs: Sequence[Coeff]) -> "Series":
+    def from_ordinary(cls, coeffs: Sequence[Fraction]) -> "Series":
         return cls(tuple(coeffs))
 
     @classmethod
-    def from_egf(cls, values: Sequence[Coeff]) -> "Series":
+    def from_egf(cls, values: Sequence[Fraction]) -> "Series":
         """Build from EGF values a_n, storing a_n / n!."""
-        return cls(
-            tuple(v * Fraction(1, math.factorial(n)) if isinstance(v, XPolynomial)
-                  else Fraction(v) / math.factorial(n)
-                  for n, v in enumerate(values))
-        )
+        return cls(tuple(Fraction(v) / math.factorial(n)
+                         for n, v in enumerate(values)))
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> Coeff:
+    def coefficient(self, n: int) -> Fraction:
         return self.coeffs[n]
 
-    def egf_value(self, n: int) -> Coeff:
+    def egf_value(self, n: int) -> Fraction:
         return self.coeffs[n] * math.factorial(n)
 
     def egf_values(self) -> list:
@@ -145,10 +133,6 @@ class Series:
     def __add__(self, other: "Series") -> "Series":
         self._check_order(other)
         return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Series") -> "Series":
-        self._check_order(other)
-        return Series(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "Series") -> "Series":
         return series_mul(self, other)
@@ -173,46 +157,25 @@ def _scaled(coeffs: tuple) -> tuple[list[int], int]:
 def series_mul(f: Series, g: Series) -> Series:
     """Cauchy product truncated at the shared order."""
     f._check_order(g)
-    n = f.order
-    fc, gc = f.coeffs, g.coeffs
-    if all(isinstance(c, Fraction) for c in fc + gc):
-        (a, df), (b, dg) = _scaled(fc), _scaled(gc)
-        den = df * dg
-        return Series(tuple(Fraction(sum(map(operator.mul, a[:m + 1], b[m::-1])), den)
-                            for m in range(n + 1)))
-    out = []
-    for m in range(n + 1):
-        acc = fc[0] * gc[m]
-        for i in range(1, m + 1):
-            acc = acc + fc[i] * gc[m - i]
-        out.append(acc)
-    return Series(tuple(out))
-
-
-def _invert_constant(c0):
-    if isinstance(c0, XPolynomial):
-        if c0.degree != 0:
-            raise ValueError("constant term must be a unit to invert")
-        return XPolynomial.constant(1 / c0.coefficient(0))
-    if c0 == 0:
-        raise ValueError("constant term must be nonzero to invert")
-    return 1 / Fraction(c0)
+    (a, df), (b, dg) = _scaled(f.coeffs), _scaled(g.coeffs)
+    den = df * dg
+    return Series(tuple(Fraction(sum(map(operator.mul, a[:m + 1], b[m::-1])), den)
+                        for m in range(f.order + 1)))
 
 
 def series_geom_inverse(f: Series) -> Series:
     """Multiplicative inverse of f, truncated at f.order.
 
     Solves g_0 = 1/f_0 and g_m = -1/f_0 * sum_{i=1..m} f_i g_{m-i}; the
-    constant term must be invertible (nonzero, and of degree 0 in the
-    polynomial-coefficient case).
+    constant term must be nonzero.
     """
-    inv0 = _invert_constant(f.coeffs[0])
+    fc = f.coeffs
+    if fc[0] == 0:
+        raise ValueError("constant term must be nonzero to invert")
+    inv0 = 1 / Fraction(fc[0])  # 1 / an int would be a float
     out = [inv0]
     for m in range(1, f.order + 1):
-        acc = f.coeffs[1] * out[m - 1]
-        for i in range(2, m + 1):
-            acc = acc + f.coeffs[i] * out[m - i]
-        out.append(-inv0 * acc)
+        out.append(-inv0 * sum(map(operator.mul, fc[1:m + 1], out[m - 1::-1])))
     return Series(tuple(out))
 
 
@@ -221,8 +184,6 @@ def series_int_pow(f: Series, m: int) -> Series:
     if m < 0:
         return series_int_pow(series_geom_inverse(f), -m)
     out = series_one(f.order)
-    if any(isinstance(c, XPolynomial) for c in f.coeffs):
-        out = lift_to_poly(out)
     for _ in range(m):
         out = series_mul(out, f)
     return out
@@ -231,19 +192,12 @@ def series_int_pow(f: Series, m: int) -> Series:
 def series_exp(f: Series) -> Series:
     """exp(f) for a series with zero constant term (so the sum is finite),
     by the recurrence m g_m = sum_{k=1..m} k f_k g_{m-k}, g_0 = 1."""
-    c0 = f.coeffs[0]
-    if not (c0 == 0 or (isinstance(c0, XPolynomial) and c0.is_zero())):
+    if f.coeffs[0] != 0:
         raise ValueError("series_exp needs a zero constant term")
-    one = Fraction(1)
-    if any(isinstance(c, XPolynomial) for c in f.coeffs):
-        one = XPolynomial.constant(one)
     df = [k * c for k, c in enumerate(f.coeffs)]  # k f_k, the coefficients of t f'
-    out = [one]
+    out = [Fraction(1)]
     for m in range(1, f.order + 1):
-        acc = df[1] * out[m - 1]
-        for k in range(2, m + 1):
-            acc = acc + df[k] * out[m - k]
-        out.append(acc * Fraction(1, m))
+        out.append(sum(map(operator.mul, df[1:m + 1], out[m - 1::-1])) / m)
     return Series(tuple(out))
 
 
@@ -261,11 +215,3 @@ def binomial_series(alpha, beta, order: int) -> Series:
         values.append(acc)
         acc *= beta - n * alpha
     return Series.from_egf(values)
-
-
-def lift_to_poly(f: Series) -> Series:
-    """Coerce every coefficient to an XPolynomial constant."""
-    return Series(
-        tuple(c if isinstance(c, XPolynomial) else XPolynomial.constant(c)
-              for c in f.coeffs)
-    )

@@ -509,7 +509,9 @@ def test_asymptotic_checks_s_and_lambdas_up_front(capsys, s_arg, lambdas, messag
 # ------------------------------------------------------------ value tables
 
 # sha256 of each table as printed before the value columns were read from
-# one integer sweep (and W(n, .) from the exp recurrence)
+# one integer sweep (and W(n, .) from the exp recurrence); the two euler
+# coefficient tables as printed while the gamma polynomials were built from a
+# series with polynomial coefficients
 VALUE_TABLE_DIGESTS = {
     ("compute", "A", "--lambda", "2", "--alpha", "1/2", "--beta", "3",
      "--gamma=-1", "--x", "5/3", "--n", "0..60"):
@@ -522,6 +524,12 @@ VALUE_TABLE_DIGESTS = {
     ("compute", "euler", "--lambda", "2", "--alpha", "1/2", "--beta", "1",
      "--gamma", "3/2", "--n", "0..60"):
         "8da43a150c48b4b3d65a8342b1cf876c42c18f8547920619ddfefdb2f00fae26",
+    ("compute", "euler", "--lambda", "2", "--alpha", "1/2", "--beta", "1",
+     "--n", "0..60"):
+        "8d2c67d3e08a32895cdbff245927f6a264b22fbaa7a30cb6765dd03859002f57",
+    ("compute", "euler", "--lambda", "4", "--alpha=-3/2", "--beta", "5/7",
+     "--n", "0..40"):
+        "f8cce1ad907eeaa6ebf9eb0087d75927f5434fbe0cd39845f91063d27882c371",
     ("asymptotic", "--alpha", "1/2", "--beta", "1", "--gamma", "3/2", "--x", "2",
      "--n", "24", "--s", "6", "--lambdas", "50,100,200,400"):
         "34bd16c21cc2ea073669a0dc844e2921669bf98a202646eaf9911d0f235c16c2",

@@ -10,7 +10,6 @@ from geomstir import (
     PolyParams,
     Series,
     StirlingParams,
-    XPolynomial,
     a_egf,
     a_explicit,
     binom,
@@ -30,7 +29,6 @@ from geomstir.series import (
     SERIES_CACHE_SIZE,
     TABLE_CACHE_SIZE,
     binomial_series,
-    lift_to_poly,
     series_exp,
     series_geom_inverse,
     series_int_pow,
@@ -52,11 +50,6 @@ def test_gff_basics():
         gff(Q(1), Q(1), -1)
 
 
-def test_gff_polynomial_argument():
-    x = XPolynomial.x()
-    assert gff(x, Q(1), 2) == XPolynomial([0, -1, 1])  # x(x-1)
-
-
 @given(st.one_of(st.integers(-20, 20),
                  st.fractions(min_value=-20, max_value=20, max_denominator=15)),
        st.one_of(st.just(Q(0)), st.integers(-6, 6),
@@ -68,8 +61,6 @@ def test_integer_gff_matches_naive_product(t, alpha, n):
         naive = naive * (t - k * alpha)
     got = gff(t, alpha, n)
     assert type(got) is Q and got == naive
-    # the XPolynomial branch evaluated at t gives the same value
-    assert gff(XPolynomial.x(), alpha, n)(t) == naive
 
 
 def test_integer_gff_edge_cases():
@@ -77,6 +68,7 @@ def test_integer_gff_edge_cases():
     assert gff(Q(-3, 2), Q(-1, 2), 3) == Q(-3, 2) * Q(-1) * Q(-1, 2)
     assert gff(Q(3), Q(1), 5) == 0                # passes through zero
     assert gff(Q(2, 3), Q(-5, 4), 0) == 1 and type(gff(2, 1, 0)) is Q
+    assert gff(1.5, 1, 2) == Q(3, 4) and type(gff(1.5, 1, 2)) is Q  # exact binary value
 
 
 def test_binom_rational_argument():
@@ -129,24 +121,16 @@ def test_series_exp_of_t():
     e = series_exp(t)
     for n in range(5):
         assert e.coefficient(n) == Q(1, math.factorial(n))
-    # exp(x t) has EGF values x^n
-    xt = Series.from_ordinary([XPolynomial.zero(), XPolynomial.x(), 0, 0, 0])
-    assert series_exp(xt).egf_values() == [XPolynomial.x() ** n for n in range(5)]
 
 
 def test_series_exp_rejects_nonzero_constant():
     with pytest.raises(ValueError):
         series_exp(series_one(2))
-    with pytest.raises(ValueError):
-        series_exp(lift_to_poly(series_one(2)))
 
 
 def _exp_by_powers(f: Series) -> Series:
     """Reference exp(f) = sum_{j=0..N} f^j / j!, N series products."""
-    one = series_one(f.order)
-    if any(isinstance(c, XPolynomial) for c in f.coeffs):
-        one = lift_to_poly(one)
-    out, power = one, one
+    out = power = series_one(f.order)
     for j in range(1, f.order + 1):
         power = power * f
         out = out + power.scale(Q(1, math.factorial(j)))
@@ -162,17 +146,15 @@ def test_series_exp_matches_power_sum(tail):
     assert all(type(c) is Q for c in got.coeffs)
 
 
-small_poly = st.lists(small_q, max_size=3).map(XPolynomial)
-
-
-@settings(max_examples=40)
-@given(st.lists(st.one_of(small_poly, small_q), max_size=6))
-def test_series_exp_matches_power_sum_polynomial_coefficients(tail):
-    # mixed Fraction and XPolynomial coefficients, constant term the zero poly
-    f = Series.from_ordinary([XPolynomial.zero()] + tail)
-    got = series_exp(f)
-    assert got == _exp_by_powers(f)
-    assert all(isinstance(c, XPolynomial) for c in got.coeffs)
+def test_int_coefficients_give_fractions():
+    # 1 / an int constant is a float; the inverse and exp must stay exact
+    f = Series((2, 1, -3, 0))
+    inv = series_geom_inverse(f)
+    assert all(type(c) is Q for c in inv.coeffs)
+    assert f * inv == series_one(3)
+    e = series_exp(Series((0, 2, 0, 1)))
+    assert all(type(c) is Q for c in e.coeffs)
+    assert e == _exp_by_powers(Series((Q(0), Q(2), Q(0), Q(1))))
 
 
 def test_binomial_series_values_are_gff():
@@ -202,13 +184,6 @@ def test_binomial_exponent_additivity(a, b1, b2):
 def test_inverse_round_trip_property(tail):
     f = Series.from_ordinary([Q(1)] + tail)
     assert f * series_geom_inverse(f) == series_one(f.order)
-
-
-def test_lift_to_poly_promotes_coefficients():
-    f = lift_to_poly(series_one(2))
-    assert isinstance(f.coefficient(0), XPolynomial)
-    scaled = f.scale(XPolynomial.x())
-    assert scaled.coefficient(0) == XPolynomial.x()
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +223,22 @@ def test_euler_routes_prefix_stable(lam, a, b, g, nn):
     assert len(polys) == top + 1
     assert polys[n] == _gamma_polynomials(p, n)[n]
     assert polys[n](g) == want
+
+
+@pytest.mark.parametrize("lam", [0, 3])
+def test_a_egf_deep_matches_explicit(lam):
+    # a negative alpha with a denominator, read to order 24
+    p = PolyParams(lam, Q(-3, 2), Q(5, 7), Q(2, 3))
+    assert list(a_egf(p, 24).values) == [a_explicit(p, n) for n in range(25)]
+
+
+def test_gamma_polynomials_deep_match_a_route():
+    # alpha = -3/2 puts b != 1 and a < 0 into the Newton-Horner steps
+    p = EulerParams(4, Q(-3, 2), Q(5, 7))
+    polys = _gamma_polynomials(p, 40)
+    for n in (0, 1, 2, 7, 19, 33, 40):
+        for g in (Q(0), Q(3, 2), Q(-7, 3)):
+            assert polys[n](g) == euler_via_a(p, g, n), (n, g)
 
 
 def test_series_memos_stay_within_their_bound():

@@ -30,3 +30,17 @@ def test_package_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names and name != "geomstir"
     }
     assert not foreign, sorted(foreign)
+
+
+def test_series_holds_no_polynomials():
+    # Series coefficients are rationals; polynomial-valued generating
+    # functions are assembled by their builders in geom and euler
+    path = PACKAGE / "series.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    assert "xpoly" not in names, sorted(names)
