@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geom import PolyParams, a_eval, a_values
+from .geom import PolyParams, a_values
 from .series import _q, falling, gff
 
 
@@ -243,7 +243,8 @@ def error_decay_report(alpha, beta, gamma, x, n: int, s: int,
     for lam in lambdas:
         if not isinstance(lam, int) or lam <= n - 1:
             raise ValueError(f"lam={lam} must be an integer > n-1 = {n - 1}")
-        exact = a_eval(PolyParams(lam, al, b, lam * g), n, x)
+        # a sweep keeps nothing: with g != 0 every lam has its own triangle
+        exact = a_values(PolyParams(lam, al, b, lam * g), x, n)[n]
         rows.append(DecayRow(lam, exact, _expand(ws, n, Fraction(lam)).predicted))
     return DecayReport(al, b, g, x, n, s, tuple(rows))
 

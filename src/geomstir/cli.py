@@ -12,11 +12,15 @@ fixed invocation is byte-identical across runs.
 
 Exit codes: 0 success, 1 identity/oracle failure, 2 usage or parse error
 (an --out path that cannot be opened for writing counts as one).
+
+Exact values print in full whatever their length; arguments and grid files
+are still parsed under CPython's int-to-str digit limit.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import re
@@ -79,6 +83,19 @@ def _fail(message: str) -> int:
     return 2
 
 
+@contextlib.contextmanager
+def _full_digits():
+    """No int-to-str digit limit inside the block (CPython 3.10.7+ has one)."""
+    setter = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    setter(0)
+    try:
+        yield
+    finally:
+        setter(limit)
+
+
+@_full_digits()  # lines may render their values as they are read
 def _write(lines, out: str | None) -> int:
     """Write the strings of lines, each as it comes, to stdout or to out;
     0, or the usage-error code 2 if out cannot be opened."""
@@ -221,13 +238,17 @@ def cmd_verify(args) -> int:
     if args.select is not None:
         spec = replace(spec, select=tuple(args.select))
     try:
-        report = run_suite(spec)
+        # counterexamples are rendered while the suite runs
+        with _full_digits():
+            report = run_suite(spec)
+            text = (report.to_json() + "\n" if args.format == "json"
+                    else report.to_text())
     except ValueError as e:
         return _fail(str(e))
-    text = report.to_json() + "\n" if args.format == "json" else report.to_text()
     return _write([text], args.out) or (0 if report.hard_pass else 1)
 
 
+@_full_digits()
 def cmd_oracle(args) -> int:
     try:
         cfg = BPAConfig(args.n, args.lam, args.alpha, args.beta,
@@ -235,11 +256,7 @@ def cmd_oracle(args) -> int:
     except ValueError as e:
         return _fail(str(e))
     counted = count_bpa(cfg)
-    exact = a_eval(
-        PolyParams(cfg.lam, Fraction(cfg.alpha), Fraction(cfg.beta),
-                   Fraction(cfg.gamma)),
-        cfg.n, Fraction(cfg.x),
-    )
+    exact = a_eval(PolyParams(cfg.lam, cfg.alpha, cfg.beta, cfg.gamma), cfg.n, cfg.x)
     verdict = "MATCH" if counted == exact else "MISMATCH"
     print(f"count={counted} explicit={exact} {verdict}")
     return 0 if verdict == "MATCH" else 1

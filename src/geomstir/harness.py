@@ -5,7 +5,8 @@ statement being tested), a point generator, a domain predicate (the points
 the identity is stated for; both the grid and the counterexample shrinker
 stay inside it), and an evaluator that returns both sides of the identity
 for every reading of it.  A reading passes at a point when its two sides
-are exactly equal.
+are exactly equal.  Evaluators write each display's own weights rather
+than reuse a_explicit's, so the two sides do not share the code they check.
 
 Kinds:
   * hard      -- identities that hold for all parameters; any failure is an
@@ -54,7 +55,6 @@ from .stirling import (
     param_swap_rhs,
     stirling_explicit,
     stirling_int_row,
-    stirling_rec,
     stirling_row,
 )
 from .xpoly import XPolynomial
@@ -84,8 +84,8 @@ def _parse_rational(text: str) -> Fraction:
 class GridSpec:
     """Declarative parameter grid.  All rationals, finite, deterministic.
 
-    select = None runs every identity; an explicit tuple runs that subset
-    (empty tuple: nothing).
+    select = None runs every identity; a tuple or list of ids runs that
+    subset (empty: nothing).  oracle_n_max is at most oracle.MAX_ORACLE_N.
     """
 
     n_max: int = 8
@@ -103,6 +103,9 @@ class GridSpec:
         # Fractions for parameters; anything else is a ValueError
         for key in ("n_max", "oracle_n_max"):
             _count(key, getattr(self, key))
+        if self.oracle_n_max > MAX_ORACLE_N:
+            raise ValueError(f"oracle_n_max {self.oracle_n_max} is past the oracle's "
+                             f"cap of {MAX_ORACLE_N}")
         for key in _ROW_KINDS:
             object.__setattr__(self, key, _rows(key, getattr(self, key)))
         object.__setattr__(self, "x_values",
@@ -114,31 +117,24 @@ class GridSpec:
             raise ValueError(f"the grid reads up to index n_max + max(shift_ms) + 1 "
                              f"= {top}, past the cap of {MAX_GRID_INDEX}")
         if self.select is not None:
-            object.__setattr__(self, "select", tuple(str(s) for s in self.select))
-
-    def stirling_triples(self) -> tuple[tuple, ...]:
-        seen, out = set(), []
-        for _, a, b, g in self.poly_points:
-            if (a, b, g) not in seen:
-                seen.add((a, b, g))
-                out.append((a, b, g))
-        return tuple(out)
+            if not isinstance(self.select, (tuple, list)) \
+                    or not all(isinstance(s, str) for s in self.select):
+                raise ValueError(f"select must be null (None) or a list of identity "
+                                 f"ids, got {reprlib.repr(self.select)}")
+            object.__setattr__(self, "select", tuple(self.select))
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2)
 
     def as_dict(self) -> dict:
+        rows = {key: [[v if kind == "n" else str(v) for kind, v in zip(kinds, row)]
+                      for row in getattr(self, key)]
+                for key, kinds in _ROW_KINDS.items()}
         return {
             "n_max": self.n_max,
             "oracle_n_max": self.oracle_n_max,
             "shift_ms": list(self.shift_ms),
-            "poly_points": [[p[0], str(p[1]), str(p[2]), str(p[3])]
-                            for p in self.poly_points],
-            "pair_points": [[p[0], str(p[1]), p[2], str(p[3]), str(p[4]), str(p[5])]
-                            for p in self.pair_points],
-            "exp_points": [[str(a), str(b), str(r)] for a, b, r in self.exp_points],
-            "euler_points": [[p[0], str(p[1]), str(p[2]), str(p[3])]
-                             for p in self.euler_points],
+            **rows,
             "x_values": [str(x) for x in self.x_values],
             "select": None if self.select is None else list(self.select),
         }
@@ -177,14 +173,10 @@ _ROW_KINDS = {
 def _field(key: str, value):
     """One grid-file field in the types GridSpec takes: JSON lists become
     tuples and "p/q" strings Fractions; GridSpec checks the values."""
-    if key in ("n_max", "oracle_n_max") or (key == "select" and value is None):
+    if key in ("n_max", "oracle_n_max", "select"):
         return value
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a list, got {reprlib.repr(value)}")
-    if key == "select":
-        if not all(isinstance(s, str) for s in value):
-            raise ValueError("select must be null or a list of identity ids")
-        return tuple(value)
     if key not in _ROW_KINDS:
         return tuple(_json_scalar(key, v) for v in value)
     for row in value:
@@ -298,9 +290,10 @@ def _at_top_order(points):
 
 
 def _stirling_pts(grid: GridSpec):
+    # each distinct (alpha, beta, gamma) of poly_points, in first-seen order
     return [
         {"alpha": a, "beta": b, "gamma": g, "n": n}
-        for a, b, g in grid.stirling_triples()
+        for a, b, g in dict.fromkeys(row[1:] for row in grid.poly_points)
         for n in range(grid.n_max + 1)
     ]
 
@@ -312,6 +305,11 @@ def _pair_pts(grid: GridSpec):
         for l1, g1, l2, g2, a, b in grid.pair_points
         for n in range(grid.n_max + 1)
     ]
+
+
+def _binomial_sum(n: int, term: Callable, zero=XPolynomial.zero()):
+    """sum_k C(n, k) term(k) for k = 0..n, starting from zero."""
+    return sum((math.comb(n, k) * term(k) for k in range(n + 1)), zero)
 
 
 def _ev_routes_a(pt: Point) -> dict:
@@ -355,22 +353,18 @@ def _ev_orthogonality(pt: Point) -> dict:
 
 
 def _oracle_pts(grid: GridSpec):
-    cap = min(grid.oracle_n_max, MAX_ORACLE_N)
-    pts = []
-    for lam, a, b, g, x in product((0, 1, 2), (0, 1), (1, 2), (0, 1), (1, 2)):
-        for n in range(cap + 1):
-            pts.append({"lam": lam, "alpha": a, "beta": b, "gamma": g,
-                        "x": x, "n": n})
-    return pts
+    return [
+        {"lam": lam, "alpha": a, "beta": b, "gamma": g, "x": x, "n": n}
+        for lam, a, b, g, x in product((0, 1, 2), (0, 1), (1, 2), (0, 1), (1, 2))
+        for n in range(grid.oracle_n_max + 1)
+    ]
 
 
 def _ev_oracle(pt: Point) -> dict:
     cfg = BPAConfig(pt["n"], pt["lam"], pt["alpha"], pt["beta"],
                     pt["gamma"], pt["x"])
     counted = Fraction(count_bpa(cfg))
-    p = PolyParams(pt["lam"], Fraction(pt["alpha"]), Fraction(pt["beta"]),
-                   Fraction(pt["gamma"]))
-    return {"count-vs-explicit": (counted, a_eval(p, pt["n"], Fraction(pt["x"])))}
+    return {"count-vs-explicit": (counted, a_eval(_params(pt), pt["n"], pt["x"]))}
 
 
 def _ev_thm6(pt: Point) -> dict:
@@ -389,11 +383,8 @@ def _ev_thm2(pt: Point) -> dict:
     zero_gamma = replace(p, gamma=Fraction(0))
 
     def tail(factor):
-        acc = XPolynomial.zero()
-        for k in range(n + 1):
-            acc = acc + (math.comb(n, k) * a_explicit(factor, k)
-                         * a_explicit(zero_gamma, n - k + 1))
-        return acc
+        return _binomial_sum(n, lambda k: a_explicit(factor, k)
+                             * a_explicit(zero_gamma, n - k + 1))
 
     return {
         "statement": (lhs, head + tail(replace(p, lam=0))),
@@ -406,10 +397,8 @@ def _ev_thm4(pt: Point) -> dict:
     rhs = p.gamma * a_explicit(replace(p, gamma=p.gamma + p.alpha), n)
     one_sec = replace(p, lam=1, gamma=p.gamma + p.beta + p.alpha)
     zero_gamma = replace(p, gamma=Fraction(0))
-    conv = XPolynomial.zero()
-    for k in range(n + 1):
-        conv = conv + (math.comb(n, k) * a_explicit(one_sec, k)
-                       * a_explicit(zero_gamma, n - k))
+    conv = _binomial_sum(n, lambda k: a_explicit(one_sec, k)
+                         * a_explicit(zero_gamma, n - k))
     rhs = rhs + (p.lam * p.beta * conv).times_x()
     return {"main": (a_explicit(p, n + 1), rhs)}
 
@@ -417,12 +406,9 @@ def _ev_thm4(pt: Point) -> dict:
 def _eq6_sides(pt: Point, removal_sign: int):
     p, n = _params(pt), pt["n"]
     lhs = a_explicit(replace(p, gamma=Fraction(0)), n)
-    acc = XPolynomial.zero()
-    for k in range(n + 1):
-        acc = acc + (math.comb(n, k) * (-1) ** k
-                     * gff(p.gamma, -removal_sign * p.alpha, k)
-                     * a_explicit(p, n - k))
-    return lhs, acc
+    return lhs, _binomial_sum(n, lambda k: (-1) ** k
+                              * gff(p.gamma, -removal_sign * p.alpha, k)
+                              * a_explicit(p, n - k))
 
 
 def _ev_eq6(pt: Point) -> dict:
@@ -435,21 +421,17 @@ def _ev_eq6_printed(pt: Point) -> dict:
 
 
 def _ev_eq7(pt: Point) -> dict:
+    # x^k: c_lk (-b)^k k! sum_(i>=k) (-1)^i C(n,i) S(i,k;a,-b,0) (g|-a)_(n-i)
     p, n = _params(pt), pt["n"]
     sp0 = StirlingParams(p.alpha, -p.beta, Fraction(0))
-    rhs = XPolynomial.zero()
-    for k in range(n + 1):
-        c = lam_binom(p.lam, k)
-        if not c:
-            continue
-        for i in range(n + 1):
-            s = stirling_rec(sp0, i, k)
-            if not s:
-                continue
-            rhs = rhs + XPolynomial.constant(
-                c * math.comb(n, i) * (-1) ** (k + i) * p.beta ** k
-                * math.factorial(k) * s * gff(p.gamma, -p.alpha, n - i)
-            ).times_x(k)
+    rows = [stirling_row(sp0, i) for i in range(n + 1)]
+    falls = [gff(p.gamma, -p.alpha, j) for j in range(n + 1)]
+    rhs = XPolynomial(
+        lam_binom(p.lam, k) * (-p.beta) ** k * math.factorial(k)
+        * sum(rows[i][k] * (-1) ** i * math.comb(n, i) * falls[n - i]
+              for i in range(k, n + 1))
+        for k in range(n + 1)
+    )
     return {"main": (a_explicit(p, n), rhs)}
 
 
@@ -486,49 +468,39 @@ def _sub_neg(poly: XPolynomial) -> XPolynomial:
     return poly(XPolynomial((-1, -1)))
 
 
+def _eq37_third(p: PolyParams, n: int, alpha: Fraction) -> XPolynomial:
+    """(-1)^n A^{l,-x-1}_n(alpha, b, -g), eq37's third member (alpha = +-a)."""
+    return (-1) ** n * _sub_neg(a_explicit(replace(p, alpha=alpha, gamma=-p.gamma), n))
+
+
 def _ev_eq37(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
     t1 = a_explicit(replace(p, gamma=p.gamma + p.beta * p.lam), n)
     t2 = _sub_neg(a_explicit(replace(p, beta=-p.beta), n))
-    t3r = (-1) ** n * _sub_neg(
-        a_explicit(replace(p, alpha=-p.alpha, gamma=-p.gamma), n)
-    )
-    return {"pair": (t1, t2), "third-reflected": (t1, t3r)}
+    return {"pair": (t1, t2), "third-reflected": (t1, _eq37_third(p, n, -p.alpha))}
 
 
 def _ev_eq37_printed(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
     t1 = a_explicit(replace(p, gamma=p.gamma + p.beta * p.lam), n)
-    t3p = (-1) ** n * _sub_neg(a_explicit(replace(p, gamma=-p.gamma), n))
-    t3r = (-1) ** n * _sub_neg(
-        a_explicit(replace(p, alpha=-p.alpha, gamma=-p.gamma), n)
-    )
-    return {"third-printed": (t1, t3p), "third-reflected": (t1, t3r)}
+    return {"third-printed": (t1, _eq37_third(p, n, p.alpha)),
+            "third-reflected": (t1, _eq37_third(p, n, -p.alpha))}
 
 
 def _ev_eq38(pt: Point) -> dict:
+    # sum_k c_k (x+1)^k is the polynomial sum_k c_k x^k read at x+1 (Horner)
     p, n = _params(pt), pt["n"]
     sp = StirlingParams(p.alpha, p.beta, p.beta * p.lam - p.gamma)
-    xp1 = XPolynomial((1, 1))
-    rhs = XPolynomial.zero()
-    for k in range(n + 1):
-        c = lam_binom(p.lam, k)
-        if not c:
-            continue
-        rhs = rhs + (c * (-p.beta) ** k * math.factorial(k)
-                     * stirling_rec(sp, n, k)) * xp1 ** k
-    return {"main": (a_explicit(p, n), (-1) ** n * rhs)}
+    c = XPolynomial(lam_binom(p.lam, k) * (-p.beta) ** k * math.factorial(k) * s
+                    for k, s in enumerate(stirling_row(sp, n)))
+    return {"main": (a_explicit(p, n), (-1) ** n * c(XPolynomial((1, 1))))}
 
 
 def _pair_conv(pt: Point, second_lam: int) -> XPolynomial:
-    a, b = pt["alpha"], pt["beta"]
+    a, b, n = pt["alpha"], pt["beta"], pt["n"]
     first = PolyParams(pt["lam1"], a, b, a + b + pt["gamma1"])
     second = PolyParams(second_lam, a, b, pt["gamma2"])
-    acc = XPolynomial.zero()
-    for k in range(pt["n"] + 1):
-        acc = acc + (math.comb(pt["n"], k) * a_explicit(first, k)
-                     * a_explicit(second, pt["n"] - k))
-    return acc
+    return _binomial_sum(n, lambda k: a_explicit(first, k) * a_explicit(second, n - k))
 
 
 def _ev_teo2(pt: Point) -> dict:
@@ -552,15 +524,11 @@ def _ev_teo1(pt: Point) -> dict:
 
 def _ev_shift_raise(pt: Point) -> dict:
     p, n, m = _params(pt), pt["n"], pt["m"]
-    sp = _stirling_a(p)
     rhs = XPolynomial.zero()
-    for k in range(m + 1):
-        term = (stirling_rec(sp, m, k) * lam_binom(p.lam, k)
-                * math.factorial(k) * (-p.beta) ** k
-                * a_explicit(
-                    PolyParams(p.lam + k, p.alpha, p.beta,
-                               p.gamma + m * p.alpha + k * p.beta), n))
-        rhs = rhs + term.times_x(k)
+    for k, s in enumerate(stirling_row(_stirling_a(p), m)):
+        weight = s * lam_binom(p.lam, k) * math.factorial(k) * (-p.beta) ** k
+        lifted = replace(p, lam=p.lam + k, gamma=p.gamma + m * p.alpha + k * p.beta)
+        rhs = rhs + (weight * a_explicit(lifted, n)).times_x(k)
     return {"main": ((-1) ** m * a_explicit(p, n + m), rhs)}
 
 
@@ -715,8 +683,8 @@ def _ev_euler_rec(pt: Point) -> dict:
 
     shifted = m * a - lam * b - g
     tri = StirlingParams(a, -b, shifted)
-    acc = sum((stirling_rec(tri, m, k) * ev(lam, shifted, n + k, beta=-b)
-               for k in range(m + 1)), Fraction(0))
+    acc = sum((s * ev(lam, shifted, n + k, beta=-b)
+               for k, s in enumerate(stirling_row(tri, m))), Fraction(0))
     lhs3 = ev(lam + m, -g, n)
     out["rec3-printed"] = (
         lhs3, Fraction(2) ** m / (rising(Fraction(lam), m) * b ** m) * acc
@@ -749,15 +717,12 @@ def _ev_euler_conv(pt: Point) -> dict:
         return euler_value(lam_, -a, b, gamma_, n_)
 
     def conv(first_gamma, second_lam, second_gamma):
-        return sum((math.comb(n, k) * ev(l1, first_gamma, k)
-                    * ev(second_lam, second_gamma, n - k)
-                    for k in range(n + 1)), Fraction(0))
+        return _binomial_sum(n, lambda k: ev(l1, first_gamma, k)
+                             * ev(second_lam, second_gamma, n - k), Fraction(0))
 
     def alt_conv(order_reading):
-        return sum((math.comb(n, k) * (-1) ** (n - k)
-                    * ev_neg(l1, a + b - g1, k)
-                    * ev(l2, g2 + b * order_reading, n - k)
-                    for k in range(n + 1)), Fraction(0))
+        return _binomial_sum(n, lambda k: (-1) ** (n - k) * ev_neg(l1, a + b - g1, k)
+                             * ev(l2, g2 + b * order_reading, n - k), Fraction(0))
 
     rhs1 = 2 * (g1 + g2) * ev(lam, g1 + g2 - a, n) - 2 * ev(lam, g1 + g2, n + 1)
     alt_rhs = ev_neg(lam, a + b - g1 - g2, n)

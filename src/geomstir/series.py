@@ -180,12 +180,17 @@ def series_geom_inverse(f: Series) -> Series:
 
 
 def series_int_pow(f: Series, m: int) -> Series:
-    """f**m for integer m; negative m inverts first."""
+    """f**m for integer m; negative m inverts first.  Square-and-multiply:
+    about 2 log2(m) products, and the same m products as a loop for m <= 3."""
     if m < 0:
         return series_int_pow(series_geom_inverse(f), -m)
     out = series_one(f.order)
-    for _ in range(m):
-        out = series_mul(out, f)
+    while m:
+        if m & 1:
+            out = series_mul(out, f)
+        m >>= 1
+        if m:
+            f = series_mul(f, f)
     return out
 
 

@@ -135,6 +135,22 @@ def test_error_decay_halves_with_each_term():
         assert Q(1, 8) <= r <= Q(1, 2)
 
 
+def test_error_decay_report_keeps_no_cache():
+    # with gamma != 0 every lambda has its own triangle; the exact column is
+    # read from a sweep, so no table or polynomial is kept per lambda
+    from geomstir.geom import a_explicit
+    from geomstir.stirling import _table
+
+    _table.cache_clear()
+    a_explicit.cache_clear()
+    report = error_decay_report(Q(1), Q(1), Q(1), Q(1), 40, 2, [41, 50, 60])
+    assert _table.cache_info().currsize == 0
+    assert a_explicit.cache_info().currsize == 0
+    for row in report.rows:
+        p = PolyParams(row.lam, Q(1), Q(1), Q(row.lam))
+        assert row.exact == a_eval(p, 40, Q(1))
+
+
 def test_error_decay_report_is_exact_for_n1():
     report = error_decay_report(Q(1), Q(1), Q(1), Q(1), 1, 1, (4, 8))
     assert all(row.rel_error == 0 for row in report.rows)

@@ -6,13 +6,14 @@ raise SystemExit(2); errors we catch ourselves return 2.
 """
 
 import json
+import sys
 
 import pytest
 
 from geomstir import cli
 from geomstir.cli import MAX_N, MAX_S, main, parse_n_range, parse_rational
 from geomstir.harness import MAX_GRID_INDEX
-from geomstir.oracle import MAX_ORACLE_LAM
+from geomstir.oracle import MAX_ORACLE_LAM, MAX_ORACLE_N
 
 
 def run(capsys, *argv):
@@ -286,6 +287,16 @@ def test_verify_caps_the_grid_index(tmp_path, capsys):
     assert code == 0 and out.endswith("hard identities: PASS\n")
 
 
+def test_verify_caps_the_oracle_order(tmp_path, capsys):
+    # the oracle enumerates up to MAX_ORACLE_N; a larger order is refused,
+    # not run at the cap while the report echoes the larger one
+    path = tmp_path / "grid.json"
+    path.write_text(f'{{"oracle_n_max": {MAX_ORACLE_N + 1}}}')
+    assert_rejected(capsys, "verify", "--grid", str(path))
+    _, _, err = run(capsys, "verify", "--grid", str(path))
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "A", "--lambda", "1", "--alpha", "0", "--beta", "1",
      "--gamma", "0", "--n", "0..3"),
@@ -504,6 +515,62 @@ def test_asymptotic_checks_s_and_lambdas_up_front(capsys, s_arg, lambdas, messag
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+# ------------------------------------------------------------- big values
+
+BIG_X = "1" + "0" * 600          # x^8 is past 4300 digits
+BIG_LAMBDA = "1" + "0" * 100     # lambda^50 is past 4300 digits
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "stirling", "--alpha", "0", "--beta", "1000000000000",
+     "--gamma", "0", "--n", "400", "--k", "1"),
+    ("oracle", "--n", "8", "--lambda", "1", "--alpha", "0", "--beta", "1",
+     "--gamma", "0", "--x", BIG_X),
+    (*ASYMPTOTIC, "--n", "50", "--s", "1", "--lambdas", BIG_LAMBDA),
+])
+def test_values_past_the_digit_limit_print_in_full(capsys, argv):
+    # CPython refuses int-to-str past 4300 digits; output lifts that limit
+    # and puts it back
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    if argv[0] == "compute":
+        assert out.splitlines()[1] == "400,1,1" + "0" * 4788  # S(400, 1) = beta^399
+    elif argv[0] == "oracle":
+        assert out.endswith(" MATCH\n")
+    else:
+        assert len(out.splitlines()[1].split(",")[1]) > 4300
+
+
+def test_arguments_keep_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "A", "--lambda", "1", "--alpha", "0", "--beta", "1",
+              "--gamma", "0", "--n", "3", "--x", "1" + "0" * 5000])
+    assert exc.value.code == 2
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_euler_table_at_a_huge_order(capsys):
+    # the gamma polynomials at lambda = 10^9 take log2(lambda) series products
+    from fractions import Fraction
+
+    from geomstir.euler import EulerParams, euler_values
+    from geomstir.xpoly import XPolynomial
+
+    lam = 10 ** 9
+    code, out, _ = run(capsys, "compute", "euler", "--lambda", str(lam),
+                       "--alpha", "1", "--beta", "1", "--n", "0..6")
+    assert code == 0
+    polys = [XPolynomial(Fraction(c) for c in line.split(",")[1].split(";"))
+             for line in out.splitlines()[1:]]
+    assert len(polys) == 7
+    for g in (0, 1):
+        assert [poly(Fraction(g)) for poly in polys] == \
+            euler_values(EulerParams(lam, 1, 1), g, 6)
 
 
 # ------------------------------------------------------------ value tables

@@ -13,6 +13,7 @@ from geomstir import (GridSpec, a_egf, counterexample_minimize, default_grid,
 from geomstir import harness
 from geomstir.euler import _ev as euler_value, _gamma_polynomials
 from geomstir.harness import REGISTRY
+from geomstir.oracle import MAX_ORACLE_N
 
 Q = Fraction
 
@@ -34,6 +35,26 @@ def test_n_max_12_report_bytes_are_pinned():
     wide = run_suite(replace(GRID, n_max=12)).to_json()
     digest = hashlib.sha256(wide.encode()).hexdigest()
     assert digest == "0039414bd9171c28100b127cffb3488066e0453c720b5b956c4216cad64f9012"
+
+
+# the benchmark's verify-wide grid at seed 517: unlike the default grid it
+# has negative half-integer parameters and negative betas
+SEED_517_GRID = """{"n_max": 12, "oracle_n_max": 5, "shift_ms": [0, 1, 2],
+ "poly_points": [[1, "0", "-2", "0"], [1, "-1", "-1", "-2"], [2, "1", "-2", "-2"],
+                 [2, "-1/2", "-1", "3/2"], [3, "2", "1", "-1"], [0, "1", "2", "-1"]],
+ "pair_points": [[1, "0", 1, "0", "0", "-2"], [1, "1", 2, "-2", "1", "-1"],
+                 [2, "1/2", 1, "3/2", "-2", "1"], [0, "-1", 2, "0", "-2", "2"]],
+ "exp_points": [["0", "-2", "0"], ["1", "2", "-2"], ["-1", "-1", "-2"],
+                ["1/2", "-2", "-1/2"]],
+ "euler_points": [[1, "0", "-1", "0"], [1, "2", "-1", "2"], [2, "-2", "-1", "1"],
+                  [3, "1/2", "2", "3/2"]],
+ "x_values": ["-2", "1", "3/2"], "select": null}"""
+
+
+def test_seed_517_report_bytes_are_pinned():
+    report = run_suite(GridSpec.from_json(SEED_517_GRID)).to_json()
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == "a9a90425373d75805d04e53c166ec4826ac78fa36583fba27e2eebd661270310"
 
 
 def test_series_routes_build_once_per_parameter_set():
@@ -196,6 +217,9 @@ def test_grid_validation():
     {"shift_ms": (1.0,)},
     {"n_max": True},
     {"oracle_n_max": 2.0},
+    {"oracle_n_max": MAX_ORACLE_N + 1},              # past what the oracle counts
+    {"select": "eq6"},                               # not ("e", "q", "6")
+    {"select": ("eq6", 7)},
 ])
 def test_grid_rejects_inexact_values(bad):
     with pytest.raises(ValueError):

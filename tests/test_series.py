@@ -32,6 +32,7 @@ from geomstir.series import (
     series_exp,
     series_geom_inverse,
     series_int_pow,
+    series_mul,
     series_one,
 )
 
@@ -114,6 +115,16 @@ def test_int_pow_matches_repeated_product():
     assert series_int_pow(f, 3) == f * f * f
     assert series_int_pow(f, 0) == series_one(2)
     assert series_int_pow(f, -2) * f * f == series_one(2)
+    # square-and-multiply against m - 1 products, on every bit pattern to 9
+    unit = Series.from_ordinary([Q(2), Q(-1, 3), Q(0), Q(5, 7), Q(1)])
+    no_constant = Series.from_ordinary([Q(0), Q(3, 2), Q(-1), Q(0), Q(2)])
+    for g, powers in ((unit, range(-6, 10)), (no_constant, range(10))):
+        base = g if min(powers) >= 0 else series_geom_inverse(g)
+        for m in powers:
+            want = series_one(g.order)
+            for _ in range(abs(m)):
+                want = series_mul(want, g if m > 0 else base)
+            assert series_int_pow(g, m) == want, m
 
 
 def test_series_exp_of_t():

@@ -1,8 +1,11 @@
-"""The package runs on the Python standard library alone."""
+"""The package runs on the Python standard library alone, and every memo
+in it has a named bound."""
 
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 import geomstir
 
@@ -44,3 +47,63 @@ def test_series_holds_no_polynomials():
             for alias in node.names:
                 names.update(alias.name.split("."))
     assert "xpoly" not in names, sorted(names)
+
+
+def _named_bounds() -> set[str]:
+    # the memo bounds that sit side by side in series.py
+    tree = ast.parse((PACKAGE / "series.py").read_text())
+    return {target.id for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.endswith("_CACHE_SIZE")}
+
+
+def _is_lru(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "lru_cache"
+            or isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+
+
+def _unbounded_memos(source: str, bounds: set[str]):
+    """(line, text) of each memo that is not lru_cache(maxsize=<bound or 0>)."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                yield node.lineno, "from functools import cache"
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" \
+                and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            yield node.lineno, ast.unparse(node)
+        elif _is_lru(node) and id(node) not in called:
+            yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.Call) and _is_lru(node.func):
+            size = {kw.arg: kw.value for kw in node.keywords}.get("maxsize")
+            if not (isinstance(size, ast.Name) and size.id in bounds
+                    or isinstance(size, ast.Constant) and type(size.value) is int
+                    and size.value == 0):
+                yield node.lineno, ast.unparse(node)
+
+
+def test_every_memo_has_a_named_bound():
+    bounds = _named_bounds()
+    assert {"TABLE_CACHE_SIZE", "POLY_CACHE_SIZE", "SERIES_CACHE_SIZE"} <= bounds
+    found = {
+        (path.name, *memo)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for memo in _unbounded_memos(path.read_text(), bounds)
+    }
+    assert not found, sorted(found)
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("@lru_cache(maxsize=POLY_CACHE_SIZE)\ndef f(): pass", False),
+    ("@lru_cache(maxsize=0)\ndef f(): pass", False),
+    ("@lru_cache\ndef f(): pass", True),
+    ("@lru_cache()\ndef f(): pass", True),
+    ("@lru_cache(maxsize=None)\ndef f(): pass", True),
+    ("@functools.lru_cache(64)\ndef f(): pass", True),
+    ("@lru_cache(maxsize=4096)\ndef f(): pass", True),
+    ("from functools import cache", True),
+    ("g = functools.cache(f)", True),
+])
+def test_memo_guard_flags_unbounded_memos(source, flagged):
+    assert bool(list(_unbounded_memos(source, {"POLY_CACHE_SIZE"}))) is flagged
