@@ -25,8 +25,8 @@ def run_script(name, *args):
 @pytest.mark.parametrize("name, args", [
     ("run_conformance.py", ["--n-max", "-1"]),
     ("run_conformance.py", ["--select", "nope"]),
-    ("run_conformance.py", ["--oracle-n-max", "9"]),  # past MAX_ORACLE_N
     ("error_decay_study.py", ["--n", "3", "--lambda-start", "1"]),
+    ("run_conformance.py", ["--oracle-n-max", "9"]),  # past MAX_ORACLE_N
 ])
 def test_bad_input_is_a_usage_error(name, args):
     out = run_script(name, *args)
