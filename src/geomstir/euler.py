@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .geom import PolyParams, a_eval, a_values, lam_binom
+from .geom import PolyParams, a_eval, a_values
 from .series import (SERIES_CACHE_SIZE, Series, _q, _scaled, binomial_series,
                      series_int_pow)
-from .stirling import StirlingParams, stirling_int_row
+from .stirling import StirlingParams, weighted_row
 from .xpoly import XPolynomial
 
 HALF = Fraction(1, 2)
@@ -83,8 +83,13 @@ def _agreed(p: EulerParams, gamma: Fraction, n: int, v1: Fraction,
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
 def euler_egf(p: EulerParams, gamma, order: int) -> Series:
     """Truncated series whose EGF values are E_0 .. E_order."""
+    return _gamma_free(p, order) * binomial_series(p.alpha, _q(gamma), order)
+
+
+def _gamma_free(p: EulerParams, order: int) -> Series:
+    """The gamma-free factor [2 / ((1+alpha t)^(beta/alpha) + 1)]^lam."""
     base = binomial_series(p.alpha, p.beta, order).add_const(1).scale(HALF)
-    return series_int_pow(base, -p.lam) * binomial_series(p.alpha, _q(gamma), order)
+    return series_int_pow(base, -p.lam)
 
 
 def euler_explicit(p: EulerParams, gamma, n: int) -> tuple[Fraction, Fraction]:
@@ -99,21 +104,20 @@ def euler_explicit(p: EulerParams, gamma, n: int) -> tuple[Fraction, Fraction]:
     return _euler_sum(s_plus, p.lam, n), _euler_sum(s_minus, p.lam, n)
 
 
+def _euler_ratio(lam: int):
+    """w_k / w_(k-1) = -(k+lam-1) B for the weights w_k = C(k+lam-1, k) k! (-B)^k,
+    B = beta d the triangle's scaled beta."""
+    return lambda k, d, b: -(k + lam - 1) * b
+
+
 def _euler_sum(sp: StirlingParams, lam: int, n: int) -> Fraction:
     """sum_k S(n, k) C(k+lam-1, k) k! (-beta/2)^k for the triangle sp.
 
-    With S(n, k) = T(n, k) / d^(n-k) and beta = (beta d) / d, every term is
-    an integer over d^n 2^n:
-        T(n, k) C(k+lam-1, k) k! (-beta d)^k 2^(n-k).
+    The weighted row with ratio _euler_ratio(lam), read at x = 1/2: an
+    integer sum over d^n 2^n.
     """
-    d, row = stirling_int_row(sp, n)
-    step = -int(sp.beta * d)  # exact: d is a multiple of beta's denominator
-    acc, mult = 0, 1  # mult = k! (-beta d)^k
-    for k, t in enumerate(row):
-        if t:
-            acc += t * lam_binom(lam, k) * mult << (n - k)
-        mult *= (k + 1) * step
-    return Fraction(acc, d ** n << n)
+    row, den = weighted_row(sp, n, _euler_ratio(lam))
+    return Fraction(sum(t << (n - k) for k, t in enumerate(row)), den << n)
 
 
 def euler_polynomial(p: EulerParams, n: int) -> XPolynomial:
@@ -134,8 +138,7 @@ def _gamma_polynomials(p: EulerParams, order: int) -> tuple[XPolynomial, ...]:
 
         H <- C(n, j) K_(n-j) + (b gamma - j a) H,    E_n = H / (D b^n).
     """
-    base = binomial_series(p.alpha, p.beta, order).add_const(1).scale(HALF)
-    nums, d = _scaled(series_int_pow(base, -p.lam).egf_values())
+    nums, d = _scaled(_gamma_free(p, order).egf_values())
     a, b = p.alpha.numerator, p.alpha.denominator
     ks = [c * b ** m for m, c in enumerate(nums)]
     out = []

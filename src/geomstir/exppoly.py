@@ -21,7 +21,7 @@ from functools import lru_cache
 from .geom import PolyParams, a_eval
 from .series import (POLY_CACHE_SIZE, SERIES_CACHE_SIZE, Series, _q,
                      binomial_series, series_exp)
-from .stirling import StirlingParams, _value_sweep, stirling_int_row
+from .stirling import StirlingParams, _value_sweep, weighted_row
 from .xpoly import XPolynomial
 
 
@@ -45,15 +45,15 @@ class ExpPolyParams:
         return StirlingParams(self.alpha, self.beta, self.r)
 
 
+def _s_ratio(k: int, d: int, b: int) -> int:
+    """S_n = sum_k S(n, k) x^k has the weights w_k = d^k, so w_k / w_(k-1) = d."""
+    return d
+
+
 @lru_cache(maxsize=POLY_CACHE_SIZE)
 def s_exp_explicit(p: ExpPolyParams, n: int) -> XPolynomial:
-    """S_n as a polynomial in x, straight from the triangle rows.
-
-    With S(n, k) = T(n, k) / d^(n-k), every coefficient is T(n, k) d^k over
-    the shared denominator d^n.
-    """
-    d, row = stirling_int_row(p.stirling(), n)
-    return XPolynomial.from_ints([t * d ** k for k, t in enumerate(row)], d ** n)
+    """S_n as a polynomial in x: the triangle's weighted row, ratio _s_ratio."""
+    return XPolynomial.from_ints(*weighted_row(p.stirling(), n, _s_ratio))
 
 
 def s_exp_eval(p: ExpPolyParams, n: int, x) -> Fraction:
@@ -62,9 +62,9 @@ def s_exp_eval(p: ExpPolyParams, n: int, x) -> Fraction:
 
 def s_exp_values(p: ExpPolyParams, x, order: int) -> list[Fraction]:
     """S_0(x) .. S_order(x) from one integer sweep of the Stirling recurrence:
-    with w_k = d^k, S_n(x) = V_n / (d v)^n.  For a whole column read once;
+    ratio _s_ratio, so S_n(x) = V_n / (d v)^n.  For a whole column read once;
     s_exp_eval serves repeated single reads.  Prefix-stable."""
-    sweep = _value_sweep(p.stirling(), _q(x), order, lambda k, d, b: d)
+    sweep = _value_sweep(p.stirling(), _q(x), order, _s_ratio)
     return [Fraction(v, den) for v, den in sweep]
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .series import POLY_CACHE_SIZE, SERIES_CACHE_SIZE, _q, binomial_series
-from .stirling import StirlingParams, _value_sweep, stirling_int_row
+from .stirling import StirlingParams, _value_sweep, weighted_row
 from .xpoly import XPolynomial
 
 @dataclass(frozen=True)
@@ -72,22 +72,18 @@ def _stirling_a(params: PolyParams):
     return StirlingParams(params.alpha, -params.beta, -params.gamma)
 
 
+def _a_ratio(lam: int):
+    """w_k / w_(k-1) = (k+lam-1) B for the weights w_k = C(k+lam-1, k) k! B^k,
+    B = -beta d the scaled beta of the (alpha, -beta, -gamma) triangle."""
+    return lambda k, d, b: (k + lam - 1) * b
+
+
 @lru_cache(maxsize=POLY_CACHE_SIZE)
 def a_explicit(params: PolyParams, n: int) -> XPolynomial:
-    """A_n via the generalized Stirling column sum."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    # With S(n,k) = T(n,k) / d^(n-k) and beta = (beta d) / d, every
-    # coefficient is an integer over the shared denominator d^n:
-    #   C(k+lam-1, k) (-1)^(n+k) k! (beta d)^k T(n,k) / d^n
-    d, row = stirling_int_row(_stirling_a(params), n)
-    bd = int(params.beta * d)  # exact: d is a multiple of beta's denominator
-    num = []
-    mult = -1 if n % 2 else 1  # (-1)^(n+k) k! (beta d)^k
-    for k, t in enumerate(row):
-        num.append(lam_binom(params.lam, k) * mult * t)
-        mult *= -(k + 1) * bd
-    return XPolynomial.from_ints(num, d ** n)
+    """A_n via the generalized Stirling column sum: (-1)^n times the
+    weighted row of the (alpha, -beta, -gamma) triangle, ratio _a_ratio(lam)."""
+    num, den = weighted_row(_stirling_a(params), n, _a_ratio(params.lam))
+    return XPolynomial.from_ints(num, -den if n % 2 else den)
 
 
 def a_eval(params: PolyParams, n: int, x) -> Fraction:
@@ -98,15 +94,12 @@ def a_eval(params: PolyParams, n: int, x) -> Fraction:
 def a_values(params: PolyParams, x, order: int) -> list[Fraction]:
     """A_0(x) .. A_order(x) from one integer sweep of the Stirling recurrence.
 
-    a_explicit's column sum with the weights w_k = C(k+lam-1, k) k! (-beta d)^k,
-    so w_k = w_(k-1) (k+lam-1) B with B = -beta d the triangle's own scaled
-    beta, and A_n(x) = (-1)^n V_n / (d v)^n.  Builds no polynomial, so it
+    a_explicit's column sum with the same ratio _a_ratio(lam), so
+    A_n(x) = (-1)^n V_n / (d v)^n.  Builds no polynomial, so it
     pays for a whole column read once; repeated single reads belong to
     a_eval, which shares the cached polynomials.  Prefix-stable.
     """
-    lam = params.lam
-    sweep = _value_sweep(_stirling_a(params), _q(x), order,
-                         lambda k, d, b: (k + lam - 1) * b)
+    sweep = _value_sweep(_stirling_a(params), _q(x), order, _a_ratio(params.lam))
     return [Fraction(-v if n % 2 else v, den) for n, (v, den) in enumerate(sweep)]
 
 

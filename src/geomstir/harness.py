@@ -38,7 +38,7 @@ from .euler import (
     euler_explicit,
     euler_via_a,
 )
-from .exppoly import ExpPolyParams, lemma34_sides, s_exp_eval, s_exp_egf
+from .exppoly import ExpPolyParams, _s_ratio, lemma34_sides, s_exp_eval, s_exp_egf
 from .geom import (
     PolyParams,
     _stirling_a,
@@ -52,6 +52,8 @@ from .oracle import MAX_ORACLE_N, BPAConfig, count_bpa
 from .series import Series, gff, rising
 from .stirling import (
     StirlingParams,
+    _scaled_params,
+    _value_sweep,
     param_swap_rhs,
     stirling_explicit,
     stirling_int_row,
@@ -575,7 +577,7 @@ def _ev_spivey(pt: Point) -> dict:
     # times S(n, k) (printed) or S(m, j) (classical).  With d the triangle's
     # lcm, T its integer rows, x = u/v and ad, bd = alpha d, beta d:
     #   S(n, k) = T(n, k) / d^(n-k),
-    #   S_k(x) = N_k / (d v)^k,  N_k = sum_i T(k, i) (d u)^i v^(k-i),
+    #   S_k(x) = N_k / (d v)^k,  N_k = sum_i T(k, i) (d u)^i v^(k-i) (S_n's sweep),
     #   (j b - m a | a)_L = G(j, L) / d^L,  G(j, L) = prod_(l<L) (j bd - (m+l) ad),
     # so the printed reading is one integer sum over d^(2n) v^(n+m) and the
     # classical one over d^(n+m) v^(n+m); term (k, j) is raised to them by
@@ -584,10 +586,9 @@ def _ev_spivey(pt: Point) -> dict:
     x, n, m = pt["x"], pt["n"], pt["m"]
     u, v = x.numerator, x.denominator
     sp = p.stirling()
-    d, outer = stirling_int_row(sp, n)
+    d, ad, bd, _ = _scaled_params(sp)
+    outer = stirling_int_row(sp, n)[1]
     inner = stirling_int_row(sp, m)[1]
-    ad, bd = int(sp.alpha * d), int(sp.beta * d)  # exact: d clears them
-    du = d * u
     # falls[j][L] = G(j, L)
     falls = []
     for j in range(m + 1):
@@ -599,11 +600,7 @@ def _ev_spivey(pt: Point) -> dict:
     powers = [u ** j * v ** (m - j) for j in range(m + 1)]
     weights = [t * d ** j * w for j, (t, w) in enumerate(zip(inner, powers))]
     printed = classical = 0
-    for k in range(n + 1):
-        nk, vpow = 0, 1
-        for t in reversed(stirling_int_row(sp, k)[1]):
-            nk = nk * du + t * vpow
-            vpow *= v
+    for k, (nk, _) in enumerate(_value_sweep(sp, x, n, _s_ratio)):
         head = math.comb(n, k) * nk * v ** (n - k)
         col = [run[n - k] for run in falls]
         printed += outer[k] * d ** k * head * sum(map(operator.mul, col, powers))

@@ -21,12 +21,17 @@ entries T(n, k) = S(n, k) * d^(n-k) are integers satisfying
 
     T(n+1, k) = T(n, k-1) + (k*B - n*A + G) * T(n, k),
 
-so a row costs integer multiply-adds and no gcd.  The rational row
-S(n, k) = T(n, k) / d^(n-k) is formed once, the first time it is read.
+so a row costs integer multiply-adds and no gcd.  The table keeps these
+integer rows only; a Fraction S(n, k) = T(n, k) / d^(n-k) is formed on each
+read.
 
-A whole column of row sums at one rational x = u/v, the values of the
-polynomial families built on the triangle, comes from one sweep of the same
-recurrence with the weights folded in: for w_0 = 1, w_k = w_(k-1) r(k) and
+Every polynomial family built on the triangle is a weighted column sum
+sum_k S(n, k) (w_k / d^k) x^k whose weights are one ratio r(k, d, B): w_0 = 1,
+w_k = w_(k-1) r(k).  The family's polynomial reader and its value-column
+reader share that ratio.  As a polynomial, the sum is the integers
+T(n, k) w_k over d^n (weighted_row).  A whole column of its values at one
+rational x = u/v comes from one sweep of the same recurrence with the
+weights folded in:
 
     R_n(k) = T(n, k) w_k u^k v^(n-k),
     R_(n+1)(k) = r(k) u R_n(k-1) + (k*B - n*A + G) v R_n(k),
@@ -76,77 +81,62 @@ def _scaled_params(params: StirlingParams) -> tuple[int, int, int, int]:
     return d, int(a * d), int(b * d), int(g * d)  # exact: d clears them
 
 
-class StirlingTable:
-    """Row-by-row memoized triangle for one parameter triple.
-
-    Integer rows T(n, .) are extended on demand; rational rows are built
-    from them the first time they are read and kept.
-    """
-
-    def __init__(self, params: StirlingParams):
-        self.params = params
-        self.scale, a, b, g = _scaled_params(params)
-        self._abg = (a, b, g)
-        self._ints: list[tuple[int, ...]] = [(1,)]
-        self._rows: dict[int, tuple[Fraction, ...]] = {}
-
-    def _extend(self, n: int):
-        a, b, g = self._abg
-        ints = self._ints
-        while len(ints) <= n:
-            m = len(ints) - 1  # previous row index
-            prev = ints[-1]
-            c = g - m * a  # k*B - m*A + G at k = 0
-            row = [prev[0] * c]
-            for lo, hi in zip(prev, prev[1:]):
-                c += b
-                row.append(lo + c * hi)
-            row.append(1)
-            ints.append(tuple(row))
-
-    def int_row(self, n: int) -> tuple[int, ...]:
-        """T(n, 0..n) = S(n, k) * scale^(n-k), as integers."""
-        if n < 0:
-            raise ValueError("need n >= 0")
-        if len(self._ints) <= n:
-            self._extend(n)
-        return self._ints[n]
-
-    def row(self, n: int) -> tuple[Fraction, ...]:
-        """S(n, 0..n)."""
-        try:
-            return self._rows[n]
-        except KeyError:
-            pass
-        d = self.scale
-        row = tuple(Fraction(t, d ** (n - k)) for k, t in enumerate(self.int_row(n)))
-        return self._rows.setdefault(n, row)
-
-
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _table(params: StirlingParams) -> StirlingTable:
-    return StirlingTable(params)
-
-
-def stirling_row(params: StirlingParams, n: int) -> tuple[Fraction, ...]:
-    """S(n, 0..n) from the memoized recurrence; works for every rational triple."""
-    return _table(params).row(n)
+def _table(params: StirlingParams) -> tuple[int, tuple[int, int, int], list]:
+    """(d, (A, B, G), rows): the scale, the scaled parameters and the integer
+    rows T(0, .), T(1, .), ... built so far, which stirling_int_row extends."""
+    d, a, b, g = _scaled_params(params)
+    return d, (a, b, g), [(1,)]
 
 
 def stirling_int_row(params: StirlingParams, n: int) -> tuple[int, tuple[int, ...]]:
     """(d, T(n, 0..n)) with S(n, k) = T(n, k) / d^(n-k) and every T an integer."""
-    table = _table(params)
-    return table.scale, table.int_row(n)
+    if n < 0:
+        raise ValueError("need n >= 0")
+    d, (a, b, g), rows = _table(params)
+    while len(rows) <= n:
+        m = len(rows) - 1  # previous row index
+        prev = rows[-1]
+        c = g - m * a  # k*B - m*A + G at k = 0
+        row = [prev[0] * c]
+        for lo, hi in zip(prev, prev[1:]):
+            c += b
+            row.append(lo + c * hi)
+        row.append(1)
+        rows.append(tuple(row))
+    return d, rows[n]
+
+
+def stirling_row(params: StirlingParams, n: int) -> tuple[Fraction, ...]:
+    """S(n, 0..n) from the memoized recurrence; works for every rational triple."""
+    d, row = stirling_int_row(params, n)
+    return tuple(Fraction(t, d ** (n - k)) for k, t in enumerate(row))
+
+
+# r(k, d, B) = w_k / w_(k-1): a family's column weights, d and B = beta d
+# the triangle's scale and scaled beta
+Ratio = Callable[[int, int, int], int]
+
+
+def weighted_row(params: StirlingParams, n: int, ratio: Ratio) -> tuple[list[int], int]:
+    """(T(n, k) w_k for k = 0..n, d^n) with w_0 = 1 and w_k = w_(k-1) ratio(k, d, B):
+    the numerators over d^n of the polynomial sum_k S(n, k) (w_k / d^k) x^k."""
+    d, (_, b, _), _ = _table(params)
+    row = stirling_int_row(params, n)[1]
+    out, w = [row[0]], 1
+    for k in range(1, n + 1):
+        w *= ratio(k, d, b)
+        out.append(row[k] * w)
+    return out, d ** n
 
 
 def _value_sweep(params: StirlingParams, x: Fraction, order: int,
-                 ratio: Callable[[int, int, int], int]) -> Iterator[tuple[int, int]]:
+                 ratio: Ratio) -> Iterator[tuple[int, int]]:
     """(V_n, (d v)^n) for n = 0..order, V_n = sum_k T(n, k) w_k u^k v^(n-k).
 
-    x = u/v in lowest terms, d is the triangle's scale and w_k = w_(k-1) *
-    ratio(k, d, B), w_0 = 1, with B = beta * d.  So V_n / (d v)^n is
-    sum_k S(n, k) (w_k / d^k) x^k.  Prefix-stable: V_n does not depend on
-    order.  No table is built or kept.
+    With x = u/v in lowest terms, V_n / (d v)^n is weighted_row(params, n,
+    ratio)'s polynomial at x.  Prefix-stable: V_n does not depend on order.
+    No table is built or kept.
     """
     d, a, b, g = _scaled_params(params)
     u, v = x.numerator, x.denominator
@@ -168,8 +158,8 @@ def _value_sweep(params: StirlingParams, x: Fraction, order: int,
 
 def stirling_rec(params: StirlingParams, n: int, k: int) -> Fraction:
     """S(n, k) from the memoized recurrence; works for every rational triple."""
-    row = stirling_row(params, n)
-    return row[k] if 0 <= k <= n else _ZERO
+    d, row = stirling_int_row(params, n)
+    return Fraction(row[k], d ** (n - k)) if 0 <= k <= n else _ZERO
 
 
 def stirling_explicit(params: StirlingParams, n: int, k: int) -> Fraction:

@@ -49,6 +49,21 @@ def test_series_holds_no_polynomials():
     assert "xpoly" not in names, sorted(names)
 
 
+def test_families_read_no_integer_rows():
+    # geom, exppoly and euler reach the triangle through weighted_row and
+    # _value_sweep, so its integer scaling stays behind stirling.py
+    hidden = {"stirling_int_row", "StirlingTable"}
+    for name in ("geom.py", "exppoly.py", "euler.py"):
+        path = PACKAGE / name
+        used = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name.rpartition(".")[2] for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        assert not used & hidden, (name, sorted(used & hidden))
+
+
 def _named_bounds() -> set[str]:
     # the memo bounds that sit side by side in series.py
     tree = ast.parse((PACKAGE / "series.py").read_text())

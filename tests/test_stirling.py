@@ -17,6 +17,10 @@ from geomstir import (
     stirling_row,
 )
 from geomstir import stirling
+from geomstir.euler import _euler_ratio
+from geomstir.exppoly import _s_ratio
+from geomstir.geom import _a_ratio
+from geomstir.xpoly import XPolynomial
 from bruteforce import stirling2_count
 
 Q = Fraction
@@ -164,3 +168,37 @@ def test_integer_scaled_table_matches_fraction_recurrence(a, b, g, n):
 def test_a_explicit_from_integer_rows_matches_recurrence(lam, a, b, g, n):
     p = PolyParams(lam, a, b, g)
     assert a_explicit(p, n) == a_recurrence(p, n)
+
+
+@pytest.mark.parametrize("read", [
+    lambda p: stirling_row(p, -1),
+    lambda p: stirling_rec(p, -1, 0),
+    lambda p: stirling_rec(p, -1, -1),
+    lambda p: stirling.stirling_int_row(p, -1),
+])
+def test_negative_row_index_is_rejected(read):
+    for p in (CLASSIC, StirlingParams(Q(1, 2), 0, Q(-3, 4))):
+        with pytest.raises(ValueError):
+            read(p)
+
+
+q12 = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q12, st.one_of(st.just(Q(0)), q12), q12, st.integers(0, 3),
+       st.sampled_from("ASE"), st.sampled_from([Q(0), Q(1), Q(-1, 2), Q(5, 3)]),
+       st.integers(0, 12))
+def test_weighted_row_is_the_weighted_column_sum(a, b, g, lam, family, x, n):
+    # each family's ratio: A_n's, S_n's and E_n's
+    ratio = {"A": _a_ratio(lam), "S": _s_ratio, "E": _euler_ratio(lam)}[family]
+    p = StirlingParams(a, b, g)
+    d, _, bd, _ = stirling._scaled_params(p)
+    want, w = Q(0), 1
+    for k in range(n + 1):
+        if k:
+            w *= ratio(k, d, bd)
+        want += stirling_rec(p, n, k) * Q(w, d ** k) * x ** k
+    assert XPolynomial.from_ints(*stirling.weighted_row(p, n, ratio))(x) == want
+    v, den = list(stirling._value_sweep(p, x, n, ratio))[n]
+    assert Q(v, den) == want
