@@ -10,14 +10,11 @@ asymptotic display columns is computed over Fraction coefficients.
 from .asymptotics import (
     DecayReport,
     DecayRow,
-    ExpansionInput,
-    ExpansionResult,
     a_coefficients,
     closed_form_w_check,
     error_decay_report,
     format_sig,
     hsu_expansion,
-    predict_a,
     w_coefficient,
     w_row,
 )
@@ -47,8 +44,6 @@ from .geom import (
     a_recurrence,
     a_values,
     lam_binom,
-    m_numbers,
-    m_polynomial,
 )
 from .harness import (
     ConformanceReport,
@@ -62,14 +57,13 @@ from .harness import (
 from .oracle import (
     MAX_ORACLE_N,
     BPAConfig,
-    Partition,
     count_bpa,
     count_gamma_cell,
     count_m_sections,
     partitions_with_parts,
     section_poly_value,
 )
-from .series import Series, binom, binomial_series, falling, gff, rising
+from .series import Series, binomial_series, falling, gff, rising
 from .stirling import (
     StirlingParams,
     param_swap_rhs,
@@ -91,12 +85,9 @@ __all__ = [
     "DecayRow",
     "EulerParams",
     "ExpPolyParams",
-    "ExpansionInput",
-    "ExpansionResult",
     "GridSpec",
     "IdentityReport",
     "MAX_ORACLE_N",
-    "Partition",
     "PolyParams",
     "ReadingReport",
     "Series",
@@ -108,7 +99,6 @@ __all__ = [
     "a_explicit",
     "a_recurrence",
     "a_values",
-    "binom",
     "binomial_series",
     "check_integral_rep",
     "closed_form_w_check",
@@ -129,11 +119,8 @@ __all__ = [
     "hsu_expansion",
     "lam_binom",
     "lemma34_sides",
-    "m_numbers",
-    "m_polynomial",
     "param_swap_rhs",
     "partitions_with_parts",
-    "predict_a",
     "rising",
     "run_suite",
     "s_exp_egf",

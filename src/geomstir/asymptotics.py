@@ -18,11 +18,13 @@ Combinatorics, ch. 3).  W(n, 0..s) needs only the u-band p >= m - s of each
 g_m, and on it only k <= s + 1, so the row costs O(n s^2) products and no
 partition is enumerated.
 
-Taking psi to be the order-1 geometric generating series makes the left
-side A_n^(lam,x)(alpha, beta, lam*gamma) / (lam)_n / n!, which is what
-hsu_expansion predicts.  At full depth (s = n) the expansion is a finite
-exact identity for integer lam >= n; for s < n the truncation error decays
-like lam^-(s+1).
+Taking psi to be the order-1 geometric generating series (coefficients
+from a_coefficients) makes the left side
+A_n^(lam,x)(alpha, beta, lam*gamma) / (lam)_n / n!.  hsu_expansion(a, n,
+s, lam) returns the s-term prediction of that A-scale value as one
+Fraction, and error_decay_report sets it beside the exact value for each
+lam.  At full depth (s = n) the expansion is a finite exact identity for
+integer lam >= n; for s < n the truncation error decays like lam^-(s+1).
 
 Everything is exact rational arithmetic; callers format floats for display.
 """
@@ -42,9 +44,8 @@ def w_coefficient(a: Sequence[Fraction], n: int, j: int) -> Fraction:
     """W(n, j) from the coefficient list a = [a_1, ..., a_n].
 
     j = n is the empty partition set for n >= 1 (value 0); W(0, 0) = 1.
+    A j outside 0..n raises IndexError, from w_row.
     """
-    if not 0 <= j <= n:
-        raise IndexError(f"need 0 <= j <= n, got j={j}, n={n}")
     return w_row(a, n, j)[j]
 
 
@@ -100,48 +101,28 @@ def a_coefficients(alpha, beta, gamma, x, n: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class ExpansionInput:
-    a: tuple[Fraction, ...]  # a_1 .. a_n; a_0 = 1 is implicit
-    n: int
-    s: int
-    lam: Fraction
+def hsu_expansion(a: Sequence[Fraction], n: int, s: int, lam) -> Fraction:
+    """The s-term prediction of [t^n] psi^lam * n!, with a = [a_1, ..., a_n]
+    the coefficients of psi (a_0 = 1 is implicit): on the A scale,
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(_q(v) for v in self.a))
-        object.__setattr__(self, "lam", _q(self.lam))
-        if not 0 <= self.s <= self.n:
-            raise ValueError("need 0 <= s <= n")
+        (lam)_n n! sum_{j=0}^{s} W(n,j) / (lam-n+j)_j.
 
-
-@dataclass(frozen=True)
-class ExpansionResult:
-    terms: tuple[Fraction, ...]  # W(n,j) / (lam-n+j)_j for j = 0..s
-    total: Fraction
-    predicted: Fraction          # (lam)_n * n! * total, the A-scale value
+    Raises ValueError for s outside 0..n or a vanishing (lam-n+j)_j.
+    """
+    if not 0 <= s <= n:
+        raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
+    return _expand(w_row(a, n, s), n, _q(lam))
 
 
-def hsu_expansion(inp: ExpansionInput) -> ExpansionResult:
-    return _expand(w_row(inp.a, inp.n, inp.s), inp.n, inp.lam)
-
-
-def _expand(ws: Sequence[Fraction], n: int, lam: Fraction) -> ExpansionResult:
-    """The expansion at one lam from precomputed W(n, 0..s)."""
-    terms = []
+def _expand(ws: Sequence[Fraction], n: int, lam: Fraction) -> Fraction:
+    """The prediction at one lam from precomputed W(n, 0..s)."""
+    total = Fraction(0)
     for j, w in enumerate(ws):
         denom = falling(lam - n + j, j)
         if denom == 0:
             raise ValueError(f"vanishing denominator (lam-n+j)_j at j={j}")
-        terms.append(w / denom)
-    total = sum(terms, Fraction(0))
-    predicted = falling(lam, n) * math.factorial(n) * total
-    return ExpansionResult(tuple(terms), total, predicted)
-
-
-def predict_a(alpha, beta, gamma, x, n: int, s: int, lam) -> Fraction:
-    """s-term prediction of A_n^(lam,x)(alpha, beta, lam*gamma)."""
-    a = a_coefficients(alpha, beta, gamma, x, n)
-    return hsu_expansion(ExpansionInput(tuple(a), n, s, _q(lam))).predicted
+        total += w / denom
+    return falling(lam, n) * math.factorial(n) * total
 
 
 def closed_form_w_check(alpha, beta, gamma, x, n: int) -> bool:
@@ -245,7 +226,7 @@ def error_decay_report(alpha, beta, gamma, x, n: int, s: int,
             raise ValueError(f"lam={lam} must be an integer > n-1 = {n - 1}")
         # a sweep keeps nothing: with g != 0 every lam has its own triangle
         exact = a_values(PolyParams(lam, al, b, lam * g), x, n)[n]
-        rows.append(DecayRow(lam, exact, _expand(ws, n, Fraction(lam)).predicted))
+        rows.append(DecayRow(lam, exact, _expand(ws, n, Fraction(lam))))
     return DecayReport(al, b, g, x, n, s, tuple(rows))
 
 

@@ -37,8 +37,6 @@ from .oracle import BPAConfig, count_bpa
 from .stirling import StirlingParams, stirling_dual, stirling_rec
 from .xpoly import XPolynomial
 
-FAMILIES = ("stirling", "stirling-dual", "A", "M", "exp-poly", "euler")
-
 # Input caps: past one, the command exits 2 before any work
 MAX_N = 400  # the top index of compute --n and of asymptotic --n
 MAX_S = 40   # asymptotic --s; W(n, 0..s) is one banded exp recurrence, O(n s^2)
@@ -51,14 +49,9 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def parse_n_range(text: str) -> list[int]:
-    """Single index "4" or inclusive range "0..5"."""
-    return list(_n_span(text))
-
-
-def _n_span(text: str) -> range:
-    """parse_n_range as a range, so a huge --n is not built before the cap
-    check rejects it."""
+def parse_n_range(text: str) -> range:
+    """Single index "4" or inclusive range "0..5", as a range, so a huge --n
+    is not built before the cap check rejects it."""
     text = text.strip()
     m = re.match(r"^(\d+)\.\.(\d+)$", text)
     if m:
@@ -144,11 +137,33 @@ def _table(header: list[str], records: list[dict], fmt: str, out: str | None,
                    for rec in records), out)
 
 
-def _need(args, names: list[str]):
-    missing = [f"--{'lambda' if n == 'lam' else n}" for n in names
-               if getattr(args, n) is None]
+# the value flags each family reads: (required, optional)
+FAMILY_FLAGS = {
+    "stirling": (("alpha", "beta", "gamma"), ("k",)),
+    "stirling-dual": (("alpha", "beta", "gamma"), ("k",)),
+    "A": (("lam", "alpha", "beta", "gamma"), ("x",)),
+    "M": (("alpha", "beta"), ("x",)),
+    "exp-poly": (("alpha", "beta", "gamma"), ("x",)),
+    "euler": (("lam", "alpha", "beta"), ("gamma",)),
+}
+FAMILIES = tuple(FAMILY_FLAGS)
+_VALUE_FLAGS = ("lam", "alpha", "beta", "gamma", "x", "k")
+
+
+def _check_flags(args):
+    """A missing required flag, a flag the family does not read or a
+    negative --k raises ValueError."""
+    need, optional = FAMILY_FLAGS[args.family]
+    flag = lambda name: f"--{'lambda' if name == 'lam' else name}"
+    missing = [flag(n) for n in need if getattr(args, n) is None]
     if missing:
         raise ValueError(f"family {args.family!r} needs {', '.join(missing)}")
+    unread = [flag(n) for n in _VALUE_FLAGS
+              if n not in need + optional and getattr(args, n) is not None]
+    if unread:
+        raise ValueError(f"family {args.family!r} does not read {', '.join(unread)}")
+    if args.k is not None and args.k < 0:
+        raise ValueError(f"--k must be >= 0, got {args.k}")
 
 
 def cmd_compute(args) -> int:
@@ -170,9 +185,9 @@ def _compute_rows(args):
         raise ValueError("compute needs --n")
     if ns[-1] > MAX_N:
         raise ValueError(f"--n goes up to {ns[-1]}, past the cap of {MAX_N}")
+    _check_flags(args)
 
     if fam in ("stirling", "stirling-dual"):
-        _need(args, ["alpha", "beta", "gamma"])
         sp = StirlingParams(args.alpha, args.beta, args.gamma)
         value = stirling_rec if fam == "stirling" else stirling_dual
         params_repr = {"alpha": str(sp.alpha), "beta": str(sp.beta),
@@ -184,12 +199,10 @@ def _compute_rows(args):
 
     if fam in ("A", "M"):
         if fam == "A":
-            _need(args, ["lam", "alpha", "beta", "gamma"])
             p = PolyParams(args.lam, args.alpha, args.beta, args.gamma)
             params_repr = {"lambda": p.lam, "alpha": str(p.alpha),
                            "beta": str(p.beta), "gamma": str(p.gamma)}
         else:
-            _need(args, ["alpha", "beta"])
             # the single-section member: lam == 1, gamma == 0
             p = PolyParams(1, args.alpha, args.beta, 0)
             params_repr = {"alpha": str(p.alpha), "beta": str(p.beta)}
@@ -197,15 +210,13 @@ def _compute_rows(args):
         values = lambda top: a_values(p, at, top)
         poly = lambda n: a_explicit(p, n)
     elif fam == "exp-poly":
-        _need(args, ["alpha", "beta", "gamma"])
         p = ExpPolyParams(args.alpha, args.beta, args.gamma)
         params_repr = {"alpha": str(p.alpha), "beta": str(p.beta),
                        "r": str(p.r)}
         at = args.x
         values = lambda top: s_exp_values(p, at, top)
         poly = lambda n: s_exp_explicit(p, n)
-    elif fam == "euler":
-        _need(args, ["lam", "alpha", "beta"])
+    else:  # euler
         p = EulerParams(args.lam, args.alpha, args.beta)
         params_repr = {"lambda": p.lam, "alpha": str(p.alpha),
                        "beta": str(p.beta)}
@@ -214,8 +225,6 @@ def _compute_rows(args):
         if at is None:
             # every row is read from one gamma-polynomial build at the top n
             poly = _gamma_polynomials(p, max(ns)).__getitem__
-    else:
-        raise ValueError(f"unsupported family {fam!r}")
 
     if at is None:
         return ["n", "coeffs"], params_repr, [
@@ -302,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--family", dest="family_flag", choices=FAMILIES,
                       default=None)
     add_rationals(comp, ["alpha", "beta", "gamma", "lambda", "x"])
-    comp.add_argument("--n", type=_n_span, default=None,
+    comp.add_argument("--n", type=parse_n_range, default=None,
                       help='index or inclusive range "0..5"')
     comp.add_argument("--k", type=int, default=None)
     comp.add_argument("--format", choices=("csv", "jsonl"), default="csv")

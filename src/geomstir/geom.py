@@ -157,12 +157,3 @@ def a_recurrence(params: PolyParams, n: int) -> XPolynomial:
         row = new
     return row[0]
 
-
-def m_polynomial(alpha, beta, n: int) -> XPolynomial:
-    """Single-section polynomial: the lam == 1, gamma == 0 member."""
-    return a_explicit(PolyParams(1, _q(alpha), _q(beta), Fraction(0)), n)
-
-
-def m_numbers(alpha, beta, x, n: int) -> Fraction:
-    """m_polynomial evaluated at a rational weight."""
-    return m_polynomial(alpha, beta, n)(_q(x))

@@ -110,10 +110,10 @@ class GridSpec:
                              f"cap of {MAX_ORACLE_N}")
         for key in _ROW_KINDS:
             object.__setattr__(self, key, _rows(key, getattr(self, key)))
-        object.__setattr__(self, "x_values",
-                           tuple(_exact("x_values", x) for x in self.x_values))
-        object.__setattr__(self, "shift_ms",
-                           tuple(_count("shift_ms", m) for m in self.shift_ms))
+        object.__setattr__(self, "x_values", tuple(
+            _exact("x_values", x) for x in _sequence("x_values", self.x_values)))
+        object.__setattr__(self, "shift_ms", tuple(
+            _count("shift_ms", m) for m in _sequence("shift_ms", self.shift_ms)))
         top = self.n_max + max(self.shift_ms, default=0) + 1
         if top > MAX_GRID_INDEX:
             raise ValueError(f"the grid reads up to index n_max + max(shift_ms) + 1 "
@@ -173,18 +173,15 @@ _ROW_KINDS = {
 
 
 def _field(key: str, value):
-    """One grid-file field in the types GridSpec takes: JSON lists become
-    tuples and "p/q" strings Fractions; GridSpec checks the values."""
-    if key in ("n_max", "oracle_n_max", "select"):
+    """One grid-file field in the types GridSpec takes: JSON lists (and the
+    rows in them) become tuples and "p/q" strings Fractions; GridSpec checks
+    the values, so anything else passes through to be rejected there."""
+    if key in ("n_max", "oracle_n_max", "select") or not isinstance(value, list):
         return value
-    if not isinstance(value, list):
-        raise ValueError(f"{key} must be a list, got {reprlib.repr(value)}")
     if key not in _ROW_KINDS:
         return tuple(_json_scalar(key, v) for v in value)
-    for row in value:
-        if not isinstance(row, list):
-            raise ValueError(f"each {key} row is a list, got {reprlib.repr(row)}")
-    return tuple(tuple(_json_scalar(key, v) for v in row) for row in value)
+    return tuple(tuple(_json_scalar(key, v) for v in row)
+                 if isinstance(row, list) else row for row in value)
 
 
 def _json_scalar(key: str, value):
@@ -196,10 +193,17 @@ def _json_scalar(key: str, value):
         raise ValueError(f"{key}: {e}") from None
 
 
+def _sequence(key: str, value):
+    # a bare number, string or None is not a sequence of entries
+    if not isinstance(value, (tuple, list)):
+        raise ValueError(f"{key} must be a list or tuple, got {reprlib.repr(value)}")
+    return value
+
+
 def _rows(key: str, rows) -> tuple:
     kinds = _ROW_KINDS[key]
     out = []
-    for row in rows:
+    for row in _sequence(key, rows):
         if not isinstance(row, (tuple, list)) or len(row) != len(kinds):
             raise ValueError(f"each {key} row has {len(kinds)} entries, "
                              f"got {reprlib.repr(row)}")

@@ -18,6 +18,11 @@ anything larger stops being a useful cross-check anyway.  lam is capped at
 count_bpa folds in one section at a time, O(lam n^2) integer products (well
 under a millisecond at n = 8, lam = 12), and only the section counts are
 enumerated.
+
+partitions_with_parts lists the partitions of n into exactly p parts as
+weakly decreasing tuples.  The asymptotic weights W(n, j) are defined as
+sums over those partitions; asymptotics reads them from a recurrence and
+lists none, so this enumeration is the independent reference for W.
 """
 
 from __future__ import annotations
@@ -136,42 +141,19 @@ def count_bpa(cfg: BPAConfig) -> int:
     return cur[n]
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Integer partition in weakly decreasing order."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise ValueError("partition parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError("partition parts must be weakly decreasing")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-
-def partitions_with_parts(n: int, p: int) -> list[Partition]:
-    """All partitions of n into exactly p positive parts, lexicographically
-    decreasing."""
+def partitions_with_parts(n: int, p: int) -> list[tuple[int, ...]]:
+    """All partitions of n into exactly p positive parts, each a weakly
+    decreasing tuple, the list lexicographically decreasing."""
     if n < 0 or p < 0:
         raise ValueError("need n, p >= 0")
     if p == 0 or n < p:
-        return [Partition(())] if n == p else []
-    out: list[Partition] = []
+        return [()] if n == p else []
+    out: list[tuple[int, ...]] = []
     # the largest is n-p+1 then ones; each next one lowers the last part that
     # can drop by one and refills the parts after it as large as they may be
     parts = [n - p + 1] + [1] * (p - 1)
     while True:
-        out.append(Partition(tuple(parts)))
+        out.append(tuple(parts))
         tail = parts[-1]  # sum of parts[i+1:]
         for i in range(p - 2, -1, -1):
             cap = parts[i] - 1

@@ -84,13 +84,6 @@ def rising(a, n: int):
     return gff(a, Fraction(-1), n)
 
 
-def binom(a, k: int) -> Fraction:
-    """Binomial coefficient C(a, k) for rational a and integer k >= 0."""
-    if k < 0:
-        raise ValueError("binom needs k >= 0")
-    return falling(Fraction(a), k) / math.factorial(k)
-
-
 @dataclass(frozen=True)
 class Series:
     """Truncated series sum c_n t^n, n = 0..order, with exact coefficients."""

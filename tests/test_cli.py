@@ -181,6 +181,22 @@ def test_compute_missing_parameter(capsys):
     assert "--lambda" in err and "--beta" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["euler", "--lambda", "1", "--alpha", "0", "--beta", "1", "--x", "3"],
+    ["M", "--alpha", "1", "--beta", "1", "--gamma", "5"],
+    ["A", "--lambda", "1", "--alpha", "0", "--beta", "1", "--gamma", "0", "--k", "2"],
+    ["exp-poly", "--lambda", "2", "--alpha", "0", "--beta", "1", "--gamma", "0"],
+    ["stirling", "--alpha", "0", "--beta", "1", "--gamma", "0", "--x", "1"],
+    ["stirling", "--alpha", "0", "--beta", "1", "--gamma", "0", "--k", "-1"],
+])
+def test_compute_rejects_flags_its_family_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "compute", *argv, "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_decimal_input_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["compute", "A", "--lambda", "1", "--alpha", "0",
@@ -199,8 +215,8 @@ def test_parse_rational_accepts_and_rejects():
 
 
 def test_parse_n_range():
-    assert parse_n_range("4") == [4]
-    assert parse_n_range("0..5") == [0, 1, 2, 3, 4, 5]
+    assert list(parse_n_range("4")) == [4]
+    assert list(parse_n_range("0..5")) == [0, 1, 2, 3, 4, 5]
     with pytest.raises(Exception):
         parse_n_range("5..2")
 

@@ -15,8 +15,6 @@ from geomstir import (
     a_recurrence,
     a_values,
     lam_binom,
-    m_numbers,
-    m_polynomial,
 )
 from bruteforce import fubini_count, stirling2_count
 from identities import holds
@@ -57,7 +55,7 @@ def test_fubini_polynomial_coefficients():
     # set-partition polynomial coefficients k! S2(n,k)
     import math
     for n in range(6):
-        poly = m_polynomial(0, 1, n)
+        poly = a_explicit(PolyParams(1, Q(0), Q(1), Q(0)), n)
         for k in range(n + 1):
             assert poly.coefficient(k) == math.factorial(k) * stirling2_count(n, k)
 
@@ -65,10 +63,12 @@ def test_fubini_polynomial_coefficients():
 def test_m_numbers_small_closed_forms():
     # n! times the low-order coefficients: 1; beta x;
     # beta(beta+alpha)/2 x + beta^2 x^2; all at alpha = beta = x = 1
-    assert m_numbers(1, 1, 1, 0) == 1
-    assert m_numbers(1, 1, 1, 1) == 1
-    assert m_numbers(1, 1, 1, 2) == 2 * (Q(1, 2) * 1 * 2 + 1)
-    assert m_polynomial(1, 1, 2) == XPolynomial([0, 2, 2])
+    # (the single-section member lam = 1, gamma = 0)
+    m = PolyParams(1, Q(1), Q(1), Q(0))
+    assert a_eval(m, 0, 1) == 1
+    assert a_eval(m, 1, 1) == 1
+    assert a_eval(m, 2, 1) == 2 * (Q(1, 2) * 1 * 2 + 1)
+    assert a_explicit(m, 2) == XPolynomial([0, 2, 2])
 
 
 def test_three_route_agreement_on_grid():

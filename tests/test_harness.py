@@ -220,6 +220,9 @@ def test_grid_validation():
     {"oracle_n_max": MAX_ORACLE_N + 1},              # past what the oracle counts
     {"select": "eq6"},                               # not ("e", "q", "6")
     {"select": ("eq6", 7)},
+    {"x_values": 3},                                 # not a sequence at all
+    {"poly_points": 5},
+    {"shift_ms": None},
 ])
 def test_grid_rejects_inexact_values(bad):
     with pytest.raises(ValueError):

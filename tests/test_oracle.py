@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from geomstir import (
     section_poly_value,
     w_coefficient,
 )
-from geomstir.oracle import Partition
 from bruteforce import (
     barred_fubini_count,
     bell_count,
@@ -118,15 +118,16 @@ def test_config_validation():
 
 def test_partitions_with_parts_shape():
     out = partitions_with_parts(6, 3)
-    assert all(p.n == 6 and len(p.parts) == 3 for p in out)
-    assert len({p.parts for p in out}) == len(out)
+    assert all(sum(p) == 6 and len(p) == 3 for p in out)
+    assert all(p == tuple(sorted(p, reverse=True)) and min(p) > 0 for p in out)
+    assert len(set(out)) == len(out)
     # partitions of 6 into exactly 3 parts: 4+1+1, 3+2+1, 2+2+2
     assert len(out) == 3
 
 
 def test_partition_multiplicities():
     p = partitions_with_parts(5, 3)[0]
-    assert sum(size * mult for size, mult in p.multiplicities().items()) == 5
+    assert sum(size * mult for size, mult in Counter(p).items()) == 5
 
 
 @settings(max_examples=40)
@@ -150,7 +151,7 @@ def _partitions_recursive(n, p):
     def rec(remaining, parts_left, cap, acc):
         if parts_left == 0:
             if remaining == 0:
-                out.append(Partition(tuple(acc)))
+                out.append(tuple(acc))
             return
         for first in range(min(cap, remaining - (parts_left - 1)), 0, -1):
             rec(remaining - first, parts_left - 1, first, acc + [first])
@@ -175,11 +176,11 @@ def test_partitions_run_without_recursion():
         w = w_coefficient([Q(1)] * 300, 300, 10)
     finally:
         sys.setrecursionlimit(limit)
-    assert ones == [Partition((1,) * 1000)]
+    assert ones == [(1,) * 1000]
     # partitions of 300 into 290 parts match the 42 partitions of 10
     assert len(near) == 42
-    assert near[0].parts == (11,) + (1,) * 289
-    assert near[-1].parts == (2,) * 10 + (1,) * 280
+    assert near[0] == (11,) + (1,) * 289
+    assert near[-1] == (2,) * 10 + (1,) * 280
     # with every a_i = 1, W(n, j) sums prod 1/k_i! over those partitions
-    assert w == sum(Q(1, math.prod(math.factorial(k) for k in part.multiplicities().values()))
+    assert w == sum(Q(1, math.prod(math.factorial(k) for k in Counter(part).values()))
                     for part in near)

@@ -1,6 +1,8 @@
 """The scripts under scripts/ end a bad input in one error line and exit 2,
-as `geomstir verify` does; exit 1 stays the "hard identity failed" code."""
+as `geomstir verify` does; exit 1 stays the "hard identity failed" code.
+Their normal output keeps its bytes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -41,3 +43,20 @@ def test_unwritable_json_report_is_a_usage_error(tmp_path):
     assert out.returncode == 2
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
     assert not target.exists()
+
+
+# sha256 of stdout and the exit code of each script's normal run, as printed
+# before hsu_expansion returned a bare Fraction
+SCRIPT_OUTPUT_DIGESTS = {
+    ("run_conformance.py", "--select", "euler-rec", "spivey", "--minimize"):
+        ("9af4ba89ea6eaa1fcd795ec22e216a6336fc0e8fd858a11c77592833a5bace8c", 1),
+    ("error_decay_study.py",):
+        ("c9ad866a6f5af80fabc807abb3c15b869d868d0ff296a2c4f1f3307c02cf7217", 0),
+}
+
+
+@pytest.mark.parametrize("argv", list(SCRIPT_OUTPUT_DIGESTS))
+def test_script_output_keeps_its_bytes(argv):
+    out = run_script(*argv)
+    digest = hashlib.sha256(out.stdout.encode()).hexdigest()
+    assert (digest, out.returncode) == SCRIPT_OUTPUT_DIGESTS[argv], out.stderr

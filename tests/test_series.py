@@ -12,7 +12,6 @@ from geomstir import (
     StirlingParams,
     a_egf,
     a_explicit,
-    binom,
     euler_egf,
     euler_via_a,
     falling,
@@ -70,12 +69,6 @@ def test_integer_gff_edge_cases():
     assert gff(Q(3), Q(1), 5) == 0                # passes through zero
     assert gff(Q(2, 3), Q(-5, 4), 0) == 1 and type(gff(2, 1, 0)) is Q
     assert gff(1.5, 1, 2) == Q(3, 4) and type(gff(1.5, 1, 2)) is Q  # exact binary value
-
-
-def test_binom_rational_argument():
-    assert binom(Q(1, 2), 2) == Q(-1, 8)
-    assert binom(Q(5), 2) == 10
-    assert binom(Q(3), 5) == 0
 
 
 def test_series_round_trips():

@@ -1,5 +1,5 @@
-"""The package runs on the Python standard library alone, and every memo
-in it has a named bound."""
+"""The package runs on the Python standard library alone, every memo in it
+has a named bound, and every name it exports has a reader outside the tests."""
 
 import ast
 import sys
@@ -10,6 +10,7 @@ import pytest
 import geomstir
 
 PACKAGE = Path(geomstir.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _imported_top_names(tree: ast.AST):
@@ -62,6 +63,40 @@ def test_families_read_no_integer_rows():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
         assert not used & hidden, (name, sorted(used & hidden))
+
+
+# reference routes: independent checks that the tests and acceptance
+# criteria compare against; no package route, script or benchmark reads them
+_REFERENCE_ROUTES = {"check_integral_rep", "closed_form_w_check", "stirling_egf_check"}
+
+
+def _referenced_names(paths) -> set[str]:
+    """Every Name, Attribute, imported name and last part of a "geomstir.*"
+    string (a tracer target) in the files at paths."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rpartition(".")[2] for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.startswith("geomstir."):
+                names.add(node.value.rpartition(".")[2])
+    return names
+
+
+def test_every_export_has_a_reader():
+    # a name in __all__ that only its own tests call is surface, not a route
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    for folder in ("scripts", "perfbench"):
+        found = sorted((REPO / folder).glob("*.py"))
+        assert found, folder
+        paths += found
+    unread = set(geomstir.__all__) - _referenced_names(paths) - _REFERENCE_ROUTES
+    assert not unread, sorted(unread)
 
 
 def _named_bounds() -> set[str]:
