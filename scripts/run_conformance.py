@@ -63,13 +63,12 @@ def main() -> int:
 
     if args.json is not None:
         try:
-            fh = open(args.json, "w")
+            with open(args.json, "w") as fh:
+                fh.write(report.to_json() + "\n")
         except OSError as e:
             print(f"error: cannot write {args.json}: {e.strerror or e}",
                   file=sys.stderr)
             return 2
-        with fh:
-            fh.write(report.to_json() + "\n")
         print(f"\nreport written to {args.json}")
 
     failing = [

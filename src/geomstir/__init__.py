@@ -67,7 +67,6 @@ from .series import Series, binomial_series, falling, gff, rising
 from .stirling import (
     StirlingParams,
     param_swap_rhs,
-    stirling_dual,
     stirling_egf_check,
     stirling_explicit,
     stirling_rec,
@@ -128,7 +127,6 @@ __all__ = [
     "s_exp_explicit",
     "s_exp_values",
     "section_poly_value",
-    "stirling_dual",
     "stirling_egf_check",
     "stirling_explicit",
     "stirling_rec",

@@ -190,12 +190,6 @@ class DecayRow:
 
 @dataclass(frozen=True)
 class DecayReport:
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    x: Fraction
-    n: int
-    s: int
     rows: tuple[DecayRow, ...]
 
     def ratios(self) -> list[Fraction | None]:
@@ -227,7 +221,7 @@ def error_decay_report(alpha, beta, gamma, x, n: int, s: int,
         # a sweep keeps nothing: with g != 0 every lam has its own triangle
         exact = a_values(PolyParams(lam, al, b, lam * g), x, n)[n]
         rows.append(DecayRow(lam, exact, _expand(ws, n, Fraction(lam))))
-    return DecayReport(al, b, g, x, n, s, tuple(rows))
+    return DecayReport(tuple(rows))
 
 
 def format_sig(value: Fraction | float, digits: int = 12) -> str:

@@ -11,7 +11,7 @@ input is rejected to keep binary floats out of the pipeline.  Output for a
 fixed invocation is byte-identical across runs.
 
 Exit codes: 0 success, 1 identity/oracle failure, 2 usage or parse error
-(an --out path that cannot be opened for writing counts as one).
+(output that cannot be written to stdout or --out counts as one).
 
 Exact values print in full whatever their length; arguments and grid files
 are still parsed under CPython's int-to-str digit limit.
@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import re
 import sys
 from dataclasses import replace
@@ -34,7 +35,7 @@ from .exppoly import ExpPolyParams, s_exp_explicit, s_exp_values
 from .geom import PolyParams, a_eval, a_explicit, a_values
 from .harness import GridSpec, _parse_rational, default_grid, run_suite
 from .oracle import BPAConfig, count_bpa
-from .stirling import StirlingParams, stirling_dual, stirling_rec
+from .stirling import StirlingParams, stirling_rec
 from .xpoly import XPolynomial
 
 # Input caps: past one, the command exits 2 before any work
@@ -88,19 +89,35 @@ def _full_digits():
         setter(limit)
 
 
+def _drop_stdout():
+    """Point the stdout descriptor at os.devnull, so the interpreter's flush
+    of what is still buffered at exit neither fails nor prints a message."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # not a real file; nothing reaches a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 @_full_digits()  # lines may render their values as they are read
 def _write(lines, out: str | None) -> int:
     """Write the strings of lines, each as it comes, to stdout or to out;
-    0, or the usage-error code 2 if out cannot be opened."""
-    if out is None:
-        sys.stdout.writelines(lines)
-        return 0
+    0, or the usage-error code 2 if they cannot all be written (a full
+    disk, a closed pipe, an out that cannot be opened)."""
     try:
-        fh = open(out, "w")
+        if out is None:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        else:
+            with open(out, "w") as fh:
+                fh.writelines(lines)
     except OSError as e:
+        if out is None:
+            _drop_stdout()
+            out = "stdout"
         return _fail(f"cannot write {out}: {e.strerror or e}")
-    with fh:
-        fh.writelines(lines)
     return 0
 
 
@@ -189,10 +206,10 @@ def _compute_rows(args):
 
     if fam in ("stirling", "stirling-dual"):
         sp = StirlingParams(args.alpha, args.beta, args.gamma)
-        value = stirling_rec if fam == "stirling" else stirling_dual
+        table = sp.dual() if fam == "stirling-dual" else sp
         params_repr = {"alpha": str(sp.alpha), "beta": str(sp.beta),
                        "gamma": str(sp.gamma)}
-        records = [{"n": n, "k": k, "value": value(sp, n, k)}
+        records = [{"n": n, "k": k, "value": stirling_rec(table, n, k)}
                    for n in ns
                    for k in ([args.k] if args.k is not None else range(n + 1))]
         return ["n", "k", "value"], params_repr, records
@@ -267,8 +284,8 @@ def cmd_oracle(args) -> int:
     counted = count_bpa(cfg)
     exact = a_eval(PolyParams(cfg.lam, cfg.alpha, cfg.beta, cfg.gamma), cfg.n, cfg.x)
     verdict = "MATCH" if counted == exact else "MISMATCH"
-    print(f"count={counted} explicit={exact} {verdict}")
-    return 0 if verdict == "MATCH" else 1
+    line = f"count={counted} explicit={exact} {verdict}\n"
+    return _write([line], None) or (0 if verdict == "MATCH" else 1)
 
 
 def cmd_asymptotic(args) -> int:

@@ -48,11 +48,6 @@ class EulerParams:
         object.__setattr__(self, "beta", _q(self.beta))
 
 
-def _ev(lam: int, alpha, beta, gamma, n: int) -> Fraction:
-    # single-route value via the sign-flipped geometric specialization
-    return a_eval(PolyParams(lam, -_q(alpha), _q(beta), _q(gamma)), n, -HALF)
-
-
 def euler_via_a(p: EulerParams, gamma, n: int) -> Fraction:
     """Both A-route values; they must agree or something is broken."""
     gamma = _q(gamma)

@@ -56,8 +56,6 @@ class PolyParams:
 class ASequence:
     """A_0..A_order for one parameter set, as computed by a_egf."""
 
-    params: PolyParams
-    order: int
     values: tuple[XPolynomial, ...]
 
 
@@ -126,7 +124,7 @@ def a_egf(params: PolyParams, order: int) -> ASequence:
             term = term * u
         c = lam_binom(params.lam, k)
         columns.append([c * v for v in term.egf_values()])
-    return ASequence(params, order, tuple(
+    return ASequence(tuple(
         XPolynomial([col[n] for col in columns]) for n in range(order + 1)
     ))
 

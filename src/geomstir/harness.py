@@ -32,7 +32,7 @@ from typing import Callable
 from .euler import (
     EulerParams,
     HALF,
-    _ev as euler_value,
+    _euler_sum,
     _gamma_polynomials,
     euler_egf,
     euler_explicit,
@@ -666,20 +666,19 @@ def _ev_euler_rec(pt: Point) -> dict:
     g, n, m = pt["gamma"], pt["n"], pt["m"]
 
     def ev(lam_, gamma_, n_, beta=b):
-        return euler_value(lam_, a, beta, gamma_, n_)
+        return _euler_sum(StirlingParams(a, beta, gamma_), lam_, n_)
 
     out = {}
-    lhs1 = ev(lam + 1, g, n)
-    out["rec1-printed"] = (lhs1, 2 * ev(lam, g, n) - ev(lam, g + b, n))
-    out["rec1-lifted"] = (lhs1, 2 * ev(lam, g, n) - ev(lam + 1, g + b, n))
+    lhs1, here = ev(lam + 1, g, n), ev(lam, g, n)
+    out["rec1-printed"] = (lhs1, 2 * here - ev(lam, g + b, n))
+    out["rec1-lifted"] = (lhs1, 2 * here - ev(lam + 1, g + b, n))
 
-    lhs2 = ev(lam, g, n + 1)
-    out["rec2-printed"] = (lhs2, (g - lam * b) * ev(lam, g - a, n)
-                           + lam * b * ev(lam, g - a, n)
+    lhs2, lowered = ev(lam, g, n + 1), ev(lam, g - a, n)
+    out["rec2-printed"] = (lhs2, (g - lam * b) * lowered + lam * b * lowered
                            - lam * b * HALF * ev(lam, g + b - a, n))
-    out["rec2-lifted"] = (lhs2, g * ev(lam, g - a, n)
+    out["rec2-lifted"] = (lhs2, g * lowered
                           - lam * b * HALF * ev(lam + 1, g + b - a, n))
-    out["rec2-derived"] = (lhs2, (g - lam * b) * ev(lam, g - a, n)
+    out["rec2-derived"] = (lhs2, (g - lam * b) * lowered
                            + lam * b * HALF * ev(lam + 1, g - a, n))
 
     shifted = m * a - lam * b - g
@@ -711,26 +710,25 @@ def _ev_euler_conv(pt: Point) -> dict:
     g1, g2 = pt["gamma1"], pt["gamma2"]
     lam = l1 + l2
 
-    def ev(lam_, gamma_, n_):
-        return euler_value(lam_, a, b, gamma_, n_)
-
-    def ev_neg(lam_, gamma_, n_):
-        return euler_value(lam_, -a, b, gamma_, n_)
+    def ev(lam_, gamma_, n_, alpha=a):
+        return _euler_sum(StirlingParams(alpha, b, gamma_), lam_, n_)
 
     def conv(first_gamma, second_lam, second_gamma):
         return _binomial_sum(n, lambda k: ev(l1, first_gamma, k)
                              * ev(second_lam, second_gamma, n - k), Fraction(0))
 
     def alt_conv(order_reading):
-        return _binomial_sum(n, lambda k: (-1) ** (n - k) * ev_neg(l1, a + b - g1, k)
+        return _binomial_sum(n, lambda k: (-1) ** (n - k)
+                             * ev(l1, a + b - g1, k, alpha=-a)
                              * ev(l2, g2 + b * order_reading, n - k), Fraction(0))
 
+    printed = conv(a + g1 - b, l2, g2)
     rhs1 = 2 * (g1 + g2) * ev(lam, g1 + g2 - a, n) - 2 * ev(lam, g1 + g2, n + 1)
-    alt_rhs = ev_neg(lam, a + b - g1 - g2, n)
+    alt_rhs = ev(lam, a + b - g1 - g2, n, alpha=-a)
     return {
-        "conv1-printed": (b * lam * conv(a + g1 - b, l2, g2), rhs1),
+        "conv1-printed": (b * lam * printed, rhs1),
         "conv1-shifted": (b * lam * conv(b + g1 - a, l2 + 1, g2), rhs1),
-        "conv2": (conv(a + g1 - b, l2, g2), ev(lam, a + g1 + g2 - b, n)),
+        "conv2": (printed, ev(lam, a + g1 + g2 - b, n)),
         "conv3-lam2": (alt_conv(l2), alt_rhs),
         "conv3-lam1": (alt_conv(l1), alt_rhs),
     }

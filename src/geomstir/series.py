@@ -41,7 +41,7 @@ from typing import Sequence
 # Memo bounds: every builder whose value is read again is an lru_cache at its
 # own definition with one of these, and nothing else memoises.  Each is at
 # least twice the largest working set of one memo on verify-wide (n_max=12,
-# seeds 1 and 301-310): 161 tables, 2707 polynomials, 12 series builds,
+# seeds 1 and 301-310): 160 tables, 1724 polynomials, 12 series builds,
 # 48 section values.
 TABLE_CACHE_SIZE = 512  # stirling._table
 POLY_CACHE_SIZE = 8192  # a_explicit, s_exp_explicit
@@ -95,10 +95,6 @@ class Series:
             raise ValueError("a Series needs at least the constant term")
 
     @classmethod
-    def from_ordinary(cls, coeffs: Sequence[Fraction]) -> "Series":
-        return cls(tuple(coeffs))
-
-    @classmethod
     def from_egf(cls, values: Sequence[Fraction]) -> "Series":
         """Build from EGF values a_n, storing a_n / n!."""
         return cls(tuple(Fraction(v) / math.factorial(n)
@@ -107,9 +103,6 @@ class Series:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def coefficient(self, n: int) -> Fraction:
-        return self.coeffs[n]
 
     def egf_value(self, n: int) -> Fraction:
         return self.coeffs[n] * math.factorial(n)
@@ -122,10 +115,6 @@ class Series:
             raise ValueError(
                 f"order mismatch: {self.order} != {other.order}"
             )
-
-    def __add__(self, other: "Series") -> "Series":
-        self._check_order(other)
-        return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "Series") -> "Series":
         return series_mul(self, other)

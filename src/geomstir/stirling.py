@@ -12,8 +12,10 @@ and the recurrence
 
 Specializations: (0, 1, 0) gives the partition-count triangle, (1, 0, 0)
 the signed factorial-expansion triangle, (0, 1, r) and (1, 0, r) their
-shifted variants.  The triangle with parameters (beta, alpha, -gamma) is
-the two-sided inverse, which is what stirling_dual computes.
+shifted variants.  The triangle with parameters (beta, alpha, -gamma),
+StirlingParams.dual(), is the two-sided inverse: summing
+S_dual(n, k) S(k, m) over k gives delta(n, m), and so does the product in
+the other order.
 
 The table is built over plain integers.  With d the lcm of the three
 parameter denominators and A, B, G the parameters times d, the scaled
@@ -180,15 +182,6 @@ def stirling_explicit(params: StirlingParams, n: int, k: int) -> Fraction:
         acc += sign * math.comb(k, s) * gff(b * s + g, a, n)
         sign = -sign
     return acc / (b ** k * math.factorial(k))
-
-
-def stirling_dual(params: StirlingParams, n: int, k: int) -> Fraction:
-    """The inverse triangle: the (beta, alpha, -gamma) instance.
-
-    Summing stirling_dual(p, n, k) * stirling_rec(p, k, m) over k gives
-    delta(n, m), and the product in the other order does too.
-    """
-    return stirling_rec(params.dual(), n, k)
 
 
 def stirling_egf_check(params: StirlingParams, k: int, order: int) -> Series:

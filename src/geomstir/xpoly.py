@@ -113,10 +113,6 @@ class XPolynomial:
         return _make([1], 1)
 
     @classmethod
-    def constant(cls, c: Scalar) -> "XPolynomial":
-        return cls((c,))
-
-    @classmethod
     def x(cls) -> "XPolynomial":
         return _make([0, 1], 1)
 
@@ -128,18 +124,8 @@ class XPolynomial:
         den = self.den
         return tuple(Fraction(c, den) for c in self.num)
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial mapped to -1."""
-        return len(self.num) - 1
-
     def is_zero(self) -> bool:
         return not self.num
-
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.num):
-            return Fraction(self.num[i], self.den)
-        return Fraction(0)
 
     # ring operations
 
@@ -191,14 +177,6 @@ class XPolynomial:
         return _make(num, self.den * parts[1])
 
     __rmul__ = __mul__
-
-    def __pow__(self, m: int):
-        if m < 0:
-            raise ValueError("negative polynomial power")
-        out = XPolynomial.one()
-        for _ in range(m):
-            out = out * self
-        return out
 
     def times_x(self, k: int = 1) -> "XPolynomial":
         """Multiply by x**k (coefficient shift)."""

@@ -1,11 +1,14 @@
 """End-to-end tests for the geomstir command line.
 
 Everything runs in-process through main(argv) so exit codes and output can
-be asserted without spawning subprocesses.  argparse-level usage errors
+be asserted without spawning subprocesses, except the write-failure tests at
+the end, which need a real stdout descriptor.  argparse-level usage errors
 raise SystemExit(2); errors we catch ourselves return 2.
 """
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -248,6 +251,9 @@ def test_tables_are_written_row_by_row(monkeypatch, argv, rows):
         def writelines(self, lines):
             assert not isinstance(lines, (str, list, tuple))
             chunks.extend(lines)
+
+        def flush(self):  # the CLI flushes stdout to see a write failure
+            pass
 
     monkeypatch.setattr(cli.sys, "stdout", Sink())
     assert main(argv) == 0
@@ -616,6 +622,16 @@ VALUE_TABLE_DIGESTS = {
     ("asymptotic", "--alpha", "1/2", "--beta", "1", "--gamma", "3/2", "--x", "2",
      "--n", "24", "--s", "6", "--lambdas", "50,100,200,400"):
         "34bd16c21cc2ea073669a0dc844e2921669bf98a202646eaf9911d0f235c16c2",
+    ("compute", "stirling", "--alpha", "1/2", "--beta=-3", "--gamma", "5/7",
+     "--n", "0..40"):
+        "4f05445751e83eb9e9c2fb8c6a78a422e78ca30fe2fc864ea3e22c8714a3eb08",
+    ("compute", "stirling-dual", "--alpha", "1/2", "--beta=-3", "--gamma", "5/7",
+     "--n", "0..40", "--format", "jsonl"):
+        "62dc216aa67491987911b672d1eb1e06ccbefa0957d82f4aa1ba3ff2c4614bd1",
+    # rows with n < k print "value": "0", the Fraction zero
+    ("compute", "stirling-dual", "--alpha", "1/2", "--beta=-3", "--gamma", "5/7",
+     "--n", "0..12", "--k", "7", "--format", "jsonl"):
+        "eb485300d3d15ec5d2a58f93359bf28cb951889015073d251e3e509557c1c94c",
 }
 
 
@@ -656,3 +672,52 @@ def test_value_tables_at_the_cap_match_single_reads(capsys, family):
     assert [int(r[0]) for r in rows] == list(range(MAX_N + 1))
     for n in (0, 1, 2, 57, 233, MAX_N - 1, MAX_N):
         assert Fraction(rows[n][1]) == read(n), n
+
+
+# ------------------------------------------------------------ write failures
+# These run the CLI in a child process: the failure happens at a file
+# descriptor, and the interpreter's own flush at exit must stay silent too.
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+A_TABLE = ("compute", "A", "--lambda", "2", "--alpha", "1/2", "--beta", "1",
+           "--gamma", "3/2")
+
+
+def _child(argv, **kwargs):
+    return subprocess.Popen([sys.executable, "-m", "geomstir.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": SRC}, **kwargs)
+
+
+def _assert_one_write_error(code, err):
+    assert code == 2, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write "), err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("argv, to_stdout", [
+    ((*A_TABLE, "--n", "0..50", "--out", "/dev/full"), False),
+    (("verify", "--out", "/dev/full"), False),
+    ((*A_TABLE, "--n", "0..50"), True),
+    (("oracle", "--n", "3", "--lambda", "1", "--alpha", "1", "--beta", "1",
+      "--gamma", "1", "--x", "2"), True),
+], ids=["compute-out", "verify-out", "compute-stdout", "oracle-stdout"])
+def test_full_device_is_a_write_error(argv, to_stdout):
+    with open("/dev/full", "w") as full:
+        child = _child(argv, stdout=full if to_stdout else subprocess.DEVNULL,
+                       stderr=subprocess.PIPE, text=True)
+        _, err = child.communicate(timeout=120)
+    _assert_one_write_error(child.returncode, err)
+
+
+def test_closed_pipe_is_a_write_error(tmp_path):
+    # the table is about 2 MiB; the reader takes 100 bytes and closes
+    err_path = tmp_path / "stderr"
+    with open(err_path, "w") as err:
+        child = _child((*A_TABLE, "--n", "0..150"), stdout=subprocess.PIPE,
+                       stderr=err)
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        code = child.wait(timeout=120)
+    _assert_one_write_error(code, err_path.read_text())

@@ -42,7 +42,7 @@ def test_classical_coefficients_are_partition_counts():
     for n in range(7):
         poly = s_exp_explicit(CLASSIC, n)
         for k in range(n + 1):
-            assert poly.coefficient(k) == stirling2_count(n, k)
+            assert poly.coeffs[k] == stirling2_count(n, k)
 
 
 def test_series_route_matches_triangle_route():

@@ -57,7 +57,7 @@ def test_fubini_polynomial_coefficients():
     for n in range(6):
         poly = a_explicit(PolyParams(1, Q(0), Q(1), Q(0)), n)
         for k in range(n + 1):
-            assert poly.coefficient(k) == math.factorial(k) * stirling2_count(n, k)
+            assert poly.coeffs[k] == math.factorial(k) * stirling2_count(n, k)
 
 
 def test_m_numbers_small_closed_forms():

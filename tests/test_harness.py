@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from geomstir import (GridSpec, a_egf, counterexample_minimize, default_grid,
                       euler_egf, run_suite, s_exp_egf)
 from geomstir import harness
-from geomstir.euler import _ev as euler_value, _gamma_polynomials
+from geomstir.euler import _euler_sum, _gamma_polynomials
 from geomstir.harness import REGISTRY
 from geomstir.oracle import MAX_ORACLE_N
+from geomstir.stirling import StirlingParams
 
 Q = Fraction
 
@@ -69,6 +70,17 @@ def test_series_routes_build_once_per_parameter_set():
     assert _gamma_polynomials.cache_info().misses == len(GRID.euler_points)
     assert a_egf.cache_info().misses == len(GRID.poly_points)
     assert a_egf.cache_info().hits == len(GRID.poly_points) * GRID.n_max
+
+
+def test_euler_identities_build_no_a_polynomial():
+    # euler-rec and euler-conv read each E_n from the explicit Stirling sum,
+    # not from a whole A_n polynomial read at x = -1/2
+    from geomstir.geom import a_explicit
+
+    a_explicit.cache_clear()
+    report = run_suite(replace(GRID, select=("euler-rec", "euler-conv")))
+    assert all(ident.points for ident in report.identities)
+    assert a_explicit.cache_info().misses == 0
 
 
 def test_only_the_series_routes_carry_an_order():
@@ -367,7 +379,7 @@ def _lowered_recursive(lam, a, b, theta, n, steps):
     """The recursive rec3-derived lowering the evaluator replaced (2^steps
     calls), kept as the reference for its values."""
     if steps == 0:
-        return euler_value(lam, a, b, theta, n)
+        return _euler_sum(StirlingParams(a, b, theta), lam, n)
     prev = lam + steps - 1
     return (2 / (prev * b)) * (
         (theta + a - b) * _lowered_recursive(lam, a, b, theta - b, n, steps - 1)

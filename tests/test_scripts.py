@@ -45,6 +45,15 @@ def test_unwritable_json_report_is_a_usage_error(tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_full_device_json_report_is_a_write_error():
+    out = run_script("run_conformance.py", "--select", "thm6", "--json", "/dev/full")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write /dev/full: ")
+
+
 # sha256 of stdout and the exit code of each script's normal run, as printed
 # before hsu_expansion returned a bare Fraction
 SCRIPT_OUTPUT_DIGESTS = {

@@ -74,43 +74,43 @@ def test_integer_gff_edge_cases():
 def test_series_round_trips():
     s = Series.from_egf([Q(1), Q(1), Q(2), Q(6)])
     assert s.egf_values() == [1, 1, 2, 6]
-    assert s.coefficient(3) == Q(1)  # 6 / 3!
+    assert s.coeffs[3] == Q(1)  # 6 / 3!
     assert s.order == 3
-    assert Series.from_ordinary(s.coeffs) == s
+    assert Series(tuple(s.coeffs)) == s
 
 
 def test_series_requires_matching_orders():
     with pytest.raises(ValueError):
-        series_one(3) + series_one(4)
+        series_one(3) * series_one(4)
 
 
 def test_cauchy_product_against_naive_loop():
-    f = Series.from_ordinary([Q(1), Q(2), Q(3), Q(4)])
-    g = Series.from_ordinary([Q(5), Q(6), Q(7), Q(8)])
+    f = Series((Q(1), Q(2), Q(3), Q(4)))
+    g = Series((Q(5), Q(6), Q(7), Q(8)))
     prod = f * g
     for n in range(4):
-        naive = sum(f.coefficient(i) * g.coefficient(n - i) for i in range(n + 1))
-        assert prod.coefficient(n) == naive
+        naive = sum(f.coeffs[i] * g.coeffs[n - i] for i in range(n + 1))
+        assert prod.coeffs[n] == naive
 
 
 def test_geom_inverse_round_trip():
-    f = Series.from_ordinary([Q(1), Q(-2), Q(1, 3), Q(5)])
+    f = Series((Q(1), Q(-2), Q(1, 3), Q(5)))
     assert f * series_geom_inverse(f) == series_one(3)
 
 
 def test_geom_inverse_needs_unit_constant():
     with pytest.raises(ValueError):
-        series_geom_inverse(Series.from_ordinary([Q(0), Q(1)]))
+        series_geom_inverse(Series((Q(0), Q(1))))
 
 
 def test_int_pow_matches_repeated_product():
-    f = Series.from_ordinary([Q(1), Q(1), Q(1, 2)])
+    f = Series((Q(1), Q(1), Q(1, 2)))
     assert series_int_pow(f, 3) == f * f * f
     assert series_int_pow(f, 0) == series_one(2)
     assert series_int_pow(f, -2) * f * f == series_one(2)
     # square-and-multiply against m - 1 products, on every bit pattern to 9
-    unit = Series.from_ordinary([Q(2), Q(-1, 3), Q(0), Q(5, 7), Q(1)])
-    no_constant = Series.from_ordinary([Q(0), Q(3, 2), Q(-1), Q(0), Q(2)])
+    unit = Series((Q(2), Q(-1, 3), Q(0), Q(5, 7), Q(1)))
+    no_constant = Series((Q(0), Q(3, 2), Q(-1), Q(0), Q(2)))
     for g, powers in ((unit, range(-6, 10)), (no_constant, range(10))):
         base = g if min(powers) >= 0 else series_geom_inverse(g)
         for m in powers:
@@ -121,10 +121,10 @@ def test_int_pow_matches_repeated_product():
 
 
 def test_series_exp_of_t():
-    t = Series.from_ordinary([Q(0), Q(1), Q(0), Q(0), Q(0)])
+    t = Series((Q(0), Q(1), Q(0), Q(0), Q(0)))
     e = series_exp(t)
     for n in range(5):
-        assert e.coefficient(n) == Q(1, math.factorial(n))
+        assert e.coeffs[n] == Q(1, math.factorial(n))
 
 
 def test_series_exp_rejects_nonzero_constant():
@@ -137,14 +137,15 @@ def _exp_by_powers(f: Series) -> Series:
     out = power = series_one(f.order)
     for j in range(1, f.order + 1):
         power = power * f
-        out = out + power.scale(Q(1, math.factorial(j)))
+        term = power.scale(Q(1, math.factorial(j)))
+        out = Series(tuple(a + b for a, b in zip(out.coeffs, term.coeffs)))
     return out
 
 
 @settings(max_examples=60)
 @given(st.lists(small_q, max_size=8))
 def test_series_exp_matches_power_sum(tail):
-    f = Series.from_ordinary([Q(0)] + tail)
+    f = Series(tuple([Q(0)] + tail))
     got = series_exp(f)
     assert got == _exp_by_powers(f)
     assert all(type(c) is Q for c in got.coeffs)
@@ -186,7 +187,7 @@ def test_binomial_exponent_additivity(a, b1, b2):
 @settings(max_examples=40)
 @given(st.lists(small_q, min_size=1, max_size=5))
 def test_inverse_round_trip_property(tail):
-    f = Series.from_ordinary([Q(1)] + tail)
+    f = Series(tuple([Q(1)] + tail))
     assert f * series_geom_inverse(f) == series_one(f.order)
 
 

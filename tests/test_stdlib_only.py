@@ -2,6 +2,7 @@
 has a named bound, and every name it exports has a reader outside the tests."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -88,15 +89,37 @@ def _referenced_names(paths) -> set[str]:
     return names
 
 
-def test_every_export_has_a_reader():
-    # a name in __all__ that only its own tests call is surface, not a route
+def _reader_names() -> set[str]:
+    # every name read by the package (outside __init__), its scripts or its
+    # benchmark; the tests are not readers
     paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     for folder in ("scripts", "perfbench"):
         found = sorted((REPO / folder).glob("*.py"))
         assert found, folder
         paths += found
-    unread = set(geomstir.__all__) - _referenced_names(paths) - _REFERENCE_ROUTES
+    return _referenced_names(paths)
+
+
+def test_every_export_has_a_reader():
+    # a name in __all__ that only its own tests call is surface, not a route
+    unread = set(geomstir.__all__) - _reader_names() - _REFERENCE_ROUTES
     assert not unread, sorted(unread)
+
+
+def test_every_method_of_an_export_has_a_reader():
+    # a second spelling on an exported class (a method or property nothing
+    # outside the tests reads) is surface too; dunder operators are exempt
+    names = _reader_names()
+    unread = sorted(
+        f"{export}.{name}"
+        for export in geomstir.__all__
+        if inspect.isclass(cls := getattr(geomstir, export))
+        for name, value in vars(cls).items()
+        if not (name.startswith("__") and name.endswith("__"))
+        and (callable(value) or isinstance(value, (property, classmethod, staticmethod)))
+        and name not in names
+    )
+    assert not unread, unread
 
 
 def _named_bounds() -> set[str]:

@@ -10,7 +10,6 @@ from geomstir import (
     a_explicit,
     a_recurrence,
     param_swap_rhs,
-    stirling_dual,
     stirling_egf_check,
     stirling_explicit,
     stirling_rec,
@@ -75,12 +74,12 @@ def test_dual_roundtrip_is_identity():
     for n in range(8):
         for m in range(n + 1):
             lhs = sum(
-                stirling_rec(p, n, k) * stirling_dual(p, k, m)
+                stirling_rec(p, n, k) * stirling_rec(p.dual(), k, m)
                 for k in range(n + 1)
             )
             assert lhs == (1 if n == m else 0)
             rhs = sum(
-                stirling_dual(p, n, k) * stirling_rec(p, k, m)
+                stirling_rec(p.dual(), n, k) * stirling_rec(p, k, m)
                 for k in range(n + 1)
             )
             assert rhs == (1 if n == m else 0)
