@@ -13,11 +13,11 @@ Example:
 
 import argparse
 import math
-import sys
 from fractions import Fraction
 
-from geomstir.asymptotics import error_decay_report, format_sig
-from geomstir.cli import parse_lambda_list, parse_rational
+from geomstir.asymptotics import MAX_LAMBDAS, error_decay_report, format_sig
+from geomstir.cli import (MAX_N, MAX_S, _fail, _write, parse_lambda_list,
+                          parse_rational)
 
 
 def main() -> int:
@@ -33,29 +33,45 @@ def main() -> int:
     ap.add_argument("--doublings", type=int, default=5)
     args = ap.parse_args()
 
+    # the caps of `geomstir asymptotic`, checked before the ladder is built;
+    # error_decay_report checks the size of each lambda.  One report runs
+    # per distinct depth up to n.
+    run = dict.fromkeys(s for s in args.depths if s <= args.n)
+    if args.n > MAX_N:
+        return _fail(f"--n {args.n} is past the cap of {MAX_N}")
+    if any(s > MAX_S for s in run):
+        return _fail(f"--depths {max(run)} is past the cap of {MAX_S}")
+    if args.doublings + 1 > MAX_LAMBDAS:
+        return _fail(f"--doublings {args.doublings} makes {args.doublings + 1}"
+                     f" lambdas, past the cap of {MAX_LAMBDAS}")
     lams = [args.lambda_start * 2**i for i in range(args.doublings + 1)]
     # every report is computed before the first line is printed, so a bad
     # input ends in one error line and exit 2, with no partial table
     try:
         reports = {s: error_decay_report(args.alpha, args.beta, args.gamma,
                                          args.x, args.n, s, lams)
-                   for s in args.depths if s <= args.n}
+                   for s in run}
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    print(f"n={args.n}  alpha={args.alpha} beta={args.beta} "
-          f"gamma={args.gamma} x={args.x}")
-    print(f"lambda ladder: {', '.join(map(str, lams))}\n")
+        return _fail(str(e))
+    return _write(_study(args, lams, reports), None)
+
+
+def _study(args, lams, reports):
+    """The study's lines: one error table per depth, then the observed
+    orders."""
+    yield (f"n={args.n}  alpha={args.alpha} beta={args.beta} "
+           f"gamma={args.gamma} x={args.x}\n")
+    yield f"lambda ladder: {', '.join(map(str, lams))}\n\n"
 
     summary = []
     for s in args.depths:
         if s > args.n:
-            print(f"s={s}: skipped (depth cannot exceed n={args.n})")
+            yield f"s={s}: skipped (depth cannot exceed n={args.n})\n"
             continue
         report = reports[s]
-        print(f"s={s}")
-        print(f"  {'lambda':>8s} {'rel_error':>16s} {'ratio':>14s} "
-              f"{'order':>7s}")
+        yield f"s={s}\n"
+        yield (f"  {'lambda':>8s} {'rel_error':>16s} {'ratio':>14s} "
+               f"{'order':>7s}\n")
         orders = []
         for row, ratio in zip(report.rows, report.ratios()):
             if ratio is None or ratio == 0:
@@ -65,17 +81,16 @@ def main() -> int:
                 orders.append(order)
                 ratio_cell = format_sig(ratio, 6)
                 order_cell = f"{order:.3f}"
-            print(f"  {row.lam:>8d} {format_sig(row.rel_error, 6):>16s} "
-                  f"{ratio_cell:>14s} {order_cell:>7s}")
+            yield (f"  {row.lam:>8d} {format_sig(row.rel_error, 6):>16s} "
+                   f"{ratio_cell:>14s} {order_cell:>7s}\n")
         if orders:
             summary.append((s, orders[-1]))
-        print()
+        yield "\n"
 
     if summary:
-        print("observed order at the largest lambda vs s+1:")
+        yield "observed order at the largest lambda vs s+1:\n"
         for s, order in summary:
-            print(f"  s={s}: {order:.3f} (predicted {s + 1})")
-    return 0
+            yield f"  s={s}: {order:.3f} (predicted {s + 1})\n"
 
 
 if __name__ == "__main__":

@@ -12,11 +12,10 @@ Examples:
 """
 
 import argparse
-import json
-import sys
 from dataclasses import replace
 from fractions import Fraction
 
+from geomstir.cli import _fail, _write
 from geomstir.harness import counterexample_minimize, default_grid, run_suite
 
 
@@ -57,19 +56,19 @@ def main() -> int:
         report = run_suite(grid)
     except ValueError as e:
         # exit 1 means a hard identity failed; a bad grid is a usage error
-        print(f"error: {e}", file=sys.stderr)
+        return _fail(str(e))
+    if args.json is not None and _write([report.to_json() + "\n"], args.json):
         return 2
-    sys.stdout.write(report.to_text())
+    # each line is written as it is made, so the minimization shows progress
+    return _write(_summary(report, args), None) or (0 if report.hard_pass else 1)
 
+
+def _summary(report, args):
+    """The text report, then the failure shares and, with --minimize, the
+    minimal counterexamples, as lines to write."""
+    yield report.to_text()
     if args.json is not None:
-        try:
-            with open(args.json, "w") as fh:
-                fh.write(report.to_json() + "\n")
-        except OSError as e:
-            print(f"error: cannot write {args.json}: {e.strerror or e}",
-                  file=sys.stderr)
-            return 2
-        print(f"\nreport written to {args.json}")
+        yield f"\nreport written to {args.json}\n"
 
     failing = [
         (ident, reading)
@@ -78,23 +77,21 @@ def main() -> int:
         if reading.failed
     ]
     if failing:
-        print("\nfailure share by reading:")
+        yield "\nfailure share by reading:\n"
         ranked = sorted(
             failing, key=lambda pair: -pair[1].failed / pair[0].points
         )
         for ident, reading in ranked:
             share = reading.failed / ident.points
-            print(f"  {ident.id:>14s} / {reading.name:<16s} "
-                  f"{reading.failed:4d}/{ident.points:<4d} ({share:.0%})")
+            yield (f"  {ident.id:>14s} / {reading.name:<16s} "
+                   f"{reading.failed:4d}/{ident.points:<4d} ({share:.0%})\n")
 
     if args.minimize and failing:
-        print("\nminimal counterexamples:")
+        yield "\nminimal counterexamples:\n"
         for ident, reading in failing:
             seed = _revive_point(reading.first_counterexample["point"])
             small = counterexample_minimize(ident.id, reading.name, seed)
-            print(f"  {ident.id} / {reading.name}: {_show(small)}")
-
-    return 0 if report.hard_pass else 1
+            yield f"  {ident.id} / {reading.name}: {_show(small)}\n"
 
 
 if __name__ == "__main__":

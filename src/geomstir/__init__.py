@@ -3,15 +3,14 @@ geometric polynomial families, exponential (Bell-type) polynomials, and
 higher-order Euler polynomials, with a brute-force counting oracle, an
 identity conformance harness, and an asymptotic error-decay engine.
 
-Everything except the deliberately floating-point quadrature route and the
-asymptotic display columns is computed over Fraction coefficients.
+Everything except the asymptotic display columns (format_sig) is computed
+over Fraction coefficients.
 """
 
 from .asymptotics import (
     DecayReport,
     DecayRow,
     a_coefficients,
-    closed_form_w_check,
     error_decay_report,
     format_sig,
     hsu_expansion,
@@ -28,7 +27,6 @@ from .euler import (
 )
 from .exppoly import (
     ExpPolyParams,
-    check_integral_rep,
     lemma34_sides,
     s_exp_egf,
     s_exp_eval,
@@ -67,7 +65,6 @@ from .series import Series, binomial_series, falling, gff, rising
 from .stirling import (
     StirlingParams,
     param_swap_rhs,
-    stirling_egf_check,
     stirling_explicit,
     stirling_rec,
     stirling_row,
@@ -99,8 +96,6 @@ __all__ = [
     "a_recurrence",
     "a_values",
     "binomial_series",
-    "check_integral_rep",
-    "closed_form_w_check",
     "count_bpa",
     "count_gamma_cell",
     "count_m_sections",
@@ -127,7 +122,6 @@ __all__ = [
     "s_exp_explicit",
     "s_exp_values",
     "section_poly_value",
-    "stirling_egf_check",
     "stirling_explicit",
     "stirling_rec",
     "stirling_row",

@@ -37,7 +37,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .geom import PolyParams, a_values
-from .series import _q, falling, gff
+from .series import _q, falling
+
+# Caps of error_decay_report, checked before any work.  Each lam costs one
+# value sweep whose integers grow like lam^n, of about n * bit_length(lam)
+# bits; past 16 800 (42-bit lambdas at n = 400) or past 20 lambdas a report
+# would outlast the slowest table under the CLI's index cap.
+MAX_LAMBDA_BITS = 16_800  # n * bit_length(lam), for each lam
+MAX_LAMBDAS = 20          # lams per report
 
 
 def w_coefficient(a: Sequence[Fraction], n: int, j: int) -> Fraction:
@@ -125,56 +132,6 @@ def _expand(ws: Sequence[Fraction], n: int, lam: Fraction) -> Fraction:
     return falling(lam, n) * math.factorial(n) * total
 
 
-def closed_form_w_check(alpha, beta, gamma, x, n: int) -> bool:
-    """Compare w_coefficient against the hand-expanded W(n,0..2) forms.
-
-    Needs n >= 4 so none of the closed forms degenerate.  When gamma = 0
-    the shorter gamma-free instantiations are checked as well.
-    """
-    if n < 4:
-        raise ValueError("closed forms need n >= 4")
-    al, b, g, x = _q(alpha), _q(beta), _q(gamma), _q(x)
-    a = a_coefficients(al, b, g, x, n)
-
-    a1 = g + b * x
-    a2 = (gff(g, -al, 2) + b * (b + 2 * g + al) * x + 2 * b**2 * x**2) / 2
-    a3 = (
-        gff(g, -al, 3)
-        + b * (gff(-g, al, 2) + (b + g + 2 * al) * (b + 2 * g + al)) * x
-        + 6 * b**2 * (b + al + g) * x**2
-        + 6 * b**3 * x**3
-    ) / 6
-    w0 = a1**n / math.factorial(n)
-    w1 = a1 ** (n - 2) * a2 / math.factorial(n - 2)
-    w2 = (
-        a1 ** (n - 3) * a3 / math.factorial(n - 3)
-        + a1 ** (n - 4) * a2**2 / (2 * math.factorial(n - 4))
-    )
-    ok = (
-        w_coefficient(a, n, 0) == w0
-        and w_coefficient(a, n, 1) == w1
-        and w_coefficient(a, n, 2) == w2
-    )
-
-    if ok and g == 0:
-        a1z = b * x
-        a2z = b * (b + al) * x / 2 + b**2 * x**2
-        a3z = (
-            b * (b + al) * (b + 2 * al) * x
-            + 6 * b**2 * (b + al) * x**2
-            + 6 * b**3 * x**3
-        ) / 6
-        ok = (
-            w_coefficient(a, n, 0) == a1z**n / math.factorial(n)
-            and w_coefficient(a, n, 1)
-            == a1z ** (n - 2) * a2z / math.factorial(n - 2)
-            and w_coefficient(a, n, 2)
-            == a1z ** (n - 3) * a3z / math.factorial(n - 3)
-            + a1z ** (n - 4) * a2z**2 / (2 * math.factorial(n - 4))
-        )
-    return ok
-
-
 @dataclass(frozen=True)
 class DecayRow:
     lam: int
@@ -207,17 +164,25 @@ def error_decay_report(alpha, beta, gamma, x, n: int, s: int,
 
     lam values must be integers (the exact route needs an integer order)
     and must exceed n - 1 so the expansion denominators are nonzero.
+    Every input is checked, against MAX_LAMBDAS and MAX_LAMBDA_BITS too,
+    before any value is computed.
     """
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     if not lambdas:
         raise ValueError("need at least one lambda")
+    if len(lambdas) > MAX_LAMBDAS:
+        raise ValueError(f"{len(lambdas)} lambdas is past the cap of {MAX_LAMBDAS}")
+    for lam in lambdas:
+        if not isinstance(lam, int) or lam <= n - 1:
+            raise ValueError(f"lam={lam} must be an integer > n-1 = {n - 1}")
+        if n * lam.bit_length() > MAX_LAMBDA_BITS:
+            raise ValueError(f"n * bit_length(lambda) = {n * lam.bit_length()}"
+                             f" is past the cap of {MAX_LAMBDA_BITS}")
     al, b, g, x = _q(alpha), _q(beta), _q(gamma), _q(x)
     ws = w_row(a_coefficients(al, b, g, x, n), n, s)  # shared by every lam
     rows = []
     for lam in lambdas:
-        if not isinstance(lam, int) or lam <= n - 1:
-            raise ValueError(f"lam={lam} must be an integer > n-1 = {n - 1}")
         # a sweep keeps nothing: with g != 0 every lam has its own triangle
         exact = a_values(PolyParams(lam, al, b, lam * g), x, n)[n]
         rows.append(DecayRow(lam, exact, _expand(ws, n, Fraction(lam))))

@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .series import TABLE_CACHE_SIZE, Series, _q, binomial_series, gff, series_int_pow
+from .series import TABLE_CACHE_SIZE, _q, gff
 
 _ZERO = Fraction(0)
 
@@ -182,18 +182,6 @@ def stirling_explicit(params: StirlingParams, n: int, k: int) -> Fraction:
         acc += sign * math.comb(k, s) * gff(b * s + g, a, n)
         sign = -sign
     return acc / (b ** k * math.factorial(k))
-
-
-def stirling_egf_check(params: StirlingParams, k: int, order: int) -> Series:
-    """Column generating series whose EGF value at n is k! * S(n, k):
-
-    (1 + alpha t)^(gamma/alpha) * [((1 + alpha t)^(beta/alpha) - 1)/beta]^k
-    """
-    if params.beta == 0:
-        raise ValueError("column series needs beta != 0")
-    base = binomial_series(params.alpha, params.beta, order).add_const(-1)
-    bracket = base.scale(1 / params.beta)
-    return binomial_series(params.alpha, params.gamma, order) * series_int_pow(bracket, k)
 
 
 def param_swap_rhs(params: StirlingParams, n: int, k: int) -> Fraction:

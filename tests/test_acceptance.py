@@ -9,7 +9,7 @@ conftest.py so they show up even under pytest's output capture.
 import time
 from fractions import Fraction as Q
 
-from geomstir.asymptotics import closed_form_w_check, error_decay_report
+from geomstir.asymptotics import error_decay_report
 from geomstir.euler import (
     EulerParams,
     euler_egf,
@@ -17,11 +17,11 @@ from geomstir.euler import (
     euler_polynomial,
     euler_via_a,
 )
-from geomstir.exppoly import check_integral_rep
 from geomstir.geom import PolyParams, a_egf, a_eval, a_explicit, a_recurrence
 from geomstir.harness import default_grid, run_suite
 from geomstir.oracle import BPAConfig, count_bpa
 from geomstir.stirling import StirlingParams, stirling_explicit, stirling_rec
+from references import check_integral_rep, closed_form_w_check
 
 
 ACCEPTANCE_VERDICTS: list[str] = []

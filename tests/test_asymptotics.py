@@ -8,7 +8,6 @@ from geomstir import (
     PolyParams,
     a_coefficients,
     a_eval,
-    closed_form_w_check,
     error_decay_report,
     format_sig,
     hsu_expansion,
@@ -17,6 +16,7 @@ from geomstir import (
 )
 from geomstir.oracle import partitions_with_parts
 from bruteforce import poly_power_coeff
+from references import closed_form_w_check
 
 Q = Fraction
 
@@ -170,6 +170,27 @@ def test_lambda_validation():
         error_decay_report(Q(0), Q(1), Q(0), Q(1), 4, 1, (3,))
     with pytest.raises(ValueError):
         error_decay_report(Q(0), Q(1), Q(0), Q(1), 4, 1, (Fraction(9, 2),))
+
+
+def test_lambda_caps(monkeypatch):
+    # every lambda is checked before the first value is computed
+    from geomstir import asymptotics
+    from geomstir.asymptotics import MAX_LAMBDA_BITS, MAX_LAMBDAS
+
+    ok = list(range(64, 64 + MAX_LAMBDAS))
+    big = 1 << (MAX_LAMBDA_BITS // 4 - 1)  # n * bit_length at the cap for n = 4
+    assert len(error_decay_report(Q(1), Q(1), Q(1), Q(1), 4, 1, ok).rows) == MAX_LAMBDAS
+    assert error_decay_report(Q(1), Q(1), Q(1), Q(1), 4, 1, [big]).rows[0].lam == big
+
+    def no_work(*args):
+        raise AssertionError("computed past a cap")
+
+    monkeypatch.setattr(asymptotics, "w_row", no_work)
+    monkeypatch.setattr(asymptotics, "a_values", no_work)
+    for lambdas in (ok + [64 + MAX_LAMBDAS], [64, 2 * big], [64, 3]):
+        with pytest.raises(ValueError) as err:
+            error_decay_report(Q(1), Q(1), Q(1), Q(1), 4, 1, lambdas)
+        assert ("past the cap of" in str(err.value)) is (3 not in lambdas)
 
 
 def test_format_sig():

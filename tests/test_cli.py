@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from geomstir import cli
+from geomstir.asymptotics import MAX_LAMBDA_BITS, MAX_LAMBDAS
 from geomstir.cli import MAX_N, MAX_S, main, parse_n_range, parse_rational
 from geomstir.harness import MAX_GRID_INDEX
 from geomstir.oracle import MAX_ORACLE_LAM, MAX_ORACLE_N
@@ -294,6 +295,24 @@ def test_asymptotic_caps_n(capsys):
 def test_asymptotic_caps_s(capsys):
     assert_rejected(capsys, *ASYMPTOTIC, "--n", str(2 * MAX_S + 2),
                     "--s", str(MAX_S + 1), "--lambdas", str(4 * MAX_S))
+
+
+def test_asymptotic_caps_the_lambdas(capsys, monkeypatch):
+    # the count and the size of the lambdas are checked before any work
+    from geomstir import asymptotics
+
+    def no_work(*args):
+        raise AssertionError("computed past a cap")
+
+    monkeypatch.setattr(asymptotics, "w_row", no_work)
+    monkeypatch.setattr(asymptotics, "a_values", no_work)
+    many = ",".join(str(64 + i) for i in range(MAX_LAMBDAS + 1))
+    assert_rejected(capsys, *ASYMPTOTIC, "--n", "4", "--s", "1", "--lambdas", many)
+    huge = str(1 << (MAX_LAMBDA_BITS // MAX_N))  # one bit past the cap at n = MAX_N
+    assert_rejected(capsys, *ASYMPTOTIC, "--n", str(MAX_N), "--s", "0",
+                    "--lambdas", f"{MAX_N},{huge}")
+    assert_rejected(capsys, *ASYMPTOTIC, "--n", "400", "--s", "40",
+                    "--lambdas", "1" + "0" * 1000)
 
 
 def test_verify_caps_the_grid_index(tmp_path, capsys):

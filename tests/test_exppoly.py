@@ -7,16 +7,15 @@ import pytest
 from geomstir import (
     ExpPolyParams,
     PolyParams,
-    check_integral_rep,
     lemma34_sides,
     s_exp_egf,
     s_exp_eval,
     s_exp_explicit,
     s_exp_values,
 )
-from geomstir.exppoly import _gauss_laguerre
 from bruteforce import bell_count, stirling2_count
 from identities import holds
+from references import _gauss_laguerre, check_integral_rep
 
 Q = Fraction
 
@@ -136,12 +135,14 @@ def test_integral_route_runs_with_scipy_blocked():
     import geomstir
 
     src = os.path.dirname(os.path.dirname(geomstir.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, here))}
     code = """
 import sys
 sys.modules["scipy"] = None
 from fractions import Fraction as Q
-from geomstir import PolyParams, check_integral_rep
+from geomstir import PolyParams
+from references import check_integral_rep
 worst = 0.0
 for lam in (1, 2, 3, 5):
     for alpha, beta, gamma in ((Q(1), Q(1), Q(0)), (Q(0), Q(1), Q(1))):

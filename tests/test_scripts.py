@@ -1,6 +1,7 @@
-"""The scripts under scripts/ end a bad input in one error line and exit 2,
-as `geomstir verify` does; exit 1 stays the "hard identity failed" code.
-Their normal output keeps its bytes."""
+"""The scripts under scripts/ end a bad input, an input past the caps of
+`geomstir asymptotic` or output they cannot write in one error line and
+exit 2, as `geomstir verify` does; exit 1 stays the "hard identity failed"
+code.  Their normal output keeps its bytes."""
 
 import hashlib
 import os
@@ -16,11 +17,11 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "scripts")
 
 
-def run_script(name, *args):
+def run_script(name, *args, stdout=subprocess.PIPE):
     return subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, name), *args],
-        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
-        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC}, stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=120,
     )
 
 
@@ -52,6 +53,34 @@ def test_full_device_json_report_is_a_write_error():
     assert "Traceback" not in out.stderr
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write /dev/full: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["--n", "401"],                                    # cli.MAX_N
+    ["--n", "50", "--depths", "1,41"],                 # cli.MAX_S
+    ["--depths", "9", "--doublings", "1000"],          # MAX_LAMBDAS
+    ["--n", "400", "--depths", "1", "--lambda-start", str(1 << 41)],  # MAX_LAMBDA_BITS
+], ids=["n", "depth", "lambdas", "lambda-bits"])
+def test_decay_study_keeps_the_asymptotic_caps(args):
+    out = run_script("error_decay_study.py", *args)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and "past the cap of" in lines[0], out.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("name, args", [
+    ("run_conformance.py", ["--select", "thm6"]),
+    ("error_decay_study.py", []),
+])
+def test_full_device_stdout_is_a_write_error(name, args):
+    with open("/dev/full", "w") as full:
+        out = run_script(name, *args, stdout=full)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: ")
 
 
 # sha256 of stdout and the exit code of each script's normal run, as printed

@@ -1,5 +1,6 @@
-"""The package runs on the Python standard library alone, every memo in it
-has a named bound, and every name it exports has a reader outside the tests."""
+"""The package runs on the Python standard library alone, computes in exact
+arithmetic, imports only what it reads, every memo in it has a named bound,
+and every name it exports has a reader outside the tests."""
 
 import ast
 import inspect
@@ -37,6 +38,66 @@ def test_package_imports_only_the_standard_library():
     assert not foreign, sorted(foreign)
 
 
+def test_only_format_sig_makes_floats():
+    # the package computes over Fractions; the one float is the display
+    # rendering of the asymptotic error columns
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "asymptotics.py":
+            allowed = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                       and fn.name == "format_sig" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "float" and id(node) not in allowed:
+                found.add((path.name, node.lineno, "float()"))
+            elif isinstance(node, ast.Attribute) and node.attr in ("exp", "lgamma") \
+                    and isinstance(node.value, ast.Name) and node.value.id == "math":
+                found.add((path.name, node.lineno, f"math.{node.attr}"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found.update((path.name, node.lineno, f"math.{alias.name}")
+                             for alias in node.names if alias.name in ("exp", "lgamma"))
+    assert not found, sorted(found)
+
+
+def _unread_imports(source: str):
+    """(line, name) of each name the module imports but never reads."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+def test_every_import_is_read():
+    # __init__.py imports to re-export; every other module reads what it imports
+    found = {
+        (path.name, *unread)
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+        for unread in _unread_imports(path.read_text())
+    }
+    assert not found, sorted(found)
+
+
+@pytest.mark.parametrize("source, unread", [
+    ("import math\nmath.comb(2, 1)", []),
+    ("import math\n", [(1, "math")]),
+    ("import os.path\nos.sep", []),
+    ("from .series import gff, _q\n_q(1)", [(1, "gff")]),
+    ("from .geom import a_eval as ev\nev()", []),
+    ("from __future__ import annotations", []),
+    ("from .series import Series\ndef f() -> Series: pass", []),
+])
+def test_import_guard_flags_unread_names(source, unread):
+    assert list(_unread_imports(source)) == unread
+
+
 def test_series_holds_no_polynomials():
     # Series coefficients are rationals; polynomial-valued generating
     # functions are assembled by their builders in geom and euler
@@ -64,11 +125,6 @@ def test_families_read_no_integer_rows():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
         assert not used & hidden, (name, sorted(used & hidden))
-
-
-# reference routes: independent checks that the tests and acceptance
-# criteria compare against; no package route, script or benchmark reads them
-_REFERENCE_ROUTES = {"check_integral_rep", "closed_form_w_check", "stirling_egf_check"}
 
 
 def _referenced_names(paths) -> set[str]:
@@ -102,7 +158,7 @@ def _reader_names() -> set[str]:
 
 def test_every_export_has_a_reader():
     # a name in __all__ that only its own tests call is surface, not a route
-    unread = set(geomstir.__all__) - _reader_names() - _REFERENCE_ROUTES
+    unread = set(geomstir.__all__) - _reader_names()
     assert not unread, sorted(unread)
 
 

@@ -10,7 +10,6 @@ from geomstir import (
     a_explicit,
     a_recurrence,
     param_swap_rhs,
-    stirling_egf_check,
     stirling_explicit,
     stirling_rec,
     stirling_row,
@@ -21,6 +20,7 @@ from geomstir.exppoly import _s_ratio
 from geomstir.geom import _a_ratio
 from geomstir.xpoly import XPolynomial
 from bruteforce import stirling2_count
+from references import stirling_egf_check
 
 Q = Fraction
 small_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
