@@ -651,6 +651,29 @@ VALUE_TABLE_DIGESTS = {
     ("compute", "stirling-dual", "--alpha", "1/2", "--beta=-3", "--gamma", "5/7",
      "--n", "0..12", "--k", "7", "--format", "jsonl"):
         "eb485300d3d15ec5d2a58f93359bf28cb951889015073d251e3e509557c1c94c",
+    ("compute", "stirling", "--alpha", "1/2", "--beta=-3", "--gamma", "5/7",
+     "--n", "0..12", "--k", "7"):
+        "b761d5b57eabd95d90be4e34cd69b15acea79ed32dfa7eb439a143bf26963f6f",
+    # the coefficient tables, as printed while each row was a cached polynomial
+    ("compute", "A", "--lambda", "2", "--alpha", "1/2", "--beta", "3",
+     "--gamma=-1", "--n", "0..60"):
+        "3c85fe67f72c48ceed07f4c984f7741b4f3a655e43c3fa61139df2e3155d5f16",
+    ("compute", "A", "--lambda", "2", "--alpha", "1/2", "--beta", "3",
+     "--gamma=-1", "--n", "0..60", "--format", "jsonl"):
+        "3ccf32293353d6ecaa788ce11afc6c0c80250f9b6d021f5b935aaca3b0cec458",
+    ("compute", "M", "--alpha", "1/2", "--beta", "3", "--n", "0..60"):
+        "00a0a0c14deca238fbbd07e91b064b5ab8ac14b4eb459b162c9926ecfed9d893",
+    ("compute", "exp-poly", "--alpha", "1/2", "--beta", "3", "--gamma=-1",
+     "--n", "0..60"):
+        "ea0f08f8f559c4b33a67bcb377ca10ddf9851e1a4111d3c9615d432a9ee11f1c",
+    # lambda = 0: every row past n = 0 is the zero polynomial, printed ""
+    ("compute", "A", "--lambda", "0", "--alpha", "1", "--beta", "1",
+     "--gamma", "0", "--n", "0..6"):
+        "f456abadeee0159108b6868651725056788707174e6a9e3f1e47d753b9ce9132",
+    # beta = 0: every row ends in zero coefficients, which are not printed
+    ("compute", "A", "--lambda", "2", "--alpha", "1", "--beta", "0",
+     "--gamma", "1", "--n", "0..6"):
+        "fd4f6ab017809c8ef89f6ce465ef4dea0ed174b42ad3cd9747d533993d916faf",
 }
 
 
