@@ -36,13 +36,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geom import PolyParams, a_values
+from .geom import PolyParams, _a_ratio, _stirling_a, a_values
 from .series import _q, falling
+from .stirling import _scaled_params, _unit_ratio, _value_sweep, _weigh
 
-# Caps of error_decay_report, checked before any work.  Each lam costs one
-# value sweep whose integers grow like lam^n, of about n * bit_length(lam)
-# bits; past 16 800 (42-bit lambdas at n = 400) or past 20 lambdas a report
-# would outlast the slowest table under the CLI's index cap.
+# Caps of error_decay_report, checked before any work.  Each lam weighs a
+# top row with integers that grow like lam^n, of about n * bit_length(lam)
+# bits, and with gamma != 0 sweeps a triangle of its own; past 16 800
+# (42-bit lambdas at n = 400) or past 20 lambdas a report would outlast the
+# slowest table under the CLI's index cap.
 MAX_LAMBDA_BITS = 16_800  # n * bit_length(lam), for each lam
 MAX_LAMBDAS = 20          # lams per report
 
@@ -181,12 +183,34 @@ def error_decay_report(alpha, beta, gamma, x, n: int, s: int,
                              f" is past the cap of {MAX_LAMBDA_BITS}")
     al, b, g, x = _q(alpha), _q(beta), _q(gamma), _q(x)
     ws = w_row(a_coefficients(al, b, g, x, n), n, s)  # shared by every lam
-    rows = []
+    exact = _exact_column(al, b, g, x, n, lambdas)
+    return DecayReport(tuple(DecayRow(lam, exact[lam], _expand(ws, n, Fraction(lam)))
+                             for lam in lambdas))
+
+
+def _exact_column(alpha: Fraction, beta: Fraction, gamma: Fraction, x: Fraction,
+                  n: int, lambdas: Sequence[int]) -> dict[int, Fraction]:
+    """A_n^(lam,x)(alpha, beta, lam*gamma) for each lam.
+
+    a_explicit's sum, with the weights taken out of the sweep: one unit-ratio
+    sweep at x per distinct triangle (alpha, -beta, -lam*gamma) gives its top
+    row T(n, k) u^k v^(n-k), which each lam of the triangle weighs with
+    _a_ratio(lam).  With gamma == 0 every lam shares one sweep.  Nothing is
+    kept past the report.
+    """
+    triangles: dict = {}
     for lam in lambdas:
-        # a sweep keeps nothing: with g != 0 every lam has its own triangle
-        exact = a_values(PolyParams(lam, al, b, lam * g), x, n)[n]
-        rows.append(DecayRow(lam, exact, _expand(ws, n, Fraction(lam))))
-    return DecayReport(tuple(rows))
+        triangles.setdefault(_stirling_a(PolyParams(lam, alpha, beta, lam * gamma)),
+                             []).append(lam)
+    out = {}
+    for sp, lams in triangles.items():
+        for top, den in _value_sweep(sp, x, n, _unit_ratio):
+            pass  # only row n is read
+        d, _, bd, _ = _scaled_params(sp)
+        for lam in lams:
+            v = sum(_weigh(top, d, bd, _a_ratio(lam)))
+            out[lam] = Fraction(-v if n % 2 else v, den)
+    return out
 
 
 def format_sig(value: Fraction | float, digits: int = 12) -> str:

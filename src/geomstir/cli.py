@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -31,12 +32,11 @@ from fractions import Fraction
 
 from .asymptotics import error_decay_report, format_sig
 from .euler import EulerParams, _gamma_polynomials, euler_values
-from .exppoly import ExpPolyParams, s_exp_explicit, s_exp_values
-from .geom import PolyParams, a_eval, a_explicit, a_values
+from .exppoly import ExpPolyParams, _s_ratio, s_exp_values
+from .geom import PolyParams, _a_ratio, _stirling_a, a_eval, a_values
 from .harness import GridSpec, _parse_rational, default_grid, run_suite
 from .oracle import BPAConfig, count_bpa
-from .stirling import StirlingParams, stirling_rec
-from .xpoly import XPolynomial
+from .stirling import StirlingParams, _scaled_params, _unit_ratio, _value_sweep
 
 # Input caps: past one, the command exits 2 before any work
 MAX_N = 400  # the top index of compute --n and of asymptotic --n
@@ -121,29 +121,45 @@ def _write(lines, out: str | None) -> int:
     return 0
 
 
+def _rational(p: int, q: int) -> str:
+    """p/q reduced, for q > 0: the bytes str(Fraction(p, q)) prints."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def _coeff_cells(num, den: int) -> list[str]:
+    """The polynomial sum_k (num[k] / den) x^k, den > 0, as one reduced
+    string per coefficient, with trailing zero coefficients dropped: the
+    zero polynomial is []."""
+    end = len(num)
+    while end and not num[end - 1]:
+        end -= 1
+    return [_rational(t, den) for t in num[:end]]
+
+
 def _csv_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, XPolynomial):
-        return ";".join(str(c) for c in v.coeffs)
+    if isinstance(v, list):
+        return ";".join(v)
     return str(v)
 
 
 def _json_cell(v):
-    if isinstance(v, XPolynomial):
-        return [str(c) for c in v.coeffs]
     return str(v) if isinstance(v, Fraction) else v
 
 
-def _table(header: list[str], records: list[dict], fmt: str, out: str | None,
+def _table(header: list[str], records, fmt: str, out: str | None,
            prefix: dict | None = None) -> int:
     """Render records keyed by header, in the one format asked for, and
     write each row as it is rendered.
 
-    Cells stay raw values until here, so each big rational is turned into a
-    string once, and only one rendered row is held at a time.  JSON writes
-    rationals as strings, polynomials as lists of coefficient strings and
-    everything else as is; every JSON record starts with the prefix fields.
+    records may be a generator; it is read inside the write, one record at
+    a time, so only one row is held at a time.  A cell is a raw value
+    (a Fraction, turned into a string once, here), a string, or a list of
+    coefficient strings.  JSON writes rationals as strings, coefficient
+    lists as lists and everything else as is; every JSON record starts with
+    the prefix fields.
     """
     if fmt == "csv":
         rows = (",".join(_csv_cell(rec[h]) for h in header) + "\n"
@@ -195,7 +211,16 @@ def cmd_compute(args) -> int:
 
 
 def _compute_rows(args):
-    """(header, params repr, records) of a compute table; cells are raw values."""
+    """(header, params repr, records) of a compute table.
+
+    Every input is checked here; records is a generator read as the table is
+    written.  A value column (--x, or euler's --gamma) holds Fractions read
+    from one sweep at the top n.  The A, M and exp-poly coefficient rows and
+    the stirling and stirling-dual rows stream from one integer sweep of the
+    family's triangle at x = 1 (stirling._value_sweep), rendered row by row;
+    the euler coefficient rows are the cached gamma polynomials.  No
+    Stirling table or polynomial memo is filled.
+    """
     fam = args.family
     ns = args.n
     if ns is None:
@@ -209,10 +234,7 @@ def _compute_rows(args):
         table = sp.dual() if fam == "stirling-dual" else sp
         params_repr = {"alpha": str(sp.alpha), "beta": str(sp.beta),
                        "gamma": str(sp.gamma)}
-        records = [{"n": n, "k": k, "value": stirling_rec(table, n, k)}
-                   for n in ns
-                   for k in ([args.k] if args.k is not None else range(n + 1))]
-        return ["n", "k", "value"], params_repr, records
+        return ["n", "k", "value"], params_repr, _stirling_records(table, ns, args.k)
 
     if fam in ("A", "M"):
         if fam == "A":
@@ -225,31 +247,54 @@ def _compute_rows(args):
             params_repr = {"alpha": str(p.alpha), "beta": str(p.beta)}
         at = args.x
         values = lambda top: a_values(p, at, top)
-        poly = lambda n: a_explicit(p, n)
+        # A_n is (-1)^n times the weighted row of the (alpha, -beta, -gamma) triangle
+        rows = lambda top: _signed(_value_sweep(_stirling_a(p), 1, top,
+                                                _a_ratio(p.lam)))
     elif fam == "exp-poly":
         p = ExpPolyParams(args.alpha, args.beta, args.gamma)
         params_repr = {"alpha": str(p.alpha), "beta": str(p.beta),
                        "r": str(p.r)}
         at = args.x
         values = lambda top: s_exp_values(p, at, top)
-        poly = lambda n: s_exp_explicit(p, n)
+        rows = lambda top: _value_sweep(p.stirling(), 1, top, _s_ratio)
     else:  # euler
         p = EulerParams(args.lam, args.alpha, args.beta)
         params_repr = {"lambda": p.lam, "alpha": str(p.alpha),
                        "beta": str(p.beta)}
         at = args.gamma
         values = lambda top: euler_values(p, at, top)
-        if at is None:
-            # every row is read from one gamma-polynomial build at the top n
-            poly = _gamma_polynomials(p, max(ns)).__getitem__
+        # every row is read from one gamma-polynomial build at the top n
+        rows = lambda top: ((e.num, e.den) for e in _gamma_polynomials(p, top))
 
     if at is None:
-        return ["n", "coeffs"], params_repr, [
-            {"n": n, "coeffs": poly(n)} for n in ns]
+        return ["n", "coeffs"], params_repr, (
+            {"n": n, "coeffs": _coeff_cells(num, den)}
+            for n, (num, den) in enumerate(rows(ns[-1])) if n in ns)
     params_repr["gamma" if fam == "euler" else "x"] = str(at)
     # every value is read from one sweep at the top n
     column = values(ns[-1])
-    return ["n", "value"], params_repr, [{"n": n, "value": column[n]} for n in ns]
+    return ["n", "value"], params_repr, ({"n": n, "value": column[n]} for n in ns)
+
+
+def _signed(rows):
+    """(-1)^n times each (row, den) pair, on the numerators: den stays > 0."""
+    for n, (row, den) in enumerate(rows):
+        yield ([-t for t in row] if n % 2 else row), den
+
+
+def _stirling_records(table: StirlingParams, ns: range, k: int | None):
+    """The cells S(n, k) of table for n in ns, every k <= n or the one k
+    (0 past n), from the triangle rows of one unit-ratio sweep at x = 1:
+    S(n, k) = T(n, k) / d^(n-k)."""
+    d = _scaled_params(table)[0]
+    dpow = [1]
+    for row, den in _value_sweep(table, 1, ns[-1], _unit_ratio):
+        n = len(row) - 1
+        if n in ns:
+            for j in (range(n + 1) if k is None else (k,)):
+                yield {"n": n, "k": j,
+                       "value": _rational(row[j], dpow[n - j]) if j <= n else "0"}
+        dpow.append(dpow[-1] * d)
 
 
 def cmd_verify(args) -> int:

@@ -59,10 +59,10 @@ def s_exp_eval(p: ExpPolyParams, n: int, x) -> Fraction:
 
 def s_exp_values(p: ExpPolyParams, x, order: int) -> list[Fraction]:
     """S_0(x) .. S_order(x) from one integer sweep of the Stirling recurrence:
-    ratio _s_ratio, so S_n(x) = V_n / (d v)^n.  For a whole column read once;
-    s_exp_eval serves repeated single reads.  Prefix-stable."""
+    ratio _s_ratio, so S_n(x) = sum(R_n) / (d v)^n.  For a whole column read
+    once; s_exp_eval serves repeated single reads.  Prefix-stable."""
     sweep = _value_sweep(p.stirling(), _q(x), order, _s_ratio)
-    return [Fraction(v, den) for v, den in sweep]
+    return [Fraction(sum(row), den) for row, den in sweep]
 
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)

@@ -93,12 +93,13 @@ def a_values(params: PolyParams, x, order: int) -> list[Fraction]:
     """A_0(x) .. A_order(x) from one integer sweep of the Stirling recurrence.
 
     a_explicit's column sum with the same ratio _a_ratio(lam), so
-    A_n(x) = (-1)^n V_n / (d v)^n.  Builds no polynomial, so it
+    A_n(x) = (-1)^n sum(R_n) / (d v)^n.  Builds no polynomial, so it
     pays for a whole column read once; repeated single reads belong to
     a_eval, which shares the cached polynomials.  Prefix-stable.
     """
     sweep = _value_sweep(_stirling_a(params), _q(x), order, _a_ratio(params.lam))
-    return [Fraction(-v if n % 2 else v, den) for n, (v, den) in enumerate(sweep)]
+    return [Fraction(-sum(row) if n % 2 else sum(row), den)
+            for n, (row, den) in enumerate(sweep)]
 
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)

@@ -581,7 +581,8 @@ def _ev_spivey(pt: Point) -> dict:
     # times S(n, k) (printed) or S(m, j) (classical).  With d the triangle's
     # lcm, T its integer rows, x = u/v and ad, bd = alpha d, beta d:
     #   S(n, k) = T(n, k) / d^(n-k),
-    #   S_k(x) = N_k / (d v)^k,  N_k = sum_i T(k, i) (d u)^i v^(k-i) (S_n's sweep),
+    #   S_k(x) = N_k / (d v)^k,  N_k = sum_i T(k, i) (d u)^i v^(k-i),
+    #   the sum of row k of S_n's sweep,
     #   (j b - m a | a)_L = G(j, L) / d^L,  G(j, L) = prod_(l<L) (j bd - (m+l) ad),
     # so the printed reading is one integer sum over d^(2n) v^(n+m) and the
     # classical one over d^(n+m) v^(n+m); term (k, j) is raised to them by
@@ -604,8 +605,8 @@ def _ev_spivey(pt: Point) -> dict:
     powers = [u ** j * v ** (m - j) for j in range(m + 1)]
     weights = [t * d ** j * w for j, (t, w) in enumerate(zip(inner, powers))]
     printed = classical = 0
-    for k, (nk, _) in enumerate(_value_sweep(sp, x, n, _s_ratio)):
-        head = math.comb(n, k) * nk * v ** (n - k)
+    for k, (row, _) in enumerate(_value_sweep(sp, x, n, _s_ratio)):
+        head = math.comb(n, k) * sum(row) * v ** (n - k)
         col = [run[n - k] for run in falls]
         printed += outer[k] * d ** k * head * sum(map(operator.mul, col, powers))
         classical += head * sum(map(operator.mul, col, weights))

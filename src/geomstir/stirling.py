@@ -31,15 +31,18 @@ Every polynomial family built on the triangle is a weighted column sum
 sum_k S(n, k) (w_k / d^k) x^k whose weights are one ratio r(k, d, B): w_0 = 1,
 w_k = w_(k-1) r(k).  The family's polynomial reader and its value-column
 reader share that ratio.  As a polynomial, the sum is the integers
-T(n, k) w_k over d^n (weighted_row).  A whole column of its values at one
-rational x = u/v comes from one sweep of the same recurrence with the
-weights folded in:
+T(n, k) w_k over d^n (weighted_row).  The rows of one rational x = u/v for
+n = 0..N come from one sweep of the same recurrence with the weights folded
+in:
 
     R_n(k) = T(n, k) w_k u^k v^(n-k),
     R_(n+1)(k) = r(k) u R_n(k-1) + (k*B - n*A + G) v R_n(k),
 
-V_n = sum_k R_n(k) for n = 0..N costs small-by-big integer products and
-no polynomial, gcd or table row (_value_sweep).
+at small-by-big integer products and no polynomial, gcd or kept table
+(_value_sweep).  A value column reads V_n = sum_k R_n(k) over (d v)^n.  At
+x = 1 the row R_n is weighted_row's numerators over d^n, so a whole table
+of coefficient rows streams from the same sweep: with the unit ratio R_n is
+the triangle row T(n, .) itself.
 """
 
 from __future__ import annotations
@@ -120,25 +123,35 @@ def stirling_row(params: StirlingParams, n: int) -> tuple[Fraction, ...]:
 Ratio = Callable[[int, int, int], int]
 
 
+def _unit_ratio(k: int, d: int, b: int) -> int:
+    """w_k = 1: the bare triangle row T(n, .)."""
+    return 1
+
+
+def _weigh(row, d: int, b: int, ratio: Ratio) -> list[int]:
+    """row[k] w_k for k = 0..len(row)-1, w_0 = 1 and w_k = w_(k-1) ratio(k, d, b)."""
+    out, w = [row[0]], 1
+    for k in range(1, len(row)):
+        w *= ratio(k, d, b)
+        out.append(row[k] * w)
+    return out
+
+
 def weighted_row(params: StirlingParams, n: int, ratio: Ratio) -> tuple[list[int], int]:
     """(T(n, k) w_k for k = 0..n, d^n) with w_0 = 1 and w_k = w_(k-1) ratio(k, d, B):
     the numerators over d^n of the polynomial sum_k S(n, k) (w_k / d^k) x^k."""
     d, (_, b, _), _ = _table(params)
-    row = stirling_int_row(params, n)[1]
-    out, w = [row[0]], 1
-    for k in range(1, n + 1):
-        w *= ratio(k, d, b)
-        out.append(row[k] * w)
-    return out, d ** n
+    return _weigh(stirling_int_row(params, n)[1], d, b, ratio), d ** n
 
 
-def _value_sweep(params: StirlingParams, x: Fraction, order: int,
-                 ratio: Ratio) -> Iterator[tuple[int, int]]:
-    """(V_n, (d v)^n) for n = 0..order, V_n = sum_k T(n, k) w_k u^k v^(n-k).
+def _value_sweep(params: StirlingParams, x, order: int,
+                 ratio: Ratio) -> Iterator[tuple[list[int], int]]:
+    """(R_n, (d v)^n) for n = 0..order, R_n(k) = T(n, k) w_k u^k v^(n-k).
 
-    With x = u/v in lowest terms, V_n / (d v)^n is weighted_row(params, n,
-    ratio)'s polynomial at x.  Prefix-stable: V_n does not depend on order.
-    No table is built or kept.
+    With x = u/v in lowest terms, sum(R_n) / (d v)^n is weighted_row(params,
+    n, ratio)'s polynomial at x, and at x = 1 the pair is weighted_row itself.
+    Each R_n is a new list, so a reader may keep it.  Prefix-stable: R_n does
+    not depend on order.  No table is built or kept.
     """
     d, a, b, g = _scaled_params(params)
     u, v = x.numerator, x.denominator
@@ -146,7 +159,7 @@ def _value_sweep(params: StirlingParams, x: Fraction, order: int,
     bv, dv = b * v, d * v
     row, den = [1], 1  # R_0 and (d v)^0
     for n in range(order + 1):
-        yield sum(row), den
+        yield row, den
         if n == order:
             return
         cv = (g - n * a) * v  # (k*B - n*A + G) v at k = 0

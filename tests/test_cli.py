@@ -472,9 +472,9 @@ def test_oracle_rejects_large_n(capsys):
 
 
 def test_oracle_rejects_large_lambda(capsys):
-    # past the cap the count would recurse once per bar (RecursionError) or
-    # walk C(n + lambda, n) splits; either way it must stop before any work
-    for n, lam in (("1", "3000"), ("8", "40"), ("0", str(MAX_ORACLE_LAM + 1))):
+    # the fold costs one pass per bar; past the cap it must stop before any work
+    for n, lam in (("1", str(10 * MAX_ORACLE_LAM)), ("8", str(MAX_ORACLE_LAM + 1)),
+                   ("0", str(MAX_ORACLE_LAM + 1))):
         code, out, err = run(
             capsys, "oracle", "--n", n, "--lambda", lam, "--alpha", "0",
             "--beta", "1", "--gamma", "0", "--x", "1",
@@ -482,6 +482,9 @@ def test_oracle_rejects_large_lambda(capsys):
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+    code, out, _ = run(capsys, "oracle", "--n", "2", "--lambda", str(MAX_ORACLE_LAM),
+                       "--alpha", "0", "--beta", "1", "--gamma", "0", "--x", "1")
+    assert code == 0 and out.endswith(" MATCH\n")
 
 
 def test_oracle_requires_integers():
@@ -684,6 +687,23 @@ def test_value_tables_keep_their_bytes(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VALUE_TABLE_DIGESTS[argv]
+
+
+def test_compute_tables_keep_no_memo(capsys):
+    # every coefficient and Stirling table streams from one integer sweep:
+    # no Stirling table and no cached polynomial is left behind
+    from geomstir import exppoly, geom, stirling
+
+    memos = (stirling._table, geom.a_explicit, exppoly.s_exp_explicit)
+    for memo in memos:
+        memo.cache_clear()
+    params = ("--alpha", "1/2", "--beta", "3", "--gamma=-1")
+    for argv in (("A", "--lambda", "2", *params), ("M", *params[:4]),
+                 ("exp-poly", *params), ("euler", "--lambda", "2", *params[:4]),
+                 ("stirling", *params), ("stirling-dual", *params, "--k", "3")):
+        code, out, _ = run(capsys, "compute", *argv, "--n", "0..30")
+        assert code == 0 and out.count("\n") > 30
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("family", ["A", "M", "exp-poly", "euler"])

@@ -198,6 +198,9 @@ def test_weighted_row_is_the_weighted_column_sum(a, b, g, lam, family, x, n):
         if k:
             w *= ratio(k, d, bd)
         want += stirling_rec(p, n, k) * Q(w, d ** k) * x ** k
-    assert XPolynomial.from_ints(*stirling.weighted_row(p, n, ratio))(x) == want
-    v, den = list(stirling._value_sweep(p, x, n, ratio))[n]
-    assert Q(v, den) == want
+    num, den = stirling.weighted_row(p, n, ratio)
+    assert XPolynomial.from_ints(num, den)(x) == want
+    # the sweep's row at x sums to the column sum; at x = 1 it is weighted_row
+    row, vden = list(stirling._value_sweep(p, x, n, ratio))[n]
+    assert Q(sum(row), vden) == want
+    assert list(stirling._value_sweep(p, Q(1), n, ratio))[n] == (num, den)
