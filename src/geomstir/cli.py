@@ -288,7 +288,7 @@ def _stirling_records(table: StirlingParams, ns: range, k: int | None):
     S(n, k) = T(n, k) / d^(n-k)."""
     d = _scaled_params(table)[0]
     dpow = [1]
-    for row, den in _value_sweep(table, 1, ns[-1], _unit_ratio):
+    for row, _ in _value_sweep(table, 1, ns[-1], _unit_ratio):
         n = len(row) - 1
         if n in ns:
             for j in (range(n + 1) if k is None else (k,)):

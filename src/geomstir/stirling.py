@@ -144,7 +144,7 @@ def weighted_row(params: StirlingParams, n: int, ratio: Ratio) -> tuple[list[int
     return _weigh(stirling_int_row(params, n)[1], d, b, ratio), d ** n
 
 
-def _value_sweep(params: StirlingParams, x, order: int,
+def _value_sweep(params: StirlingParams, x: Fraction | int, order: int,
                  ratio: Ratio) -> Iterator[tuple[list[int], int]]:
     """(R_n, (d v)^n) for n = 0..order, R_n(k) = T(n, k) w_k u^k v^(n-k).
 
