@@ -15,7 +15,7 @@ import argparse
 import math
 from fractions import Fraction
 
-from geomstir.asymptotics import MAX_LAMBDAS, error_decay_report, format_sig
+from geomstir.asymptotics import MAX_LAMBDAS, error_decay_reports, format_sig
 from geomstir.cli import (MAX_N, MAX_S, _fail, _write, parse_lambda_list,
                           parse_rational)
 
@@ -34,8 +34,8 @@ def main() -> int:
     args = ap.parse_args()
 
     # the caps of `geomstir asymptotic`, checked before the ladder is built;
-    # error_decay_report checks the size of each lambda.  One report runs
-    # per distinct depth up to n.
+    # error_decay_reports checks the size of each lambda.  It reports every
+    # distinct depth up to n from one exact column and one W row.
     run = dict.fromkeys(s for s in args.depths if s <= args.n)
     if args.n > MAX_N:
         return _fail(f"--n {args.n} is past the cap of {MAX_N}")
@@ -48,9 +48,8 @@ def main() -> int:
     # every report is computed before the first line is printed, so a bad
     # input ends in one error line and exit 2, with no partial table
     try:
-        reports = {s: error_decay_report(args.alpha, args.beta, args.gamma,
-                                         args.x, args.n, s, lams)
-                   for s in run}
+        reports = error_decay_reports(args.alpha, args.beta, args.gamma,
+                                      args.x, args.n, list(run), lams) if run else {}
     except ValueError as e:
         return _fail(str(e))
     return _write(_study(args, lams, reports), None)

@@ -169,8 +169,22 @@ def error_decay_report(alpha, beta, gamma, x, n: int, s: int,
     Every input is checked, against MAX_LAMBDAS and MAX_LAMBDA_BITS too,
     before any value is computed.
     """
-    if not 0 <= s <= n:
-        raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
+    return error_decay_reports(alpha, beta, gamma, x, n, (s,), lambdas)[s]
+
+
+def error_decay_reports(alpha, beta, gamma, x, n: int, depths: Sequence[int],
+                        lambdas: Sequence[int]) -> dict[int, DecayReport]:
+    """error_decay_report at each depth s of depths, keyed by s.
+
+    The depth-free work is done once: the exact column, and the W row at
+    the deepest s, whose prefix W(n, 0..s) serves every shallower depth.
+    Every input is checked before any value is computed.
+    """
+    if not depths:
+        raise ValueError("need at least one depth")
+    for s in depths:
+        if not 0 <= s <= n:
+            raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     if not lambdas:
         raise ValueError("need at least one lambda")
     if len(lambdas) > MAX_LAMBDAS:
@@ -182,10 +196,12 @@ def error_decay_report(alpha, beta, gamma, x, n: int, s: int,
             raise ValueError(f"n * bit_length(lambda) = {n * lam.bit_length()}"
                              f" is past the cap of {MAX_LAMBDA_BITS}")
     al, b, g, x = _q(alpha), _q(beta), _q(gamma), _q(x)
-    ws = w_row(a_coefficients(al, b, g, x, n), n, s)  # shared by every lam
+    ws = w_row(a_coefficients(al, b, g, x, n), n, max(depths))
     exact = _exact_column(al, b, g, x, n, lambdas)
-    return DecayReport(tuple(DecayRow(lam, exact[lam], _expand(ws, n, Fraction(lam)))
-                             for lam in lambdas))
+    return {s: DecayReport(tuple(DecayRow(lam, exact[lam],
+                                          _expand(ws[:s + 1], n, Fraction(lam)))
+                                 for lam in lambdas))
+            for s in depths}
 
 
 def _exact_column(alpha: Fraction, beta: Fraction, gamma: Fraction, x: Fraction,

@@ -31,7 +31,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .asymptotics import error_decay_report, format_sig
-from .euler import EulerParams, _gamma_polynomials, euler_values
+from .euler import EulerParams, _gamma_polynomial_rows, euler_values
 from .exppoly import ExpPolyParams, _s_ratio, s_exp_values
 from .geom import PolyParams, _a_ratio, _stirling_a, a_eval, a_values
 from .harness import GridSpec, _parse_rational, default_grid, run_suite
@@ -218,8 +218,9 @@ def _compute_rows(args):
     from one sweep at the top n.  The A, M and exp-poly coefficient rows and
     the stirling and stirling-dual rows stream from one integer sweep of the
     family's triangle at x = 1 (stirling._value_sweep), rendered row by row;
-    the euler coefficient rows are the cached gamma polynomials.  No
-    Stirling table or polynomial memo is filled.
+    the euler coefficient rows stream from one gamma-polynomial build
+    (euler._gamma_polynomial_rows).  No Stirling table or polynomial memo is
+    filled.
     """
     fam = args.family
     ns = args.n
@@ -263,8 +264,8 @@ def _compute_rows(args):
                        "beta": str(p.beta)}
         at = args.gamma
         values = lambda top: euler_values(p, at, top)
-        # every row is read from one gamma-polynomial build at the top n
-        rows = lambda top: ((e.num, e.den) for e in _gamma_polynomials(p, top))
+        # every row streams from one gamma-polynomial build at the top n
+        rows = lambda top: ((e.num, e.den) for e in _gamma_polynomial_rows(p, top))
 
     if at is None:
         return ["n", "coeffs"], params_repr, (

@@ -22,30 +22,31 @@ readings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .geom import PolyParams, a_eval, a_values
-from .series import (SERIES_CACHE_SIZE, Series, _q, _scaled, binomial_series,
-                     series_int_pow)
+from .series import (SERIES_CACHE_SIZE, Series, _IntKeyed, _q, _scaled,
+                     binomial_series, series_int_pow)
 from .stirling import StirlingParams, weighted_row
 from .xpoly import XPolynomial
 
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class EulerParams:
+@dataclass(frozen=True, eq=False, slots=True)
+class EulerParams(_IntKeyed):
     lam: int
     alpha: Fraction
     beta: Fraction
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.lam, int) or self.lam < 0:
             raise ValueError("lam must be an integer >= 0")
-        object.__setattr__(self, "alpha", _q(self.alpha))
-        object.__setattr__(self, "beta", _q(self.beta))
+        self._freeze((self.lam,), ("alpha", "beta"))
 
 
 def euler_via_a(p: EulerParams, gamma, n: int) -> Fraction:
@@ -122,7 +123,13 @@ def euler_polynomial(p: EulerParams, n: int) -> XPolynomial:
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
 def _gamma_polynomials(p: EulerParams, order: int) -> tuple[XPolynomial, ...]:
-    """E_0 .. E_order as polynomials in gamma.
+    """E_0 .. E_order as polynomials in gamma, kept for repeated reads."""
+    return tuple(_gamma_polynomial_rows(p, order))
+
+
+def _gamma_polynomial_rows(p: EulerParams, order: int) -> Iterator[XPolynomial]:
+    """E_0 .. E_order as polynomials in gamma, yielded one at a time; nothing
+    is kept, so a table reader holds one row at a time.
 
     With c_m the EGF values of the gamma-free factor of the generating
     function, E_n = sum_j C(n, j) c_(n-j) (gamma | alpha)_j is a sum in the
@@ -136,7 +143,6 @@ def _gamma_polynomials(p: EulerParams, order: int) -> tuple[XPolynomial, ...]:
     nums, d = _scaled(_gamma_free(p, order).egf_values())
     a, b = p.alpha.numerator, p.alpha.denominator
     ks = [c * b ** m for m, c in enumerate(nums)]
-    out = []
     for n in range(order + 1):
         h = [ks[0]]  # ascending coefficients in gamma
         for j in range(n - 1, -1, -1):
@@ -144,5 +150,4 @@ def _gamma_polynomials(p: EulerParams, order: int) -> tuple[XPolynomial, ...]:
             h = [math.comb(n, j) * ks[n - j] - ja * h[0],
                  *(b * lo - ja * hi for lo, hi in zip(h, h[1:])),
                  b * h[-1]]
-        out.append(XPolynomial.from_ints(h, d * b ** n))
-    return tuple(out)
+        yield XPolynomial.from_ints(h, d * b ** n)

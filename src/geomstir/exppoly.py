@@ -12,31 +12,25 @@ package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import (POLY_CACHE_SIZE, SERIES_CACHE_SIZE, Series, _q,
-                     binomial_series, series_exp)
+from .series import (POLY_CACHE_SIZE, SERIES_CACHE_SIZE, Series, _IntKeyed,
+                     _q, binomial_series, series_exp)
 from .stirling import StirlingParams, _value_sweep, weighted_row
 from .xpoly import XPolynomial
 
 
-@dataclass(frozen=True)
-class ExpPolyParams:
+@dataclass(frozen=True, eq=False, slots=True)
+class ExpPolyParams(_IntKeyed):
     alpha: Fraction
     beta: Fraction
     r: Fraction
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _q(self.alpha))
-        object.__setattr__(self, "beta", _q(self.beta))
-        object.__setattr__(self, "r", _q(self.r))
-        # every memo read hashes the params; hash the Fractions once
-        object.__setattr__(self, "_hash", hash((self.alpha, self.beta, self.r)))
-
-    def __hash__(self):
-        return self._hash
+        self._freeze((), ("alpha", "beta", "r"))
 
     def stirling(self) -> StirlingParams:
         return StirlingParams(self.alpha, self.beta, self.r)

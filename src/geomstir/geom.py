@@ -23,33 +23,27 @@ harness, which holds the one transcription of each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import POLY_CACHE_SIZE, SERIES_CACHE_SIZE, _q, binomial_series
+from .series import (POLY_CACHE_SIZE, SERIES_CACHE_SIZE, _IntKeyed, _q,
+                     binomial_series)
 from .stirling import StirlingParams, _value_sweep, weighted_row
 from .xpoly import XPolynomial
 
-@dataclass(frozen=True)
-class PolyParams:
+@dataclass(frozen=True, eq=False, slots=True)
+class PolyParams(_IntKeyed):
     lam: int
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.lam, int) or self.lam < 0:
             raise ValueError("lam must be an integer >= 0")
-        object.__setattr__(self, "alpha", _q(self.alpha))
-        object.__setattr__(self, "beta", _q(self.beta))
-        object.__setattr__(self, "gamma", _q(self.gamma))
-        # every memo read hashes the params; hash the Fractions once
-        object.__setattr__(self, "_hash",
-                           hash((self.lam, self.alpha, self.beta, self.gamma)))
-
-    def __hash__(self):
-        return self._hash
+        self._freeze((self.lam,), ("alpha", "beta", "gamma"))
 
 
 @dataclass(frozen=True)

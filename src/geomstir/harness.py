@@ -428,16 +428,27 @@ def _ev_eq6_printed(pt: Point) -> dict:
 
 def _ev_eq7(pt: Point) -> dict:
     # x^k: c_lk (-b)^k k! sum_(i>=k) (-1)^i C(n,i) S(i,k;a,-b,0) (g|-a)_(n-i)
+    # in integers: S(i,k) = T(i,k) / d^(i-k) with B = -b d the triangle's
+    # scaled beta, and (g|-a)_j = F_j / e^j with e the lcm of the denominators
+    # of g and a, F_j = prod_(m<j) (g e + m a e).  Over (d e)^n the x^k
+    # coefficient is c_lk B^k k! sum_(i>=k) T(i,k) u_i, where
+    # u_i = (-1)^i C(n,i) F_(n-i) d^(n-i) e^i.
     p, n = _params(pt), pt["n"]
     sp0 = StirlingParams(p.alpha, -p.beta, Fraction(0))
-    rows = [stirling_row(sp0, i) for i in range(n + 1)]
-    falls = [gff(p.gamma, -p.alpha, j) for j in range(n + 1)]
-    rhs = XPolynomial(
-        lam_binom(p.lam, k) * (-p.beta) ** k * math.factorial(k)
-        * sum(rows[i][k] * (-1) ** i * math.comb(n, i) * falls[n - i]
-              for i in range(k, n + 1))
-        for k in range(n + 1)
-    )
+    d, _, b, _ = _scaled_params(sp0)
+    rows = [stirling_int_row(sp0, i)[1] for i in range(n + 1)]
+    a, g = p.alpha, p.gamma
+    e = math.lcm(a.denominator, g.denominator)
+    ae, ge = a.numerator * (e // a.denominator), g.numerator * (e // g.denominator)
+    u, fall = [0] * (n + 1), 1  # fall = F_(n-i)
+    for i in range(n, -1, -1):
+        u[i] = (-1) ** i * math.comb(n, i) * fall * d ** (n - i) * e ** i
+        fall *= ge + (n - i) * ae
+    rhs = XPolynomial.from_ints(
+        [lam_binom(p.lam, k) * b ** k * math.factorial(k)
+         * sum(rows[i][k] * u[i] for i in range(k, n + 1))
+         for k in range(n + 1)],
+        (d * e) ** n)
     return {"main": (a_explicit(p, n), rhs)}
 
 

@@ -54,6 +54,40 @@ def _q(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
+class _IntKeyed:
+    """Base of the frozen, slotted parameter records.
+
+    A record compares and hashes by one canonical int key, set once in
+    __post_init__ by _freeze: its leading ints (lam, if any), then the
+    numerator and denominator of each rational field.  Every memo read
+    hashes and compares its params, so this keeps Fraction arithmetic off
+    that path.  Records of two classes are never equal.
+    """
+
+    __slots__ = ()
+
+    def _freeze(self, key: tuple, names: tuple[str, ...]) -> None:
+        """Read each named field as a Fraction (_q) and set _key to key
+        followed by each one's numerator and denominator."""
+        for name in names:
+            v = getattr(self, name)
+            q = _q(v)
+            if q is not v:
+                object.__setattr__(self, name, q)
+            key += q.as_integer_ratio()
+        object.__setattr__(self, "_key", key)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+
 def gff(t, alpha, n: int):
     """Generalized falling factorial (t | alpha)_n = prod_{k<n} (t - k*alpha).
 

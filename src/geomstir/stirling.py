@@ -48,31 +48,25 @@ the triangle row T(n, .) itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .series import TABLE_CACHE_SIZE, _q, gff
+from .series import TABLE_CACHE_SIZE, _IntKeyed
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class StirlingParams:
+@dataclass(frozen=True, eq=False, slots=True)
+class StirlingParams(_IntKeyed):
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _q(self.alpha))
-        object.__setattr__(self, "beta", _q(self.beta))
-        object.__setattr__(self, "gamma", _q(self.gamma))
-        # every table read hashes the triple; hash the three Fractions once
-        object.__setattr__(self, "_hash", hash((self.alpha, self.beta, self.gamma)))
-
-    def __hash__(self):
-        return self._hash
+        self._freeze((), ("alpha", "beta", "gamma"))
 
     def dual(self) -> "StirlingParams":
         return StirlingParams(self.beta, self.alpha, -self.gamma)
@@ -83,7 +77,8 @@ def _scaled_params(params: StirlingParams) -> tuple[int, int, int, int]:
     the parameters times d, all integers."""
     a, b, g = params.alpha, params.beta, params.gamma
     d = math.lcm(a.denominator, b.denominator, g.denominator)
-    return d, int(a * d), int(b * d), int(g * d)  # exact: d clears them
+    return (d, a.numerator * (d // a.denominator), b.numerator * (d // b.denominator),
+            g.numerator * (d // g.denominator))
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -181,20 +176,27 @@ def stirling_explicit(params: StirlingParams, n: int, k: int) -> Fraction:
     """Finite-difference form, valid only when beta != 0:
 
     S(n, k) = 1/(beta^k k!) * sum_{s=0}^{k} (-1)^(k-s) C(k,s) (beta*s + gamma | alpha)_n
+
+    With the scaled parameters (d, A, B, G) of _scaled_params,
+    (beta*s + gamma | alpha)_n = prod_{j<n} (B s + G - j A) / d^n, so the
+    sum is one integer over B^k k! d^(n-k).
     """
     if params.beta == 0:
         raise ValueError("explicit form needs beta != 0; use stirling_rec")
     if n < 0 or k < 0:
         raise ValueError("need n, k >= 0")
     if k > n:
-        return Fraction(0)
-    a, b, g = params.alpha, params.beta, params.gamma
-    acc = Fraction(0)
-    sign = (-1) ** k
+        return _ZERO
+    d, a, b, g = _scaled_params(params)
+    acc, sign = 0, (-1) ** k
     for s in range(k + 1):
-        acc += sign * math.comb(k, s) * gff(b * s + g, a, n)
+        t, fall = b * s + g, 1  # fall = prod_{j<n} (B s + G - j A)
+        for _ in range(n):
+            fall *= t
+            t -= a
+        acc += sign * math.comb(k, s) * fall
         sign = -sign
-    return acc / (b ** k * math.factorial(k))
+    return Fraction(acc, b ** k * math.factorial(k) * d ** (n - k))
 
 
 def param_swap_rhs(params: StirlingParams, n: int, k: int) -> Fraction:
@@ -202,9 +204,16 @@ def param_swap_rhs(params: StirlingParams, n: int, k: int) -> Fraction:
 
     Returned on its own so callers can compare it against candidate left
     sides; see the conformance harness for the readings that are tracked.
+    With (gamma | alpha)_j = F_j / d^j, F_j = prod_{i<j} (G - i A), and
+    S(s, k) = T(s, k) / d^(s-k), every term is an integer over d^(n-k).
     """
-    a, g = params.alpha, params.gamma
-    acc = Fraction(0)
-    for s in range(k, n + 1):
-        acc += math.comb(n, s) * gff(g, a, n - s) * stirling_rec(params, s, k)
-    return acc
+    if k > n:
+        return _ZERO
+    if k < 0:
+        raise ValueError("need n, k >= 0")
+    d, a, _, g = _scaled_params(params)
+    acc, fall = 0, 1  # fall = F_(n-s)
+    for s in range(n, k - 1, -1):
+        acc += math.comb(n, s) * fall * stirling_int_row(params, s)[1][k]
+        fall *= g - (n - s) * a
+    return Fraction(acc, d ** (n - k))

@@ -193,6 +193,33 @@ def test_lambda_caps(monkeypatch):
         assert ("past the cap of" in str(err.value)) is (3 not in lambdas)
 
 
+def test_reports_at_many_depths_share_one_w_row_and_exact_column(monkeypatch):
+    from geomstir import asymptotics
+    from geomstir.asymptotics import error_decay_reports
+
+    args = (Q(1, 2), Q(3), Q(-1), Q(5, 3), 9)
+    lams = (16, 32, 64)
+    want = {s: error_decay_report(*args, s, lams) for s in (0, 2, 9)}
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(asymptotics, name)
+
+        def wrapper(*a):
+            calls[name] += 1
+            return inner(*a)
+        monkeypatch.setattr(asymptotics, name, wrapper)
+
+    counted("w_row")
+    counted("_exact_column")
+    assert error_decay_reports(*args, (9, 0, 2), lams) == want
+    assert calls == {"w_row": 1, "_exact_column": 1}
+    for depths in ((), (0, 10)):
+        with pytest.raises(ValueError):
+            error_decay_reports(*args, depths, lams)
+    assert calls == {"w_row": 1, "_exact_column": 1}
+
+
 def test_format_sig():
     assert format_sig(Q(1, 3)) == "0.333333333333"
     assert format_sig(Q(2)) == "2"

@@ -690,11 +690,12 @@ def test_value_tables_keep_their_bytes(capsys, argv):
 
 
 def test_compute_tables_keep_no_memo(capsys):
-    # every coefficient and Stirling table streams from one integer sweep:
-    # no Stirling table and no cached polynomial is left behind
-    from geomstir import exppoly, geom, stirling
+    # every coefficient and Stirling table streams from one integer sweep or
+    # build: no Stirling table and no cached polynomial is left behind
+    from geomstir import euler, exppoly, geom, stirling
 
-    memos = (stirling._table, geom.a_explicit, exppoly.s_exp_explicit)
+    memos = (stirling._table, geom.a_explicit, exppoly.s_exp_explicit,
+             euler._gamma_polynomials)
     for memo in memos:
         memo.cache_clear()
     params = ("--alpha", "1/2", "--beta", "3", "--gamma=-1")
@@ -703,7 +704,7 @@ def test_compute_tables_keep_no_memo(capsys):
                  ("stirling", *params), ("stirling-dual", *params, "--k", "3")):
         code, out, _ = run(capsys, "compute", *argv, "--n", "0..30")
         assert code == 0 and out.count("\n") > 30
-    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("family", ["A", "M", "exp-poly", "euler"])

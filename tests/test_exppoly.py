@@ -164,10 +164,10 @@ def test_params_hash_once_and_rehash_on_replace():
     p = ExpPolyParams(Q(1, 2), 1, Q(-3, 2))
     q = ExpPolyParams(Q(2, 4), Q(1), Q(-6, 4))
     assert p == q and hash(p) == hash(q)
-    assert hash(p) == hash((Q(1, 2), Q(1), Q(-3, 2)))
+    assert p == ExpPolyParams(0.5, 1, -1.5) and hash(p) == hash(ExpPolyParams(0.5, 1, -1.5))
     r = replace(p, r=Q(2))
     assert r == ExpPolyParams(Q(1, 2), Q(1), Q(2)) and r != p
-    assert hash(r) == hash((Q(1, 2), Q(1), Q(2))) != hash(p)
+    assert hash(r) == hash(ExpPolyParams(Q(1, 2), Q(1), Q(2))) != hash(p)
 
 
 def test_s_exp_values_match_eval_and_series():

@@ -227,10 +227,34 @@ def test_params_hash_once_and_rehash_on_replace():
     p = PolyParams(2, Q(1, 2), 1, Q(3, 2))
     q = PolyParams(2, Q(2, 4), Q(1), Q(6, 4))
     assert p == q and hash(p) == hash(q)
-    assert hash(p) == hash((2, Q(1, 2), Q(1), Q(3, 2)))
+    assert p == PolyParams(2, 0.5, 1, 1.5) and hash(p) == hash(PolyParams(2, 0.5, 1, 1.5))
     r = replace(p, gamma=Q(-1))
     assert r == PolyParams(2, Q(1, 2), Q(1), Q(-1)) and r != p
-    assert hash(r) == hash((2, Q(1, 2), Q(1), Q(-1))) != hash(p)
+    assert hash(r) == hash(PolyParams(2, Q(1, 2), Q(1), Q(-1))) != hash(p)
+
+
+def test_params_records_are_slotted_and_apart_by_class():
+    from geomstir import EulerParams, ExpPolyParams, StirlingParams
+
+    records = (StirlingParams(Q(1, 2), 3, -1), ExpPolyParams(Q(1, 2), 3, -1),
+               PolyParams(2, Q(1, 2), 3, -1), EulerParams(2, Q(1, 2), 3))
+    for p in records:
+        assert not hasattr(p, "__dict__")
+        assert p == replace(p) and hash(p) == hash(replace(p))
+    # the same numbers in two classes are two different records
+    for p in records:
+        for q in records:
+            assert (p == q) is (p is q)
+    assert StirlingParams(1, 2, 3) != ExpPolyParams(1, 2, 3)
+    assert PolyParams(1, 2, 3, 4) != StirlingParams(2, 3, 4)
+
+
+def test_equal_params_built_afresh_hit_the_memo():
+    a_explicit.cache_clear()
+    a_explicit(PolyParams(2, Q(1, 2), Q(3), Q(-1)), 5)
+    a_explicit(PolyParams(2, Q(2, 4), 3, -1), 5)
+    info = a_explicit.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
 
 
 # lam == 0, beta == 0, gamma == 0 and alpha == 0 members beside the grid

@@ -9,6 +9,7 @@ return exactly equal values of the same types.
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomstir import harness
@@ -16,7 +17,9 @@ from geomstir.euler import EulerParams, euler_explicit
 from geomstir.exppoly import ExpPolyParams, s_exp_eval
 from geomstir.geom import PolyParams, a_eval, a_explicit, lam_binom
 from geomstir.series import Series, gff, rising, series_mul
-from geomstir.stirling import StirlingParams, stirling_rec, stirling_row
+from geomstir.stirling import (StirlingParams, param_swap_rhs, stirling_explicit,
+                               stirling_rec, stirling_row)
+from geomstir.xpoly import XPolynomial
 
 Q = Fraction
 
@@ -134,6 +137,44 @@ def ref_euler_explicit(p, gamma, n):
     return f1, f2
 
 
+def ref_stirling_explicit(params, n, k):
+    if params.beta == 0:
+        raise ValueError("explicit form needs beta != 0; use stirling_rec")
+    if n < 0 or k < 0:
+        raise ValueError("need n, k >= 0")
+    if k > n:
+        return Fraction(0)
+    a, b, g = params.alpha, params.beta, params.gamma
+    acc = Fraction(0)
+    sign = (-1) ** k
+    for s in range(k + 1):
+        acc += sign * math.comb(k, s) * gff(b * s + g, a, n)
+        sign = -sign
+    return acc / (b ** k * math.factorial(k))
+
+
+def ref_param_swap_rhs(params, n, k):
+    a, g = params.alpha, params.gamma
+    acc = Fraction(0)
+    for s in range(k, n + 1):
+        acc += math.comb(n, s) * gff(g, a, n - s) * stirling_rec(params, s, k)
+    return acc
+
+
+def ref_eq7(pt):
+    p, n = PolyParams(pt["lam"], pt["alpha"], pt["beta"], pt["gamma"]), pt["n"]
+    sp0 = StirlingParams(p.alpha, -p.beta, Fraction(0))
+    rows = [stirling_row(sp0, i) for i in range(n + 1)]
+    falls = [gff(p.gamma, -p.alpha, j) for j in range(n + 1)]
+    rhs = XPolynomial(
+        lam_binom(p.lam, k) * (-p.beta) ** k * math.factorial(k)
+        * sum(rows[i][k] * (-1) ** i * math.comb(n, i) * falls[n - i]
+              for i in range(k, n + 1))
+        for k in range(n + 1)
+    )
+    return {"main": (a_explicit(p, n), rhs)}
+
+
 def ref_cauchy(f, g):
     n = f.order
     out = []
@@ -175,6 +216,49 @@ def test_shift_inverse_hoisted_form(lam, a, b, g, n, m):
 def test_euler_explicit_integer_form(lam, a, b, g, n):
     p = EulerParams(lam, a, b)
     same(euler_explicit(p, g, n), ref_euler_explicit(p, g, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_q, small_q, small_q, st.integers(0, 8), st.integers(0, 10))
+def test_stirling_explicit_integer_form(a, b, g, n, k):
+    # k runs past n, where both forms give 0
+    sp = StirlingParams(a, b, g)
+    if b == 0:
+        for form in (stirling_explicit, ref_stirling_explicit):
+            with pytest.raises(ValueError):
+                form(sp, n, k)
+    else:
+        same(stirling_explicit(sp, n, k), ref_stirling_explicit(sp, n, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_q, small_q, small_q, st.integers(0, 8), st.integers(0, 10))
+def test_param_swap_rhs_integer_form(a, b, g, n, k):
+    sp = StirlingParams(a, b, g)
+    same(param_swap_rhs(sp, n, k), ref_param_swap_rhs(sp, n, k))
+
+
+def test_integer_forms_keep_their_errors():
+    sp = StirlingParams(Q(1, 2), Q(-3, 4), Q(5, 3))
+    for n, k in ((-1, 0), (2, -1), (-2, -3)):
+        for form in (stirling_explicit, ref_stirling_explicit):
+            with pytest.raises(ValueError):
+                form(sp, n, k)
+    for n, k in ((2, -1), (-2, -3)):
+        for form in (param_swap_rhs, ref_param_swap_rhs):
+            with pytest.raises(ValueError):
+                form(sp, n, k)
+    # k past n is an empty sum, negative n included
+    for n, k in ((-1, 0), (2, 3)):
+        same(param_swap_rhs(sp, n, k), ref_param_swap_rhs(sp, n, k))
+        same(param_swap_rhs(sp, n, k), Fraction(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), small_q, small_q, small_q, st.integers(0, 7))
+def test_eq7_integer_form(lam, a, b, g, n):
+    pt = {"lam": lam, "alpha": a, "beta": b, "gamma": g, "n": n}
+    same(harness._ev_eq7(pt), ref_eq7(pt))
 
 
 @settings(max_examples=80, deadline=None)
