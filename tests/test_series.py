@@ -20,8 +20,9 @@ from geomstir import (
     s_exp_egf,
     s_exp_eval,
 )
+from geomstir import harness
 from geomstir.euler import _gamma_polynomials
-from geomstir.exppoly import s_exp_explicit
+from geomstir.exppoly import lemma34_sides, s_exp_explicit
 from geomstir.geom import a_recurrence
 from geomstir.series import (
     POLY_CACHE_SIZE,
@@ -77,6 +78,53 @@ def test_series_round_trips():
     assert s.coeffs[3] == Q(1)  # 6 / 3!
     assert s.order == 3
     assert Series(tuple(s.coeffs)) == s
+
+
+# pins: a Series reaches the report only through harness._render (the
+# egf[...] bytes of a counterexample) and its repr
+def test_series_repr_is_pinned():
+    s = binomial_series(Q(-1, 2), Q(3, 2), 4)
+    assert repr(s) == ("Series(coeffs=(Fraction(1, 1), Fraction(3, 2), Fraction(3, 2), "
+                       "Fraction(5, 4), Fraction(15, 16)))")
+    assert repr(series_one(0)) == "Series(coeffs=(Fraction(1, 1),))"
+    p = ExpPolyParams(Q(1, 2), Q(-1), Q(3, 2))
+    _, rhs = lemma34_sides(p, Q(-3, 2), 2, 3)
+    assert repr(rhs) == ("Series(coeffs=(Fraction(3, 2), Fraction(-15, 4), "
+                         "Fraction(135, 16), Fraction(-117, 8)))")
+
+
+def test_series_render_is_pinned():
+    s = binomial_series(Q(-1, 2), Q(3, 2), 4)
+    assert harness._render(s) == "egf[1, 3/2, 3, 15/2, 45/2]"
+    assert harness._render((s, Q(1, 3))) == "[egf[1, 3/2, 3, 15/2, 45/2], 1/3]"
+    p = ExpPolyParams(Q(1, 2), Q(-1), Q(3, 2))
+    lhs, _ = lemma34_sides(p, Q(-3, 2), 2, 3)
+    assert harness._render(lhs) == "egf[3/2, -15/4, 135/8, -351/4]"
+    assert harness._render(series_one(2).scale(0)) == "egf[0, 0, 0]"
+
+
+def test_series_equal_values_compare_and_hash_equal():
+    # the same values reached from ints, unreduced Fractions and two routes
+    pairs = [
+        (Series((1, Q(1, 2), 3)), Series((Q(2, 2), Q(3, 6), Q(6, 2)))),
+        (series_one(3), Series((Q(1), 0, 0, Q(0)))),
+        (binomial_series(Q(0), Q(2), 4), Series.from_egf([Q(2) ** n for n in range(5)])),
+        (binomial_series(Q(2), Q(1), 3) * binomial_series(Q(2), Q(2), 3),
+         binomial_series(Q(2), Q(3), 3)),
+        (series_one(2).scale(0), Series((Q(0), Q(0), Q(0)))),
+    ]
+    for f, g in pairs:
+        assert f == g and not f != g
+        assert hash(f) == hash(g)
+        assert len({f, g}) == 1
+
+
+def test_series_of_two_orders_are_unequal():
+    assert series_one(2) != series_one(3)
+    assert Series((Q(0),)) != Series((Q(0), Q(0)))
+    assert Series((Q(1), Q(2))) != Series((Q(1), Q(2), Q(0)))
+    assert Series((Q(1), Q(2))) != Series((Q(1), Q(3)))
+    assert Series((Q(1),)) != (Q(1),)
 
 
 def test_series_requires_matching_orders():
