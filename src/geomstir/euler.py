@@ -13,6 +13,10 @@ Routes: generating series (euler_egf), both A-specializations (euler_via_a,
 or euler_values for a whole column E_0..E_N at one gamma), and two explicit
 Stirling sums (euler_explicit).  All four agree exactly.  euler_polynomial
 gives E_n as a polynomial in gamma, by integer Horner in the Newton basis.
+The explicit sum of one triangle and lam, for n = 0, 1, ..., is also kept as
+one memoised column that grows as it is read (_euler_values), for the
+harness's recurrence and convolution readings, which read the same sums at
+many n.
 
 The circulating recurrence and convolution displays, several of which fail
 as written, are checked by the conformance harness next to their repaired
@@ -28,9 +32,9 @@ from functools import lru_cache
 from typing import Iterator
 
 from .geom import PolyParams, a_eval, a_values
-from .series import (SERIES_CACHE_SIZE, Series, _IntKeyed, _q, _scaled,
-                     binomial_series, series_int_pow)
-from .stirling import StirlingParams, weighted_row
+from .series import (SERIES_CACHE_SIZE, TABLE_CACHE_SIZE, Series, _IntKeyed, _q,
+                     _scaled, binomial_series, series_int_pow)
+from .stirling import StirlingParams, _value_sweep, weighted_row
 from .xpoly import XPolynomial
 
 HALF = Fraction(1, 2)
@@ -114,6 +118,23 @@ def _euler_sum(sp: StirlingParams, lam: int, n: int) -> Fraction:
     """
     row, den = weighted_row(sp, n, _euler_ratio(lam))
     return Fraction(sum(t << (n - k) for k, t in enumerate(row)), den << n)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _euler_column(sp: StirlingParams, lam: int) -> tuple[list[Fraction], Iterator]:
+    """(the values _euler_sum(sp, lam, n) for n = 0, 1, ... read so far, the
+    sweep that extends them): the weighted rows of ratio _euler_ratio(lam),
+    swept at x = 1/2, sum(R_n) over (2 d)^n, the same integers as _euler_sum."""
+    return [], _value_sweep(sp, HALF, None, _euler_ratio(lam))
+
+
+def _euler_values(sp: StirlingParams, lam: int, n: int) -> list[Fraction]:
+    """The memoised column of _euler_sum(sp, lam, .), extended to hold index n."""
+    values, sweep = _euler_column(sp, lam)
+    while len(values) <= n:
+        row, den = next(sweep)
+        values.append(Fraction(sum(row), den))
+    return values
 
 
 def euler_polynomial(p: EulerParams, n: int) -> XPolynomial:

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .series import (POLY_CACHE_SIZE, SERIES_CACHE_SIZE, _IntKeyed, _q,
                      binomial_series)
-from .stirling import StirlingParams, _value_sweep, weighted_row
+from .stirling import StirlingParams, _scaled_params, _value_sweep, weighted_row
 from .xpoly import XPolynomial
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -133,20 +133,31 @@ def a_recurrence(params: PolyParams, n: int) -> XPolynomial:
     A_{n-j} at (lam + i, gamma + j alpha + i beta) for 0 <= i <= j, and
     each comes from entries i and i + 1 one depth further down.  Without
     the raising term (lam == 0 or beta == 0) only i == 0 is needed.
+
+    With the scaled parameters (d, A, B, G) of _scaled_params, the depth-j
+    entries are integer polynomials N_i over d^(n-j), and one step is
+
+        N_i <- (G + j A + i B) N_i + x (lam + i) B N_(i+1),
+
+    so A_n = N_0 / d^n at depth 0.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    lam, a, b, g = params.lam, params.alpha, params.beta, params.gamma
+    lam = params.lam
+    d, a, b, g = _scaled_params(params)
     lifts = bool(lam and b)
-    row = [XPolynomial.one()] * (n + 1 if lifts else 1)  # depth n: A_0
+    row = [[1]] * (n + 1 if lifts else 1)  # depth n: A_0
     for j in range(n - 1, -1, -1):
         shift = g + j * a
         new = []
         for i in range(j + 1 if lifts else 1):
-            out = (shift + i * b) * row[i]
+            c = shift + i * b
+            out = [c * t for t in row[i]]
             if lifts:
-                out = out + ((lam + i) * b * row[i + 1]).times_x()
+                out.append(0)
+                lift = (lam + i) * b
+                for k, t in enumerate(row[i + 1], 1):
+                    out[k] += lift * t
             new.append(out)
         row = new
-    return row[0]
-
+    return XPolynomial.from_ints(row[0], d ** n)

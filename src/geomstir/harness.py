@@ -32,7 +32,7 @@ from typing import Callable
 from .euler import (
     EulerParams,
     HALF,
-    _euler_sum,
+    _euler_values,
     _gamma_polynomials,
     euler_egf,
     euler_explicit,
@@ -678,7 +678,7 @@ def _ev_euler_rec(pt: Point) -> dict:
     g, n, m = pt["gamma"], pt["n"], pt["m"]
 
     def ev(lam_, gamma_, n_, beta=b):
-        return _euler_sum(StirlingParams(a, beta, gamma_), lam_, n_)
+        return _euler_values(StirlingParams(a, beta, gamma_), lam_, n_)[n_]
 
     out = {}
     lhs1, here = ev(lam + 1, g, n), ev(lam, g, n)
@@ -695,8 +695,8 @@ def _ev_euler_rec(pt: Point) -> dict:
 
     shifted = m * a - lam * b - g
     tri = StirlingParams(a, -b, shifted)
-    acc = sum((s * ev(lam, shifted, n + k, beta=-b)
-               for k, s in enumerate(stirling_row(tri, m))), Fraction(0))
+    col = _euler_values(tri, lam, n + m)
+    acc = sum((s * col[n + k] for k, s in enumerate(stirling_row(tri, m))), Fraction(0))
     lhs3 = ev(lam + m, -g, n)
     out["rec3-printed"] = (
         lhs3, Fraction(2) ** m / (rising(Fraction(lam), m) * b ** m) * acc
@@ -722,17 +722,20 @@ def _ev_euler_conv(pt: Point) -> dict:
     g1, g2 = pt["gamma1"], pt["gamma2"]
     lam = l1 + l2
 
+    def col(lam_, gamma_, top, alpha=a):
+        return _euler_values(StirlingParams(alpha, b, gamma_), lam_, top)
+
     def ev(lam_, gamma_, n_, alpha=a):
-        return _euler_sum(StirlingParams(alpha, b, gamma_), lam_, n_)
+        return col(lam_, gamma_, n_, alpha)[n_]
 
     def conv(first_gamma, second_lam, second_gamma):
-        return _binomial_sum(n, lambda k: ev(l1, first_gamma, k)
-                             * ev(second_lam, second_gamma, n - k), Fraction(0))
+        first, second = col(l1, first_gamma, n), col(second_lam, second_gamma, n)
+        return _binomial_sum(n, lambda k: first[k] * second[n - k], Fraction(0))
 
     def alt_conv(order_reading):
-        return _binomial_sum(n, lambda k: (-1) ** (n - k)
-                             * ev(l1, a + b - g1, k, alpha=-a)
-                             * ev(l2, g2 + b * order_reading, n - k), Fraction(0))
+        first, second = col(l1, a + b - g1, n, alpha=-a), col(l2, g2 + b * order_reading, n)
+        return _binomial_sum(n, lambda k: (-1) ** (n - k) * first[k] * second[n - k],
+                             Fraction(0))
 
     printed = conv(a + g1 - b, l2, g2)
     rhs1 = 2 * (g1 + g2) * ev(lam, g1 + g2 - a, n) - 2 * ev(lam, g1 + g2, n + 1)

@@ -5,14 +5,28 @@ sequence it represents in the exponential view is a_n = c_n * n!, read off
 with egf_value().  Operations never extend the truncation order: combining
 two series requires equal orders, and results are exact.
 
-Coefficients are rationals: Fractions, with ints accepted on input.  A
-generating function with a symbolic argument is not a Series of
-polynomials; its builder reads one rational series per power of the
-argument (see geom.a_egf and euler._gamma_polynomials).
+Coefficients are rationals, held in the layout of XPolynomial (FLINT's
+fmpq_poly): integer numerators over one positive denominator,
+
+    num = (C_0, ..., C_N)  ints,    den > 0,    c_n = C_n / den,
+
+in canonical form, gcd(C_0, ..., C_N, den) == 1 (the zero series has
+den == 1).  Trailing zeros stay, since they carry the order.  So equal
+series have identical (num, den) pairs, == and hash are tuple operations,
+and the rational tuple `coeffs` is built on demand.  A generating function
+with a symbolic argument is not a Series of polynomials; its builder reads
+one rational series per power of the argument (see geom.a_egf and
+euler._gamma_polynomials).
 
 Every operation is prefix-stable: coefficient n of an order-N result equals
 coefficient n of the order-n result for every N >= n.  So a route that
 needs A_0 .. A_N builds one order-N series and reads every n from it.
+
+The product, scale, add_const, from_egf and binomial_series work on the
+integer numerators and reduce by one gcd per result; series_mul is the
+convolution
+
+    C_m = sum_{i<=m} A_i B_{m-i}  over  df dg.
 
 series_exp uses the recurrence of g = exp(f), g' = f' g (Knuth, TAOCP
 vol. 2, 4.7):
@@ -20,21 +34,18 @@ vol. 2, 4.7):
     g_0 = 1,    m g_m = sum_{k=1..m} k f_k g_{m-k},
 
 which is O(N^2) coefficient products instead of summing N series powers.
-
-series_mul writes each factor over one denominator, f_i = a_i / df and
-g_j = b_j / dg with df, dg the lcms of its coefficient denominators, so the
-product coefficients are
-
-    c_m = (sum_{i<=m} a_i b_{m-i}) / (df dg),
-
-an integer convolution with one Fraction built per coefficient.
+It and series_geom_inverse are linear recurrences in the g_j already
+found, run by _solve over the running lcm of the g_j's reduced
+denominators: one integer dot product and one Fraction per coefficient.
+Keeping every g_m over a fixed power such as f_0^(m+1) or (m! D^m) instead
+lets the integers outgrow the values: at order 150 the inverse of the Euler
+base took 0.46-0.99 s that way and 6-7 ms in _solve.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,8 +53,8 @@ from typing import Sequence
 # own definition with one of these, and nothing else memoises.  Each is at
 # least twice the largest working set of one memo on verify-wide (n_max=12,
 # seeds 1 and 301-310): 160 tables, 1724 polynomials, 12 series builds,
-# 48 section values.
-TABLE_CACHE_SIZE = 512  # stirling._table
+# 48 section values; and 85-97 Euler columns (seeds 1, 517 and 4243).
+TABLE_CACHE_SIZE = 512  # stirling._table, euler._euler_column
 POLY_CACHE_SIZE = 8192  # a_explicit, s_exp_explicit
 SERIES_CACHE_SIZE = 32  # a_egf, s_exp_egf, euler_egf, euler._gamma_polynomials
 SECTION_CACHE_SIZE = 128  # oracle.section_poly_value
@@ -118,31 +129,68 @@ def rising(a, n: int):
     return gff(a, Fraction(-1), n)
 
 
-@dataclass(frozen=True)
+def _series(num: list, den: int) -> "Series":
+    """The canonical Series num[n] / den, n = 0..len(num)-1, for den != 0."""
+    if den < 0:
+        num, den = [-c for c in num], -den
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    s = object.__new__(Series)
+    s.num = tuple(num)
+    s.den = den
+    return s
+
+
 class Series:
-    """Truncated series sum c_n t^n, n = 0..order, with exact coefficients."""
+    """Truncated series sum c_n t^n, n = 0..order, with exact coefficients
+    c_n = num[n] / den, kept in canonical form (see the module docstring)."""
 
-    coeffs: tuple
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: Sequence):
+        cs = [_q(c) for c in coeffs]
+        if not cs:
             raise ValueError("a Series needs at least the constant term")
+        den = math.lcm(*(c.denominator for c in cs))
+        s = _series([c.numerator * (den // c.denominator) for c in cs], den)
+        self.num, self.den = s.num, s.den
 
     @classmethod
     def from_egf(cls, values: Sequence[Fraction]) -> "Series":
-        """Build from EGF values a_n, storing a_n / n!."""
-        return cls(tuple(Fraction(v) / math.factorial(n)
-                         for n, v in enumerate(values)))
+        """Build from EGF values a_n, storing a_n / n!.  With L the lcm of
+        the value denominators, a_n / n! = a_n L (N! / n!) / (L N!)."""
+        qs = [_q(v) for v in values]
+        if not qs:
+            raise ValueError("a Series needs at least the constant term")
+        lcd = math.lcm(*(q.denominator for q in qs))
+        num, fall = [], 1  # fall = N! / n!, n from N down
+        for n in range(len(qs) - 1, -1, -1):
+            num.append(qs[n].numerator * (lcd // qs[n].denominator) * fall)
+            fall *= n or 1
+        num.reverse()
+        return _series(num, lcd * fall)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients c_0..c_order, built on each access."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def egf_value(self, n: int) -> Fraction:
-        return self.coeffs[n] * math.factorial(n)
+        return Fraction(self.num[n] * math.factorial(n), self.den)
 
     def egf_values(self) -> list:
-        return [self.egf_value(n) for n in range(self.order + 1)]
+        out, fact, den = [], 1, self.den
+        for n, c in enumerate(self.num):
+            fact *= n or 1
+            out.append(Fraction(c * fact, den))
+        return out
 
     def _check_order(self, other: "Series"):
         if self.order != other.order:
@@ -153,19 +201,35 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         return series_mul(self, other)
 
+    def __eq__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        return f"Series(coeffs={self.coeffs!r})"
+
     def scale(self, c) -> "Series":
-        return Series(tuple(a * c for a in self.coeffs))
+        c = _q(c)
+        return _series([a * c.numerator for a in self.num], self.den * c.denominator)
 
     def add_const(self, c) -> "Series":
-        return Series((self.coeffs[0] + c,) + self.coeffs[1:])
+        c = _q(c)
+        p, q = c.numerator, c.denominator
+        num = list(self.num) if q == 1 else [a * q for a in self.num]
+        num[0] += p * self.den
+        return _series(num, self.den * q)
 
 
 def series_one(order: int) -> Series:
-    return Series((Fraction(1),) + (Fraction(0),) * order)
+    return _series([1] + [0] * order, 1)
 
 
-def _scaled(coeffs: tuple) -> tuple[list[int], int]:
-    """(numerators, d) with every coefficient equal to its numerator / d."""
+def _scaled(coeffs) -> tuple[list[int], int]:
+    """(numerators, d) with every rational coefficient equal to its numerator / d."""
     d = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
@@ -173,26 +237,42 @@ def _scaled(coeffs: tuple) -> tuple[list[int], int]:
 def series_mul(f: Series, g: Series) -> Series:
     """Cauchy product truncated at the shared order."""
     f._check_order(g)
-    (a, df), (b, dg) = _scaled(f.coeffs), _scaled(g.coeffs)
-    den = df * dg
-    return Series(tuple(Fraction(sum(map(operator.mul, a[:m + 1], b[m::-1])), den)
-                        for m in range(f.order + 1)))
+    a, b = f.num, g.num
+    return _series([sum(map(operator.mul, a[:m + 1], b[m::-1])) for m in range(len(a))],
+                   f.den * g.den)
+
+
+def _solve(g0: Fraction, w: list[int], c) -> Series:
+    """The series g_0, g_m = sum_{i=1..m} w[i] g_(m-i) / c(m) for m = 1..len(w)-1.
+
+    Every g_j is kept as scaled[j] / L over the running lcm L of the reduced
+    denominators so far, so a step is one integer dot product and one
+    Fraction; the integers stay the size of the reduced values.
+    """
+    scaled, lcd = [g0.numerator], g0.denominator
+    for m in range(1, len(w)):
+        g = Fraction(sum(map(operator.mul, w[1:m + 1], reversed(scaled))), c(m) * lcd)
+        q = g.denominator
+        if lcd % q:
+            k = q // math.gcd(lcd, q)
+            scaled = [t * k for t in scaled]
+            lcd *= k
+        scaled.append(g.numerator * (lcd // q))
+    return _series(scaled, lcd)
 
 
 def series_geom_inverse(f: Series) -> Series:
     """Multiplicative inverse of f, truncated at f.order.
 
     Solves g_0 = 1/f_0 and g_m = -1/f_0 * sum_{i=1..m} f_i g_{m-i}; the
-    constant term must be nonzero.
+    constant term must be nonzero.  With f_i = F_i / D the step is
+    g_m = sum_i (-F_i) g_(m-i) / F_0 (_solve).
     """
-    fc = f.coeffs
-    if fc[0] == 0:
+    fs = f.num
+    if not fs[0]:
         raise ValueError("constant term must be nonzero to invert")
-    inv0 = 1 / Fraction(fc[0])  # 1 / an int would be a float
-    out = [inv0]
-    for m in range(1, f.order + 1):
-        out.append(-inv0 * sum(map(operator.mul, fc[1:m + 1], out[m - 1::-1])))
-    return Series(tuple(out))
+    f0 = fs[0]
+    return _solve(Fraction(f.den, f0), [-c for c in fs], lambda m: f0)
 
 
 def series_int_pow(f: Series, m: int) -> Series:
@@ -212,14 +292,15 @@ def series_int_pow(f: Series, m: int) -> Series:
 
 def series_exp(f: Series) -> Series:
     """exp(f) for a series with zero constant term (so the sum is finite),
-    by the recurrence m g_m = sum_{k=1..m} k f_k g_{m-k}, g_0 = 1."""
-    if f.coeffs[0] != 0:
+    by the recurrence m g_m = sum_{k=1..m} k f_k g_{m-k}, g_0 = 1.
+
+    With f_k = F_k / D the step is g_m = sum_k (k F_k) g_(m-k) / (m D) (_solve).
+    """
+    fs = f.num
+    if fs[0]:
         raise ValueError("series_exp needs a zero constant term")
-    df = [k * c for k, c in enumerate(f.coeffs)]  # k f_k, the coefficients of t f'
-    out = [Fraction(1)]
-    for m in range(1, f.order + 1):
-        out.append(sum(map(operator.mul, df[1:m + 1], out[m - 1::-1])) / m)
-    return Series(tuple(out))
+    d = f.den
+    return _solve(Fraction(1), [k * c for k, c in enumerate(fs)], lambda m: m * d)
 
 
 def binomial_series(alpha, beta, order: int) -> Series:
@@ -227,12 +308,21 @@ def binomial_series(alpha, beta, order: int) -> Series:
 
     The EGF values are (beta | alpha)_n, so the series is exact for every
     rational alpha including alpha == 0, where it degenerates to exp(beta t).
+    With E the lcm of the two denominators and A, B the parameters times E,
+    (beta | alpha)_n = P_n / E^n for P_n = prod_{j<n} (B - j A), and
+    coefficient n is P_n E^(N-n) (N! / n!) over E^N N!.
     """
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    values = []
-    acc = Fraction(1)
+    alpha, beta = _q(alpha), _q(beta)
+    e = math.lcm(alpha.denominator, beta.denominator)
+    a = alpha.numerator * (e // alpha.denominator)
+    b = beta.numerator * (e // beta.denominator)
+    num, acc = [], 1
     for n in range(order + 1):
-        values.append(acc)
-        acc *= beta - n * alpha
-    return Series.from_egf(values)
+        num.append(acc)
+        acc *= b - n * a
+    scale = 1  # E^(N-n) N! / n!
+    for n in range(order, 0, -1):
+        num[n] *= scale
+        scale *= e * n
+    num[0] *= scale
+    return _series(num, scale)

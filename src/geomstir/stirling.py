@@ -51,6 +51,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from typing import Callable, Iterator
 
 from .series import TABLE_CACHE_SIZE, _IntKeyed
@@ -72,9 +73,9 @@ class StirlingParams(_IntKeyed):
         return StirlingParams(self.beta, self.alpha, -self.gamma)
 
 
-def _scaled_params(params: StirlingParams) -> tuple[int, int, int, int]:
-    """(d, A, B, G): d the lcm of the parameter denominators and A, B, G
-    the parameters times d, all integers."""
+def _scaled_params(params) -> tuple[int, int, int, int]:
+    """(d, A, B, G): d the lcm of the denominators of a record's alpha, beta
+    and gamma, and A, B, G those parameters times d, all integers."""
     a, b, g = params.alpha, params.beta, params.gamma
     d = math.lcm(a.denominator, b.denominator, g.denominator)
     return (d, a.numerator * (d // a.denominator), b.numerator * (d // b.denominator),
@@ -139,9 +140,10 @@ def weighted_row(params: StirlingParams, n: int, ratio: Ratio) -> tuple[list[int
     return _weigh(stirling_int_row(params, n)[1], d, b, ratio), d ** n
 
 
-def _value_sweep(params: StirlingParams, x: Fraction | int, order: int,
+def _value_sweep(params: StirlingParams, x: Fraction | int, order: int | None,
                  ratio: Ratio) -> Iterator[tuple[list[int], int]]:
-    """(R_n, (d v)^n) for n = 0..order, R_n(k) = T(n, k) w_k u^k v^(n-k).
+    """(R_n, (d v)^n) for n = 0..order, R_n(k) = T(n, k) w_k u^k v^(n-k);
+    order None sweeps without end.
 
     With x = u/v in lowest terms, sum(R_n) / (d v)^n is weighted_row(params,
     n, ratio)'s polynomial at x, and at x = 1 the pair is weighted_row itself.
@@ -150,13 +152,14 @@ def _value_sweep(params: StirlingParams, x: Fraction | int, order: int,
     """
     d, a, b, g = _scaled_params(params)
     u, v = x.numerator, x.denominator
-    ru = [0] + [ratio(k, d, b) * u for k in range(1, order + 1)]  # r(k) u
+    ru = [0]  # r(k) u, one more k per row
     bv, dv = b * v, d * v
     row, den = [1], 1  # R_0 and (d v)^0
-    for n in range(order + 1):
+    for n in count() if order is None else range(order + 1):
         yield row, den
         if n == order:
             return
+        ru.append(ratio(n + 1, d, b) * u)
         cv = (g - n * a) * v  # (k*B - n*A + G) v at k = 0
         new = [cv * row[0]]
         for k in range(1, n + 1):

@@ -83,6 +83,33 @@ def _sum(a: tuple, da: int, b: tuple, db: int) -> "XPolynomial":
     return _make(num, den)
 
 
+def _product(a, b) -> list:
+    """The integer coefficients of the product of two nonempty coefficient lists."""
+    if len(b) > len(a):
+        a, b = b, a
+    if len(b) == 1:
+        s = b[0]
+        return [c * s for c in a]
+    num = [0] * (len(a) + len(b) - 1)
+    for j, s in enumerate(b):
+        if s:
+            for i, c in enumerate(a, j):
+                num[i] += c * s
+    return num
+
+
+def _compose(a: tuple, da: int, q: tuple, dq: int) -> "XPolynomial":
+    """(a / da)(q / dq) by integer Horner over (da dq^deg)."""
+    if not a:
+        return _ZERO
+    h, epow = [a[-1]], 1  # epow = dq^(deg - i)
+    for c in reversed(a[:-1]):
+        epow *= dq
+        h = _product(h, q) if q else [0]
+        h[0] += c * epow
+    return _make(h, da * epow)
+
+
 class XPolynomial:
     __slots__ = ("num", "den")
 
@@ -107,10 +134,6 @@ class XPolynomial:
     @classmethod
     def zero(cls) -> "XPolynomial":
         return _ZERO
-
-    @classmethod
-    def one(cls) -> "XPolynomial":
-        return _make([1], 1)
 
     @classmethod
     def x(cls) -> "XPolynomial":
@@ -163,18 +186,7 @@ class XPolynomial:
         a, b = self.num, parts[0]
         if not a or not b:
             return _ZERO
-        if len(b) > len(a):
-            a, b = b, a
-        if len(b) == 1:
-            s = b[0]
-            num = [c * s for c in a]
-        else:
-            num = [0] * (len(a) + len(b) - 1)
-            for j, s in enumerate(b):
-                if s:
-                    for i, c in enumerate(a, j):
-                        num[i] += c * s
-        return _make(num, self.den * parts[1])
+        return _make(_product(a, b), self.den * parts[1])
 
     __rmul__ = __mul__
 
@@ -188,10 +200,14 @@ class XPolynomial:
         """Horner evaluation; value may be an int, Fraction, float or XPolynomial.
 
         At an int or Fraction u/v the sum c_i u^i v^(d-i) runs over ints and
-        one Fraction is built at the end; other arguments take the generic
-        Horner path over the rational coefficients.
+        one Fraction is built at the end.  At a polynomial Q / e the integer
+        Horner H <- H Q + c_i e^(d-i) gives the composition H / (den e^d)
+        with one reduction.  A float takes the generic Horner path over the
+        rational coefficients.
         """
         num = self.num
+        if isinstance(value, XPolynomial):
+            return _compose(num, self.den, value.num, value.den)
         if not isinstance(value, (int, Fraction)):
             result = value * 0
             for c in reversed(self.coeffs):

@@ -15,7 +15,7 @@ import pytest
 
 from geomstir import cli
 from geomstir.asymptotics import MAX_LAMBDA_BITS, MAX_LAMBDAS
-from geomstir.cli import MAX_N, MAX_S, main, parse_n_range, parse_rational
+from geomstir.cli import MAX_N, MAX_N_BITS, MAX_S, main, parse_n_range, parse_rational
 from geomstir.harness import MAX_GRID_INDEX
 from geomstir.oracle import MAX_ORACLE_LAM, MAX_ORACLE_N
 
@@ -315,6 +315,52 @@ def test_asymptotic_caps_the_lambdas(capsys, monkeypatch):
                     "--lambdas", "1" + "0" * 1000)
 
 
+# a 1001-digit numerator: n times its 3322 bits is far past MAX_N_BITS
+HUGE_X = "1" + "0" * 1000 + "/3"
+
+
+def test_rational_sizes_are_capped_before_any_work(capsys, monkeypatch):
+    from geomstir import asymptotics, cli, stirling
+
+    def no_work(*args):
+        raise AssertionError("computed past a cap")
+
+    for module in (cli, stirling, asymptotics):
+        for name in ("_value_sweep", "a_values", "w_row", "stirling_int_row"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_work)
+    assert_rejected(capsys, "compute", "A", "--lambda", "2", "--alpha", "1/2",
+                    "--beta", "3", "--gamma=-1", "--x", HUGE_X, "--n", "0..400")
+    assert_rejected(capsys, "asymptotic", "--alpha", "1", "--beta", "1", "--gamma", "1",
+                    "--x", HUGE_X, "--n", "400", "--s", "0", "--lambdas", "400")
+    # a denominator counts as much as a numerator, and every rational flag counts
+    assert_rejected(capsys, "compute", "stirling", "--alpha", "0", "--beta",
+                    "1000000000000", "--gamma", "0", "--n", "400", "--k", "1")
+    assert_rejected(capsys, "compute", "euler", "--lambda", "1", "--alpha", "1",
+                    "--beta", "1", "--gamma", "1/" + "9" * 40, "--n", "0..400")
+    code, _, err = run(capsys, "compute", "A", "--lambda", "2", "--alpha", "1/2",
+                       "--beta", "3", "--gamma=-1", "--x", HUGE_X, "--n", "0..400")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta", "--gamma", "--x"])
+def test_rational_sizes_at_the_cap_are_computed(capsys, flag):
+    # 255/254 has 8 bits: n = 256 is exactly at the cap, n = 257 one step past
+    assert MAX_N_BITS == 256 * 8
+    at_cap = {"--alpha": "1/2", "--beta": "3", "--gamma": "-1", "--x": "5/3",
+              flag: "255/254"}
+    argv = ["compute", "A", "--lambda", "2",
+            *(f"{k}={v}" for k, v in at_cap.items())]
+    code, out, err = run(capsys, *argv, "--n", "0..256")
+    assert code == 0 and err == "" and len(out.splitlines()) == 258
+    assert_rejected(capsys, *argv, "--n", "0..257")
+    asy = ["asymptotic", *(f"{k}={v}" for k, v in at_cap.items()),
+           "--s", "0", "--lambdas", "300"]
+    code, out, err = run(capsys, *asy, "--n", "256")
+    assert code == 0 and err == "" and len(out.splitlines()) == 2
+    assert_rejected(capsys, *asy, "--n", "257")
+
+
 def test_verify_caps_the_grid_index(tmp_path, capsys):
     # n_max + max(shift_ms) + 1 is the largest index the harness reads
     for text in (f'{{"n_max": {MAX_GRID_INDEX - 2}}}',
@@ -565,11 +611,12 @@ def test_asymptotic_checks_s_and_lambdas_up_front(capsys, s_arg, lambdas, messag
 
 BIG_X = "1" + "0" * 600          # x^8 is past 4300 digits
 BIG_LAMBDA = "1" + "0" * 100     # lambda^50 is past 4300 digits
+HUGE_LAMBDA = "1" + "0" * 2200   # lambda^2 is past 4300 digits
 
 
 @pytest.mark.parametrize("argv", [
-    ("compute", "stirling", "--alpha", "0", "--beta", "1000000000000",
-     "--gamma", "0", "--n", "400", "--k", "1"),
+    ("compute", "A", "--lambda", HUGE_LAMBDA, "--alpha", "0", "--beta", "1",
+     "--gamma", "0", "--x", "1", "--n", "2"),
     ("oracle", "--n", "8", "--lambda", "1", "--alpha", "0", "--beta", "1",
      "--gamma", "0", "--x", BIG_X),
     (*ASYMPTOTIC, "--n", "50", "--s", "1", "--lambdas", BIG_LAMBDA),
@@ -582,7 +629,8 @@ def test_values_past_the_digit_limit_print_in_full(capsys, argv):
     assert code == 0 and err == ""
     assert sys.get_int_max_str_digits() == limit
     if argv[0] == "compute":
-        assert out.splitlines()[1] == "400,1,1" + "0" * 4788  # S(400, 1) = beta^399
+        # A_2 = lambda (lambda + 2) at alpha = gamma = 0, beta = x = 1
+        assert out.splitlines()[1] == "2,1" + "0" * 2199 + "2" + "0" * 2200
     elif argv[0] == "oracle":
         assert out.endswith(" MATCH\n")
     else:

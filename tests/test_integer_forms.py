@@ -7,16 +7,19 @@ return exactly equal values of the same types.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geomstir import harness
-from geomstir.euler import EulerParams, euler_explicit
+from geomstir.euler import (EulerParams, _euler_column, _euler_sum, _euler_values,
+                            euler_explicit)
 from geomstir.exppoly import ExpPolyParams, s_exp_eval
-from geomstir.geom import PolyParams, a_eval, a_explicit, lam_binom
-from geomstir.series import Series, gff, rising, series_mul
+from geomstir.geom import PolyParams, a_eval, a_explicit, a_recurrence, lam_binom
+from geomstir.series import (Series, binomial_series, gff, rising, series_exp,
+                             series_geom_inverse, series_mul)
 from geomstir.stirling import (StirlingParams, param_swap_rhs, stirling_explicit,
                                stirling_rec, stirling_row)
 from geomstir.xpoly import XPolynomial
@@ -26,6 +29,9 @@ Q = Fraction
 # denominators up to 4, so the triangles' lcm d is often 2, 3, 4, 6 or 12
 small_q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 nonzero_q = small_q.filter(bool)
+# zero as often as any other draw: alpha = 0, beta = 0 and zero coefficients
+# are the degenerate cases of the integer forms
+zero_or_q = st.one_of(st.just(Fraction(0)), small_q)
 
 
 def same(got, want):
@@ -175,6 +181,80 @@ def ref_eq7(pt):
     return {"main": (a_explicit(p, n), rhs)}
 
 
+def ref_binomial_series(alpha, beta, order):
+    alpha = Fraction(alpha)
+    beta = Fraction(beta)
+    values = []
+    acc = Fraction(1)
+    for n in range(order + 1):
+        values.append(acc)
+        acc *= beta - n * alpha
+    return ref_from_egf(values)
+
+
+def ref_from_egf(values):
+    return tuple(Fraction(v) / math.factorial(n) for n, v in enumerate(values))
+
+
+def ref_scale(coeffs, c):
+    return tuple(a * c for a in coeffs)
+
+
+def ref_add_const(coeffs, c):
+    return (coeffs[0] + c,) + coeffs[1:]
+
+
+def ref_geom_inverse(fc):
+    if fc[0] == 0:
+        raise ValueError("constant term must be nonzero to invert")
+    inv0 = 1 / Fraction(fc[0])
+    out = [inv0]
+    for m in range(1, len(fc)):
+        out.append(-inv0 * sum(map(operator.mul, fc[1:m + 1], out[m - 1::-1])))
+    return tuple(out)
+
+
+def ref_series_exp(fc):
+    if fc[0] != 0:
+        raise ValueError("series_exp needs a zero constant term")
+    df = [k * c for k, c in enumerate(fc)]
+    out = [Fraction(1)]
+    for m in range(1, len(fc)):
+        out.append(sum(map(operator.mul, df[1:m + 1], out[m - 1::-1])) / m)
+    return tuple(out)
+
+
+def ref_a_recurrence(params, n):
+    lam, a, b, g = params.lam, params.alpha, params.beta, params.gamma
+    lifts = bool(lam and b)
+    row = [XPolynomial([1])] * (n + 1 if lifts else 1)
+    for j in range(n - 1, -1, -1):
+        shift = g + j * a
+        new = []
+        for i in range(j + 1 if lifts else 1):
+            out = (shift + i * b) * row[i]
+            if lifts:
+                out = out + ((lam + i) * b * row[i + 1]).times_x()
+            new.append(out)
+        row = new
+    return row[0]
+
+
+def ref_compose(poly, value):
+    """The generic Horner path over the rational coefficients."""
+    result = value * 0
+    for c in reversed(poly.coeffs):
+        result = result * value + c
+    return result
+
+
+def canonical(s):
+    """A Series in canonical form: den > 0 and gcd(num..., den) == 1."""
+    assert isinstance(s.num, tuple) and all(type(c) is int for c in s.num)
+    assert type(s.den) is int and s.den > 0 and math.gcd(s.den, *s.num) == 1
+    return s
+
+
 def ref_cauchy(f, g):
     n = f.order
     out = []
@@ -276,3 +356,113 @@ def test_series_mul_generic_coefficients():
     prod = series_mul(mixed, other)
     same(prod.coeffs, ref_cauchy(mixed, other).coeffs)
     assert prod.coeffs == (Q(2, 3), Q(7, 3), Q(11, 4))
+
+
+# ------------------------------------------- Series on integer numerators
+
+coeff_lists = st.integers(0, 6).flatmap(
+    lambda n: st.lists(zero_or_q, min_size=n + 1, max_size=n + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_or_q, zero_or_q, st.integers(0, 8))
+@example(Fraction(0), Fraction(0), 0)
+@example(Fraction(0), Fraction(3, 2), 5)
+@example(Fraction(-1, 2), Fraction(0), 4)
+def test_binomial_series_integer_form(a, b, order):
+    same(canonical(binomial_series(a, b, order)).coeffs, ref_binomial_series(a, b, order))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, zero_or_q)
+@example([Fraction(0)], Fraction(0))
+@example([Fraction(5, 3)], Fraction(-1, 2))
+def test_from_egf_scale_and_add_const_integer_forms(values, c):
+    s = canonical(Series.from_egf(values))
+    same(s.coeffs, ref_from_egf(values))
+    same(s.egf_values(), [Fraction(v) for v in values])
+    same(canonical(s.scale(c)).coeffs, ref_scale(s.coeffs, c))
+    same(canonical(s.add_const(c)).coeffs, ref_add_const(s.coeffs, c))
+    same(canonical(Series(values)).coeffs, tuple(values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists)
+@example([Fraction(0)])
+@example([Fraction(-2, 3)])
+@example([Fraction(0), Fraction(1)])
+def test_geom_inverse_integer_form(coeffs):
+    f = Series(coeffs)
+    if coeffs[0] == 0:
+        for form in (series_geom_inverse, lambda s: ref_geom_inverse(s.coeffs)):
+            with pytest.raises(ValueError):
+                form(f)
+    else:
+        same(canonical(series_geom_inverse(f)).coeffs, ref_geom_inverse(f.coeffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists)
+@example([Fraction(0)])
+@example([Fraction(1)])
+@example([Fraction(0), Fraction(0), Fraction(-3, 4)])
+def test_series_exp_integer_form(coeffs):
+    f = Series(coeffs)
+    if coeffs[0] != 0:
+        for form in (series_exp, lambda s: ref_series_exp(s.coeffs)):
+            with pytest.raises(ValueError):
+                form(f)
+    else:
+        same(canonical(series_exp(f)).coeffs, ref_series_exp(f.coeffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), zero_or_q, zero_or_q, zero_or_q, st.integers(0, 7))
+@example(0, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), 5)
+@example(2, Fraction(0), Fraction(0), Fraction(-1, 4), 4)
+@example(1, Fraction(3, 4), Fraction(-2), Fraction(0), 0)
+def test_a_recurrence_integer_form(lam, a, b, g, n):
+    p = PolyParams(lam, a, b, g)
+    same(a_recurrence(p, n), ref_a_recurrence(p, n))
+
+
+polys = st.lists(zero_or_q, max_size=6).map(XPolynomial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys)
+@example(XPolynomial([]), XPolynomial([1, 2]))
+@example(XPolynomial([Fraction(1, 2), 3]), XPolynomial([]))
+@example(XPolynomial([Fraction(-2, 3)]), XPolynomial([Fraction(1, 4), 1]))
+def test_composition_integer_form(p, q):
+    same(p(q), ref_compose(p, q))
+
+
+# --------------------------------------------------- the Euler column
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_or_q, zero_or_q, zero_or_q, st.integers(0, 3),
+       st.lists(st.integers(0, 14), min_size=1, max_size=4))
+def test_euler_column_matches_euler_sum(a, b, g, lam, reads):
+    # reads in any order extend the one column and never change a value
+    sp = StirlingParams(a, b, g)
+    for n in reads:
+        col = _euler_values(sp, lam, n)
+        assert len(col) > n
+        same(col[n], _euler_sum(sp, lam, n))
+    assert _euler_values(sp, lam, 0) is col
+
+
+@pytest.mark.parametrize("triple, lam", [
+    ((Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)), 2),
+    ((Fraction(0), Fraction(1), Fraction(0)), 1),
+    ((Fraction(-2), Fraction(0), Fraction(1, 3)), 3),
+    ((Fraction(1), Fraction(1), Fraction(1)), 0),
+])
+def test_euler_column_matches_euler_sum_to_the_grid_cap(triple, lam):
+    sp = StirlingParams(*triple)
+    top = harness.MAX_GRID_INDEX
+    _euler_column.cache_clear()
+    col = _euler_values(sp, lam, top)
+    same(col, [_euler_sum(sp, lam, n) for n in range(top + 1)])

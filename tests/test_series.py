@@ -295,11 +295,14 @@ def test_gamma_polynomials_deep_match_a_route():
 
 
 def test_series_memos_stay_within_their_bound():
+    from geomstir.euler import _euler_column
     from geomstir.stirling import _table
 
     # every memo of the package, with one cheap build per distinct key
     memos = {
         _table: (TABLE_CACHE_SIZE, lambda i: _table(StirlingParams(0, 1, i))),
+        _euler_column: (TABLE_CACHE_SIZE,
+                        lambda i: _euler_column(StirlingParams(0, 1, i), 1)),
         a_explicit: (POLY_CACHE_SIZE, lambda i: a_explicit(PolyParams(0, 0, 1, i), 0)),
         s_exp_explicit: (POLY_CACHE_SIZE,
                          lambda i: s_exp_explicit(ExpPolyParams(0, 1, i), 0)),

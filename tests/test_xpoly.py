@@ -25,7 +25,7 @@ def test_degree_and_coefficient():
 
 
 def test_constructors():
-    assert XPolynomial.one() == XPolynomial([1])
+    assert XPolynomial([1]) == 1
     assert XPolynomial.x() == XPolynomial([0, 1])
     assert XPolynomial((Fraction(2, 3),)).coeffs[0] == Fraction(2, 3)
     assert len(XPolynomial.zero().coeffs) - 1 == -1
