@@ -338,8 +338,8 @@ def test_rational_sizes_are_capped_before_any_work(capsys, monkeypatch):
                     "1000000000000", "--gamma", "0", "--n", "400", "--k", "1")
     assert_rejected(capsys, "compute", "euler", "--lambda", "1", "--alpha", "1",
                     "--beta", "1", "--gamma", "1/" + "9" * 40, "--n", "0..400")
-    code, _, err = run(capsys, "compute", "A", "--lambda", "2", "--alpha", "1/2",
-                       "--beta", "3", "--gamma=-1", "--x", HUGE_X, "--n", "0..400")
+    _, _, err = run(capsys, "compute", "A", "--lambda", "2", "--alpha", "1/2",
+                    "--beta", "3", "--gamma=-1", "--x", HUGE_X, "--n", "0..400")
     assert err.count("\n") == 1
 
 
