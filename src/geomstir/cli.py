@@ -30,7 +30,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .asymptotics import error_decay_report, format_sig
+from .asymptotics import MAX_LAMBDA_BITS, error_decay_report, format_sig
 from .euler import EulerParams, _gamma_polynomial_rows, euler_values
 from .exppoly import ExpPolyParams, _s_ratio, s_exp_values
 from .geom import PolyParams, _a_ratio, _stirling_a, a_eval, a_values
@@ -249,6 +249,12 @@ def _compute_rows(args):
         raise ValueError(f"--n goes up to {ns[-1]}, past the cap of {MAX_N}")
     _check_flags(args)
     _check_size(ns[-1], args)
+    # the weights (k + lambda - 1) B grow a sweep's integers with n times the
+    # bits of lambda: the rule asymptotic keeps for each of its lambdas
+    if args.lam is not None and ns[-1] * args.lam.bit_length() > MAX_LAMBDA_BITS:
+        raise ValueError(f"--n {ns[-1]} times the bit length of --lambda is "
+                         f"{ns[-1] * args.lam.bit_length()}, past the cap of "
+                         f"{MAX_LAMBDA_BITS}")
 
     if fam in ("stirling", "stirling-dual"):
         sp = StirlingParams(args.alpha, args.beta, args.gamma)

@@ -5,7 +5,8 @@ statement being tested), a point generator, a domain predicate (the points
 the identity is stated for; both the grid and the counterexample shrinker
 stay inside it), and an evaluator that returns both sides of the identity
 for every reading of it.  A reading passes at a point when its two sides
-are exactly equal.  Evaluators write each display's own weights rather
+are exactly equal; an evaluator that raises at a point fails the point's
+EVALUATES reading instead (see run_suite).  Evaluators write each display's own weights rather
 than reuse a_explicit's, so the two sides do not share the code they check.
 
 Kinds:
@@ -26,7 +27,9 @@ import re
 import reprlib
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 from typing import Callable
 
 from .euler import (
@@ -49,7 +52,7 @@ from .geom import (
     lam_binom,
 )
 from .oracle import MAX_ORACLE_N, BPAConfig, count_bpa
-from .series import Series, gff, rising
+from .series import TABLE_CACHE_SIZE, Series, rising
 from .stirling import (
     StirlingParams,
     _scaled_params,
@@ -318,6 +321,163 @@ def _binomial_sum(n: int, term: Callable, zero=XPolynomial.zero()):
     return sum((math.comb(n, k) * term(k) for k in range(n + 1)), zero)
 
 
+# Per-row set-up.  Each identity is read at n = 0..n_max on every parameter
+# row, and all it builds besides the values it reads at n (the records it
+# reads them at, Stirling rows, weights and scales) depends on the row alone.
+# The memos below build that once per row, keyed by the row's record (and m,
+# or the removal sign), so a point makes only its n-dependent reads.  None
+# raises at a point of its identities' domain.  Each returns a namespace
+# whose fields are named, with what they hold, where it builds them.
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _lifts(p: PolyParams) -> SimpleNamespace:
+    """The records the A-family identities read beside their row p: each A
+    record as the change it makes to p = (lam, a, b, g), and the triangles
+    eq7 and eq38 read."""
+    lam, a, b, g = p.lam, p.alpha, p.beta, p.gamma
+    return SimpleNamespace(
+        up=PolyParams(lam, a, b, g + a),                  # thm2, thm4, thm6
+        raised=PolyParams(lam + 1, a, b, g + b + a),      # thm6
+        one_raised=PolyParams(1, a, b, g + b + a),        # thm4
+        zero_gamma=PolyParams(lam, a, b, 0),              # thm2, thm4, eq6
+        zero_lam=PolyParams(0, a, b, g),                  # thm2 statement
+        zero_beta=PolyParams(lam, a, 0, g),               # thm2 proof
+        lifted=PolyParams(lam + 1, a, b, g),              # eq31, eq32
+        lifted_up=PolyParams(lam + 1, a, b, g + b),       # eq31
+        down=PolyParams(lam, a, b, g - a),                # eq32
+        widened=PolyParams(lam, a, b, g + b * lam),       # eq37
+        neg_beta=PolyParams(lam, a, -b, g),               # eq37 pair
+        neg_gamma=PolyParams(lam, a, b, -g),              # eq37 third, printed
+        neg_alpha_gamma=PolyParams(lam, -a, b, -g),       # eq37 third, reflected
+        eq7_tri=StirlingParams(a, -b, 0),
+        eq38_tri=StirlingParams(a, b, b * lam - g),
+    )
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _eq6_column(p: PolyParams, removal_sign: int) -> list[Fraction]:
+    """The weights (-1)^k (g | -removal_sign a)_k of eq6 at the row p for
+    k = 0, 1, ... built so far, which _eq6_weights extends."""
+    return [Fraction(1)]
+
+
+def _eq6_weights(p: PolyParams, removal_sign: int, n: int) -> list[Fraction]:
+    """The memoised eq6 weights, extended to hold index n."""
+    weights = _eq6_column(p, removal_sign)
+    step = -removal_sign * p.alpha
+    while len(weights) <= n:
+        # (g | s)_k = (g | s)_(k-1) (g - (k-1) s), and the sign flips
+        weights.append(weights[-1] * ((len(weights) - 1) * step - p.gamma))
+    return weights
+
+
+_SHIFT_MARKERS = (Fraction(1), Fraction(2), Fraction(-3, 2))
+_SHIFT_ARGS = tuple(-x0 - 1 for x0 in _SHIFT_MARKERS)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _shift_setup(p: PolyParams, m: int) -> SimpleNamespace:
+    """The n-free parts of shift-raise and shift-inverse at the row
+    p = (lam, a, b, g) and m."""
+    lam, a, b, g = p.lam, p.alpha, p.beta, p.gamma
+    dual = StirlingParams(a, -b, -g + m * a - lam * b).dual()
+    rise = rising(Fraction(lam), m)
+    return SimpleNamespace(
+        # shift-raise: (weight, record) of the x^k term, k = 0..m
+        raise_terms=tuple(
+            (s * lam_binom(lam, k) * math.factorial(k) * (-b) ** k,
+             PolyParams(lam + k, a, b, g + m * a + k * b))
+            for k, s in enumerate(stirling_row(_stirling_a(p), m))),
+        # shift-inverse: its left side's record, the signed dual row
+        # (-1)^k s(m, k), each reading's record per k and the scale per marker
+        inverse_lhs=PolyParams(lam + m, a, -b, g),
+        signed=tuple(c if k % 2 == 0 else -c
+                     for k, c in enumerate(stirling_row(dual, m))),
+        printed=(PolyParams(lam, a, b, g - m * a + lam * b),) * (m + 1),
+        rowwise=tuple(PolyParams(lam, a, b, g - k * a + lam * b) for k in range(m + 1)),
+        scales=tuple((-1) ** m / (rise * (b * x0) ** m) for x0 in _SHIFT_MARKERS),
+    )
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _euler_rec_setup(p: PolyParams, m: int) -> SimpleNamespace:
+    """The n-free parts of euler-rec at the row p = (lam, a, b, g) and m:
+    the triangles E_n is read from, rec3's row and factor, and the
+    lowering's scale and coefficients per step."""
+    lam, a, b, g = p.lam, p.alpha, p.beta, p.gamma
+    tri = StirlingParams(a, -b, m * a - lam * b - g)
+    return SimpleNamespace(
+        here=StirlingParams(a, b, g),
+        up=StirlingParams(a, b, g + b),
+        down=StirlingParams(a, b, g - a),
+        up_down=StirlingParams(a, b, g + b - a),
+        negated=StirlingParams(a, b, -g),  # read at order lam + m
+        tri=tri,
+        tri_row=stirling_row(tri, m),
+        factor=Fraction(2) ** m / (rising(Fraction(lam), m) * b ** m),
+        lowered=tuple(StirlingParams(a, b, -g - m * b + j * a) for j in range(m + 1)),
+        # (scale, coefficient per j) of lowering step d, for d = m-1 .. 0
+        steps=tuple((2 / ((lam + m - d - 1) * b),
+                     tuple(-g - d * b + j * a + a - b for j in range(d + 1)))
+                    for d in range(m - 1, -1, -1)),
+    )
+
+
+def _pair_params(pt: Point) -> tuple[PolyParams, PolyParams]:
+    """A pair row's two halves (l1, a, b, g1) and (l2, a, b, g2), the key of
+    its set-up."""
+    a, b = pt["alpha"], pt["beta"]
+    return (PolyParams(pt["lam1"], a, b, pt["gamma1"]),
+            PolyParams(pt["lam2"], a, b, pt["gamma2"]))
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _pair_setup(one: PolyParams, two: PolyParams) -> SimpleNamespace:
+    """The n-free parts of teo1, teo2 and euler-conv at a pair row
+    (l1, g1, l2, g2, a, b), l = l1 + l2: the A records, and the
+    (triangle, order) of each Euler column."""
+    l1, l2, a, b = one.lam, two.lam, one.alpha, one.beta
+    g1, g2, lam = one.gamma, two.gamma, one.lam + two.lam
+    gsum = g1 + g2
+    return SimpleNamespace(
+        first=PolyParams(l1, a, b, a + b + g1),
+        second=two,
+        second_up=PolyParams(l2 + 1, a, b, g2),
+        joined=PolyParams(lam, a, b, a + b + gsum),     # teo2
+        summed=PolyParams(lam, a, b, gsum),             # teo1
+        summed_up=PolyParams(lam, a, b, gsum + a),      # teo1
+        b_lam=b * lam,
+        gsum=gsum,
+        conv_first=(StirlingParams(a, b, a + g1 - b), l1),
+        conv_second=(StirlingParams(a, b, g2), l2),
+        shifted_first=(StirlingParams(a, b, b + g1 - a), l1),
+        shifted_second=(StirlingParams(a, b, g2), l2 + 1),
+        total_down=(StirlingParams(a, b, gsum - a), lam),
+        total=(StirlingParams(a, b, gsum), lam),
+        conv2=(StirlingParams(a, b, a + gsum - b), lam),
+        alt_first=(StirlingParams(-a, b, a + b - g1), l1),
+        alt_second_l2=(StirlingParams(a, b, g2 + b * l2), l2),
+        alt_second_l1=(StirlingParams(a, b, g2 + b * l1), l2),
+        alt_total=(StirlingParams(-a, b, a + b - gsum), lam),
+    )
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _spivey_setup(p: ExpPolyParams, m: int) -> SimpleNamespace:
+    """The n-free parts of spivey at an (alpha, beta, r) row and m: the
+    triangle, its lcm d and scaled ad = alpha d, bd = beta d, the inner row
+    T(m, j) d^j, and falls[j][L] = G(j, L) for the L read so far, which
+    _ev_spivey extends."""
+    sp = p.stirling()
+    d, ad, bd, _ = _scaled_params(sp)
+    return SimpleNamespace(
+        sp=sp, d=d, ad=ad, bd=bd,
+        inner=tuple(t * d ** j for j, t in enumerate(stirling_int_row(sp, m)[1])),
+        falls=[[1] for _ in range(m + 1)],
+    )
+
+
 def _ev_routes_a(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
     e = a_explicit(p, n)
@@ -375,46 +535,43 @@ def _ev_oracle(pt: Point) -> dict:
 
 def _ev_thm6(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
-    rhs = p.gamma * a_explicit(replace(p, gamma=p.gamma + p.alpha), n)
-    rhs = rhs + (p.lam * p.beta * a_explicit(
-        replace(p, lam=p.lam + 1, gamma=p.gamma + p.beta + p.alpha), n
-    )).times_x()
+    r = _lifts(p)
+    rhs = p.gamma * a_explicit(r.up, n)
+    rhs = rhs + (p.lam * p.beta * a_explicit(r.raised, n)).times_x()
     return {"main": (a_explicit(p, n + 1), rhs)}
 
 
 def _ev_thm2(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
+    r = _lifts(p)
     lhs = a_explicit(p, n + 1)
-    head = p.gamma * a_explicit(replace(p, gamma=p.gamma + p.alpha), n)
-    zero_gamma = replace(p, gamma=Fraction(0))
+    head = p.gamma * a_explicit(r.up, n)
 
     def tail(factor):
         return _binomial_sum(n, lambda k: a_explicit(factor, k)
-                             * a_explicit(zero_gamma, n - k + 1))
+                             * a_explicit(r.zero_gamma, n - k + 1))
 
     return {
-        "statement": (lhs, head + tail(replace(p, lam=0))),
-        "proof": (lhs, head + tail(replace(p, beta=Fraction(0)))),
+        "statement": (lhs, head + tail(r.zero_lam)),
+        "proof": (lhs, head + tail(r.zero_beta)),
     }
 
 
 def _ev_thm4(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
-    rhs = p.gamma * a_explicit(replace(p, gamma=p.gamma + p.alpha), n)
-    one_sec = replace(p, lam=1, gamma=p.gamma + p.beta + p.alpha)
-    zero_gamma = replace(p, gamma=Fraction(0))
-    conv = _binomial_sum(n, lambda k: a_explicit(one_sec, k)
-                         * a_explicit(zero_gamma, n - k))
+    r = _lifts(p)
+    rhs = p.gamma * a_explicit(r.up, n)
+    conv = _binomial_sum(n, lambda k: a_explicit(r.one_raised, k)
+                         * a_explicit(r.zero_gamma, n - k))
     rhs = rhs + (p.lam * p.beta * conv).times_x()
     return {"main": (a_explicit(p, n + 1), rhs)}
 
 
 def _eq6_sides(pt: Point, removal_sign: int):
     p, n = _params(pt), pt["n"]
-    lhs = a_explicit(replace(p, gamma=Fraction(0)), n)
-    return lhs, _binomial_sum(n, lambda k: (-1) ** k
-                              * gff(p.gamma, -removal_sign * p.alpha, k)
-                              * a_explicit(p, n - k))
+    lhs = a_explicit(_lifts(p).zero_gamma, n)
+    weights = _eq6_weights(p, removal_sign, n)
+    return lhs, _binomial_sum(n, lambda k: weights[k] * a_explicit(p, n - k))
 
 
 def _ev_eq6(pt: Point) -> dict:
@@ -434,7 +591,7 @@ def _ev_eq7(pt: Point) -> dict:
     # coefficient is c_lk B^k k! sum_(i>=k) T(i,k) u_i, where
     # u_i = (-1)^i C(n,i) F_(n-i) d^(n-i) e^i.
     p, n = _params(pt), pt["n"]
-    sp0 = StirlingParams(p.alpha, -p.beta, Fraction(0))
+    sp0 = _lifts(p).eq7_tri
     d, _, b, _ = _scaled_params(sp0)
     rows = [stirling_int_row(sp0, i)[1] for i in range(n + 1)]
     a, g = p.alpha, p.gamma
@@ -466,17 +623,17 @@ def _ev_eq8(pt: Point) -> dict:
 
 def _ev_eq31(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
-    lifted = replace(p, lam=p.lam + 1)
-    lhs = XPolynomial.x() * a_explicit(replace(lifted, gamma=p.gamma + p.beta), n)
-    rhs = XPolynomial((1, 1)) * a_explicit(lifted, n) - a_explicit(p, n)
+    r = _lifts(p)
+    lhs = XPolynomial.x() * a_explicit(r.lifted_up, n)
+    rhs = XPolynomial((1, 1)) * a_explicit(r.lifted, n) - a_explicit(p, n)
     return {"main": (lhs, rhs)}
 
 
 def _ev_eq32(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
-    lifted = replace(p, lam=p.lam + 1)
-    lhs = a_explicit(replace(p, gamma=p.gamma - p.alpha), n + 1) \
-        - p.lam * p.beta * XPolynomial((1, 1)) * a_explicit(lifted, n)
+    r = _lifts(p)
+    lhs = a_explicit(r.down, n + 1) \
+        - p.lam * p.beta * XPolynomial((1, 1)) * a_explicit(r.lifted, n)
     rhs = (p.gamma - p.alpha - p.lam * p.beta) * a_explicit(p, n)
     return {"main": (lhs, rhs)}
 
@@ -485,71 +642,60 @@ def _sub_neg(poly: XPolynomial) -> XPolynomial:
     return poly(XPolynomial((-1, -1)))
 
 
-def _eq37_third(p: PolyParams, n: int, alpha: Fraction) -> XPolynomial:
-    """(-1)^n A^{l,-x-1}_n(alpha, b, -g), eq37's third member (alpha = +-a)."""
-    return (-1) ** n * _sub_neg(a_explicit(replace(p, alpha=alpha, gamma=-p.gamma), n))
+def _eq37_third(record: PolyParams, n: int) -> XPolynomial:
+    """(-1)^n A^{l,-x-1}_n(+-a, b, -g), eq37's third member, at its record."""
+    return (-1) ** n * _sub_neg(a_explicit(record, n))
 
 
 def _ev_eq37(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
-    t1 = a_explicit(replace(p, gamma=p.gamma + p.beta * p.lam), n)
-    t2 = _sub_neg(a_explicit(replace(p, beta=-p.beta), n))
-    return {"pair": (t1, t2), "third-reflected": (t1, _eq37_third(p, n, -p.alpha))}
+    r = _lifts(p)
+    t1 = a_explicit(r.widened, n)
+    t2 = _sub_neg(a_explicit(r.neg_beta, n))
+    return {"pair": (t1, t2), "third-reflected": (t1, _eq37_third(r.neg_alpha_gamma, n))}
 
 
 def _ev_eq37_printed(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
-    t1 = a_explicit(replace(p, gamma=p.gamma + p.beta * p.lam), n)
-    return {"third-printed": (t1, _eq37_third(p, n, p.alpha)),
-            "third-reflected": (t1, _eq37_third(p, n, -p.alpha))}
+    r = _lifts(p)
+    t1 = a_explicit(r.widened, n)
+    return {"third-printed": (t1, _eq37_third(r.neg_gamma, n)),
+            "third-reflected": (t1, _eq37_third(r.neg_alpha_gamma, n))}
 
 
 def _ev_eq38(pt: Point) -> dict:
     # sum_k c_k (x+1)^k is the polynomial sum_k c_k x^k read at x+1 (Horner)
     p, n = _params(pt), pt["n"]
-    sp = StirlingParams(p.alpha, p.beta, p.beta * p.lam - p.gamma)
+    sp = _lifts(p).eq38_tri
     c = XPolynomial(lam_binom(p.lam, k) * (-p.beta) ** k * math.factorial(k) * s
                     for k, s in enumerate(stirling_row(sp, n)))
     return {"main": (a_explicit(p, n), (-1) ** n * c(XPolynomial((1, 1))))}
 
 
-def _pair_conv(pt: Point, second_lam: int) -> XPolynomial:
-    a, b, n = pt["alpha"], pt["beta"], pt["n"]
-    first = PolyParams(pt["lam1"], a, b, a + b + pt["gamma1"])
-    second = PolyParams(second_lam, a, b, pt["gamma2"])
+def _pair_conv(first: PolyParams, second: PolyParams, n: int) -> XPolynomial:
     return _binomial_sum(n, lambda k: a_explicit(first, k) * a_explicit(second, n - k))
 
 
 def _ev_teo2(pt: Point) -> dict:
-    a, b, n = pt["alpha"], pt["beta"], pt["n"]
-    lam = pt["lam1"] + pt["lam2"]
-    rhs = a_explicit(PolyParams(lam, a, b, a + b + pt["gamma1"] + pt["gamma2"]), n)
-    return {"main": (_pair_conv(pt, pt["lam2"]), rhs)}
+    s, n = _pair_setup(*_pair_params(pt)), pt["n"]
+    return {"main": (_pair_conv(s.first, s.second, n), a_explicit(s.joined, n))}
 
 
 def _ev_teo1(pt: Point) -> dict:
-    a, b, n = pt["alpha"], pt["beta"], pt["n"]
-    lam = pt["lam1"] + pt["lam2"]
-    gsum = pt["gamma1"] + pt["gamma2"]
-    rhs = a_explicit(PolyParams(lam, a, b, gsum), n + 1) \
-        - gsum * a_explicit(PolyParams(lam, a, b, gsum + a), n)
+    s, n = _pair_setup(*_pair_params(pt)), pt["n"]
+    rhs = a_explicit(s.summed, n + 1) - s.gsum * a_explicit(s.summed_up, n)
     return {
-        "printed": ((b * lam * _pair_conv(pt, pt["lam2"])).times_x(), rhs),
-        "shifted": ((b * lam * _pair_conv(pt, pt["lam2"] + 1)).times_x(), rhs),
+        "printed": ((s.b_lam * _pair_conv(s.first, s.second, n)).times_x(), rhs),
+        "shifted": ((s.b_lam * _pair_conv(s.first, s.second_up, n)).times_x(), rhs),
     }
 
 
 def _ev_shift_raise(pt: Point) -> dict:
     p, n, m = _params(pt), pt["n"], pt["m"]
     rhs = XPolynomial.zero()
-    for k, s in enumerate(stirling_row(_stirling_a(p), m)):
-        weight = s * lam_binom(p.lam, k) * math.factorial(k) * (-p.beta) ** k
-        lifted = replace(p, lam=p.lam + k, gamma=p.gamma + m * p.alpha + k * p.beta)
+    for k, (weight, lifted) in enumerate(_shift_setup(p, m).raise_terms):
         rhs = rhs + (weight * a_explicit(lifted, n)).times_x(k)
     return {"main": ((-1) ** m * a_explicit(p, n + m), rhs)}
-
-
-_SHIFT_MARKERS = (Fraction(1), Fraction(2), Fraction(-3, 2))
 
 
 def _ev_shift_inverse(pt: Point) -> dict:
@@ -558,22 +704,17 @@ def _ev_shift_inverse(pt: Point) -> dict:
     # gamma shift of A, m a (printed) or k a (rowwise).  Everything but the
     # A polynomials is shared, and each is built once for all markers.
     p, n, m = _params(pt), pt["n"], pt["m"]
-    lam, a, b, g = p.lam, p.alpha, p.beta, p.gamma
-    dual = StirlingParams(a, -b, -g + m * a - lam * b).dual()
-    signed = [c if k % 2 == 0 else -c for k, c in enumerate(stirling_row(dual, m))]
-    lifted = a_explicit(PolyParams(lam + m, a, -b, g), n)
-    lhs = tuple(lifted(-x0 - 1) for x0 in _SHIFT_MARKERS)
-    rise = rising(Fraction(lam), m)
-    scales = [(-1) ** m / (rise * (b * x0) ** m) for x0 in _SHIFT_MARKERS]
+    s = _shift_setup(p, m)
+    lifted = a_explicit(s.inverse_lhs, n)
+    lhs = tuple(lifted(arg) for arg in _SHIFT_ARGS)
 
-    def rhs(shift) -> tuple:
-        polys = [a_explicit(PolyParams(lam, a, b, g - shift(k) * a + lam * b), n + k)
-                 for k in range(m + 1)]
-        return tuple(scale * sum((c * poly(x0) for c, poly in zip(signed, polys)),
+    def rhs(records) -> tuple:
+        polys = [a_explicit(record, n + k) for k, record in enumerate(records)]
+        return tuple(scale * sum((c * poly(x0) for c, poly in zip(s.signed, polys)),
                                  Fraction(0))
-                     for x0, scale in zip(_SHIFT_MARKERS, scales))
+                     for x0, scale in zip(_SHIFT_MARKERS, s.scales))
 
-    return {"printed": (lhs, rhs(lambda k: m)), "rowwise": (lhs, rhs(lambda k: k))}
+    return {"printed": (lhs, rhs(s.printed)), "rowwise": (lhs, rhs(s.rowwise))}
 
 
 def _spivey_pts(grid: GridSpec):
@@ -601,24 +742,18 @@ def _ev_spivey(pt: Point) -> dict:
     p = ExpPolyParams(pt["alpha"], pt["beta"], pt["r"])
     x, n, m = pt["x"], pt["n"], pt["m"]
     u, v = x.numerator, x.denominator
-    sp = p.stirling()
-    d, ad, bd, _ = _scaled_params(sp)
+    s = _spivey_setup(p, m)
+    sp, d = s.sp, s.d
     outer = stirling_int_row(sp, n)[1]
-    inner = stirling_int_row(sp, m)[1]
-    # falls[j][L] = G(j, L)
-    falls = []
-    for j in range(m + 1):
-        run, top = [1], j * bd - m * ad
-        for _ in range(n):
-            run.append(run[-1] * top)
-            top -= ad
-        falls.append(run)
+    for j, run in enumerate(s.falls):
+        while len(run) <= n:
+            run.append(run[-1] * (j * s.bd - (m + len(run) - 1) * s.ad))
     powers = [u ** j * v ** (m - j) for j in range(m + 1)]
-    weights = [t * d ** j * w for j, (t, w) in enumerate(zip(inner, powers))]
+    weights = [t * w for t, w in zip(s.inner, powers)]
     printed = classical = 0
     for k, (row, _) in enumerate(_value_sweep(sp, x, n, _s_ratio)):
         head = math.comb(n, k) * sum(row) * v ** (n - k)
-        col = [run[n - k] for run in falls]
+        col = [run[n - k] for run in s.falls]
         printed += outer[k] * d ** k * head * sum(map(operator.mul, col, powers))
         classical += head * sum(map(operator.mul, col, weights))
     vden = v ** (n + m)
@@ -673,79 +808,67 @@ def _ev_routes_euler(pt: Point) -> dict:
     }
 
 
-def _ev_euler_rec(pt: Point) -> dict:
-    lam, a, b = pt["lam"], pt["alpha"], pt["beta"]
-    g, n, m = pt["gamma"], pt["n"], pt["m"]
+def _euler_at(sp: StirlingParams, lam: int, n: int) -> Fraction:
+    """E^(lam)_n at the triangle sp, read from its memoised column."""
+    return _euler_values(sp, lam, n)[n]
 
-    def ev(lam_, gamma_, n_, beta=b):
-        return _euler_values(StirlingParams(a, beta, gamma_), lam_, n_)[n_]
+
+def _ev_euler_rec(pt: Point) -> dict:
+    lam, b = pt["lam"], pt["beta"]
+    g, n, m = pt["gamma"], pt["n"], pt["m"]
+    s = _euler_rec_setup(_params(pt), m)
 
     out = {}
-    lhs1, here = ev(lam + 1, g, n), ev(lam, g, n)
-    out["rec1-printed"] = (lhs1, 2 * here - ev(lam, g + b, n))
-    out["rec1-lifted"] = (lhs1, 2 * here - ev(lam + 1, g + b, n))
+    lhs1, here = _euler_at(s.here, lam + 1, n), _euler_at(s.here, lam, n)
+    out["rec1-printed"] = (lhs1, 2 * here - _euler_at(s.up, lam, n))
+    out["rec1-lifted"] = (lhs1, 2 * here - _euler_at(s.up, lam + 1, n))
 
-    lhs2, lowered = ev(lam, g, n + 1), ev(lam, g - a, n)
+    lhs2, lowered = _euler_at(s.here, lam, n + 1), _euler_at(s.down, lam, n)
     out["rec2-printed"] = (lhs2, (g - lam * b) * lowered + lam * b * lowered
-                           - lam * b * HALF * ev(lam, g + b - a, n))
+                           - lam * b * HALF * _euler_at(s.up_down, lam, n))
     out["rec2-lifted"] = (lhs2, g * lowered
-                          - lam * b * HALF * ev(lam + 1, g + b - a, n))
+                          - lam * b * HALF * _euler_at(s.up_down, lam + 1, n))
     out["rec2-derived"] = (lhs2, (g - lam * b) * lowered
-                           + lam * b * HALF * ev(lam + 1, g - a, n))
+                           + lam * b * HALF * _euler_at(s.down, lam + 1, n))
 
-    shifted = m * a - lam * b - g
-    tri = StirlingParams(a, -b, shifted)
-    col = _euler_values(tri, lam, n + m)
-    acc = sum((s * col[n + k] for k, s in enumerate(stirling_row(tri, m))), Fraction(0))
-    lhs3 = ev(lam + m, -g, n)
-    out["rec3-printed"] = (
-        lhs3, Fraction(2) ** m / (rising(Fraction(lam), m) * b ** m) * acc
-    )
+    col = _euler_values(s.tri, lam, n + m)
+    acc = sum((t * col[n + k] for k, t in enumerate(s.tri_row)), Fraction(0))
+    lhs3 = _euler_at(s.negated, lam + m, n)
+    out["rec3-printed"] = (lhs3, s.factor * acc)
 
     # Lowering E^(lam+s)(theta, n) one order at a time:
     #   L_s(theta, n) = 2/((lam+s-1) b) ((theta+a-b) L_{s-1}(theta-b, n)
     #                                    - L_{s-1}(theta-b+a, n+1)),
     # L_0 = E^(lam).  After d steps from L_m(-g, n) the terms are
     # L_{m-d}(-g - d b + j a, n + j) for 0 <= j <= d; build them from d = m up.
-    row = [ev(lam, -g - m * b + j * a, n + j) for j in range(m + 1)]
-    for d in range(m - 1, -1, -1):
-        scale = 2 / ((lam + m - d - 1) * b)
-        row = [scale * ((-g - d * b + j * a + a - b) * row[j] - row[j + 1])
-               for j in range(d + 1)]
+    row = [_euler_at(sp, lam, n + j) for j, sp in enumerate(s.lowered)]
+    for scale, coeffs in s.steps:
+        row = [scale * (c * row[j] - row[j + 1]) for j, c in enumerate(coeffs)]
     out["rec3-derived"] = (lhs3, row[0])
     return out
 
 
 def _ev_euler_conv(pt: Point) -> dict:
-    a, b, n = pt["alpha"], pt["beta"], pt["n"]
-    l1, l2 = pt["lam1"], pt["lam2"]
-    g1, g2 = pt["gamma1"], pt["gamma2"]
-    lam = l1 + l2
+    s, n = _pair_setup(*_pair_params(pt)), pt["n"]
 
-    def col(lam_, gamma_, top, alpha=a):
-        return _euler_values(StirlingParams(alpha, b, gamma_), lam_, top)
+    def conv(first, second):
+        f, g = _euler_values(*first, n), _euler_values(*second, n)
+        return _binomial_sum(n, lambda k: f[k] * g[n - k], Fraction(0))
 
-    def ev(lam_, gamma_, n_, alpha=a):
-        return col(lam_, gamma_, n_, alpha)[n_]
-
-    def conv(first_gamma, second_lam, second_gamma):
-        first, second = col(l1, first_gamma, n), col(second_lam, second_gamma, n)
-        return _binomial_sum(n, lambda k: first[k] * second[n - k], Fraction(0))
-
-    def alt_conv(order_reading):
-        first, second = col(l1, a + b - g1, n, alpha=-a), col(l2, g2 + b * order_reading, n)
-        return _binomial_sum(n, lambda k: (-1) ** (n - k) * first[k] * second[n - k],
+    def alt_conv(second):
+        f, g = _euler_values(*s.alt_first, n), _euler_values(*second, n)
+        return _binomial_sum(n, lambda k: (-1) ** (n - k) * f[k] * g[n - k],
                              Fraction(0))
 
-    printed = conv(a + g1 - b, l2, g2)
-    rhs1 = 2 * (g1 + g2) * ev(lam, g1 + g2 - a, n) - 2 * ev(lam, g1 + g2, n + 1)
-    alt_rhs = ev(lam, a + b - g1 - g2, n, alpha=-a)
+    printed = conv(s.conv_first, s.conv_second)
+    rhs1 = 2 * s.gsum * _euler_at(*s.total_down, n) - 2 * _euler_at(*s.total, n + 1)
+    alt_rhs = _euler_at(*s.alt_total, n)
     return {
-        "conv1-printed": (b * lam * printed, rhs1),
-        "conv1-shifted": (b * lam * conv(b + g1 - a, l2 + 1, g2), rhs1),
-        "conv2": (printed, ev(lam, a + g1 + g2 - b, n)),
-        "conv3-lam2": (alt_conv(l2), alt_rhs),
-        "conv3-lam1": (alt_conv(l1), alt_rhs),
+        "conv1-printed": (s.b_lam * printed, rhs1),
+        "conv1-shifted": (s.b_lam * conv(s.shifted_first, s.shifted_second), rhs1),
+        "conv2": (printed, _euler_at(*s.conv2, n)),
+        "conv3-lam2": (alt_conv(s.alt_second_l2), alt_rhs),
+        "conv3-lam1": (alt_conv(s.alt_second_l1), alt_rhs),
     }
 
 
@@ -1014,7 +1137,28 @@ def _ser_point(pt: Point) -> dict:
             for k in sorted(pt)}
 
 
+def _counterexample(pt: Point, lhs: str, rhs: str) -> dict:
+    return {"point": _ser_point(pt), "lhs": lhs, "rhs": rhs}
+
+
+# The reading a point fails when its identity's evaluator raises there
+# instead of returning both sides.  It passes at every point whose sides were
+# returned and is listed after the identity's own readings, only when it
+# failed, so a report in which nothing raised keeps its bytes.  Its first
+# counterexample reads "<exception type>: <text>" against "no exception".
+# A point that raised is tallied under no other reading, so there the other
+# readings count pass + fail = points - (the points that raised).
+EVALUATES = "evaluates"
+
+
 def run_suite(spec: GridSpec) -> ConformanceReport:
+    """Every chosen identity at every point of its domain on the grid.
+
+    An exception an evaluator raises at a point (any Exception) fails that
+    point's EVALUATES reading rather than ending the run, so a fault that
+    breaks a route outright still gives a report with a counterexample.
+    Only an unknown id in select raises (ValueError).
+    """
     if spec.select is None:
         chosen = REGISTRY
     else:
@@ -1027,19 +1171,27 @@ def run_suite(spec: GridSpec) -> ConformanceReport:
     for ident in chosen:
         pts = ident.points(spec)
         tally: dict[str, list] = {}
+        evaluates = [0, 0, None]
         for pt in pts:
-            for name, (lhs, rhs) in ident.evaluate(pt).items():
+            try:
+                sides = ident.evaluate(pt)
+            except Exception as e:
+                evaluates[1] += 1
+                if evaluates[2] is None:
+                    evaluates[2] = _counterexample(pt, f"{type(e).__name__}: {e}",
+                                                   "no exception")
+                continue
+            evaluates[0] += 1
+            for name, (lhs, rhs) in sides.items():
                 slot = tally.setdefault(name, [0, 0, None])
                 if lhs == rhs:
                     slot[0] += 1
                 else:
                     slot[1] += 1
                     if slot[2] is None:
-                        slot[2] = {
-                            "point": _ser_point(pt),
-                            "lhs": _render(lhs),
-                            "rhs": _render(rhs),
-                        }
+                        slot[2] = _counterexample(pt, _render(lhs), _render(rhs))
+        if evaluates[1]:
+            tally[EVALUATES] = evaluates
         readings = tuple(
             ReadingReport(name, p, f, cex) for name, (p, f, cex) in tally.items()
         )
@@ -1069,8 +1221,14 @@ def _point_rank(pt: Point) -> int:
 def counterexample_minimize(identity_id: str, reading: str, point: Point) -> Point:
     """Shrink a failing point: n and m first, then parameter magnitudes.
 
-    Every candidate stays inside the identity's domain.  Raises ValueError
-    when the starting point does not fail the reading.
+    Every candidate stays inside the identity's domain, and fails the
+    reading exactly where run_suite would tally a failure of it there: a
+    comparison reading where the evaluator returns two unequal sides, the
+    EVALUATES reading where it raises.  So an exception of any type
+    (ValueError and ZeroDivisionError, the domain gaps of the forms that
+    divide, as much as any other) never makes a candidate a counterexample
+    of a comparison reading, and always makes it one of EVALUATES.  Raises
+    ValueError when the starting point does not fail the reading.
     """
     ident = _BY_ID.get(identity_id)
     if ident is None:
@@ -1081,7 +1239,9 @@ def counterexample_minimize(identity_id: str, reading: str, point: Point) -> Poi
             return False
         try:
             res = ident.evaluate(pt)
-        except (ValueError, ZeroDivisionError):
+        except Exception:
+            return reading == EVALUATES
+        if reading == EVALUATES:
             return False
         if reading not in res:
             raise ValueError(f"unknown reading {reading!r} for {identity_id}")

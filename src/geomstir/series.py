@@ -53,8 +53,11 @@ from typing import Sequence
 # own definition with one of these, and nothing else memoises.  Each is at
 # least twice the largest working set of one memo on verify-wide (n_max=12,
 # seeds 1 and 301-310): 160 tables, 1724 polynomials, 12 series builds,
-# 48 section values; and 85-97 Euler columns (seeds 1, 517 and 4243).
-TABLE_CACHE_SIZE = 512  # stirling._table, euler._euler_column
+# 48 section values; and 85-97 Euler columns (seeds 1, 517 and 4243).  The
+# harness's per-row set-up memos hold at most 6 (_lifts), 12 (_eq6_column),
+# 15 (_shift_setup), 12 (_euler_rec_setup), 4 (_pair_setup) and 16
+# (_spivey_setup) entries there (seeds 1, 301-310, 517 and 4243).
+TABLE_CACHE_SIZE = 512  # stirling._table, euler._euler_column, harness set-up
 POLY_CACHE_SIZE = 8192  # a_explicit, s_exp_explicit
 SERIES_CACHE_SIZE = 32  # a_egf, s_exp_egf, euler_egf, euler._gamma_polynomials
 SECTION_CACHE_SIZE = 128  # oracle.section_poly_value

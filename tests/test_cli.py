@@ -343,6 +343,31 @@ def test_rational_sizes_are_capped_before_any_work(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_compute_caps_the_size_of_lambda(capsys, monkeypatch):
+    # n * bit_length(lambda), the rule asymptotic keeps for each of its lambdas
+    from geomstir import cli
+
+    def no_work(*args):
+        raise AssertionError("computed past a cap")
+
+    googol = str(10 ** 100)  # 333 bits: 400 * 333 is past the cap, 50 * 333 is not
+    params = ("--alpha", "1/2", "--beta", "3")
+    for name in ("_value_sweep", "a_values", "euler_values", "_gamma_polynomial_rows"):
+        monkeypatch.setattr(cli, name, no_work)
+    for family in (("A", "--gamma=-1"), ("euler",)):
+        argv = ("compute", *family, "--lambda", googol, *params, "--n", "0..400")
+        assert_rejected(capsys, *argv)
+        _, _, err = run(capsys, *argv)
+        assert err.count("\n") == 1 and str(MAX_LAMBDA_BITS) in err
+    one_past = str(1 << (MAX_LAMBDA_BITS // MAX_N))  # 43 bits at n = MAX_N
+    assert_rejected(capsys, "compute", "A", "--lambda", one_past, *params,
+                    "--gamma=-1", "--x", "5/3", "--n", str(MAX_N))
+    monkeypatch.undo()
+    code, out, err = run(capsys, "compute", "A", "--lambda", googol, *params,
+                         "--gamma=-1", "--x", "5/3", "--n", "0..50")
+    assert code == 0 and err == "" and len(out.splitlines()) == 52
+
+
 @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--gamma", "--x"])
 def test_rational_sizes_at_the_cap_are_computed(capsys, flag):
     # 255/254 has 8 bits: n = 256 is exactly at the cap, n = 257 one step past
@@ -426,6 +451,37 @@ def test_verify_json_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["schema"] == "geomstir-conformance/1"
     assert payload["hard_pass"] is True
+
+
+def test_verify_reports_an_a_route_disagreement(capsys, monkeypatch):
+    # a fault that splits euler_via_a's two A-specializations from n = 6 on
+    # makes euler._agreed raise RuntimeError; the run still ends in a report
+    # whose evaluates reading fails, and exits 1, not in a traceback
+    from geomstir import euler
+
+    real = euler.a_eval
+
+    def split(params, n, x):
+        # the first specialization (alpha, -beta, -gamma): every default
+        # euler_points row has beta > 0
+        return real(params, n, x) + (1 if n >= 6 and params.beta < 0 else 0)
+
+    monkeypatch.setattr(euler, "a_eval", split)
+    code, out, err = run(capsys, "verify", "--select", "routes-euler", "--format", "json")
+    assert code == 1 and err == ""
+    (entry,) = json.loads(out)["identities"]
+    by_name = {r["name"]: r for r in entry["readings"]}
+    assert list(by_name)[-1] == "evaluates"
+    rows = 4  # the default grid's euler_points, each at n = 6, 7, 8
+    assert by_name["evaluates"]["fail"] == rows * 3
+    assert by_name["evaluates"]["pass"] == entry["points"] - rows * 3
+    cex = by_name["evaluates"]["first_counterexample"]
+    assert cex["point"]["n"] == 6 and cex["rhs"] == "no exception"
+    assert cex["lhs"].startswith("RuntimeError: A-route disagreement for E_6: ")
+    code, out, err = run(capsys, "verify", "--select", "routes-euler")
+    assert code == 1 and err == ""
+    assert "lhs: RuntimeError: A-route disagreement for E_6" in out
+    assert out.endswith("hard identities: FAIL\n")
 
 
 def test_verify_unknown_identity(capsys):

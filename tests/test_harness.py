@@ -72,6 +72,99 @@ def test_series_routes_build_once_per_parameter_set():
     assert a_egf.cache_info().hits == len(GRID.poly_points) * GRID.n_max
 
 
+# the per-row set-up memos, each with its distinct keys on a grid
+def _setup_keys(grid):
+    poly = [harness.PolyParams(*row) for row in grid.poly_points]
+    shiftable = [p for p in poly if p.lam >= 1 and p.beta != 0]
+    euler = [harness.PolyParams(*row) for row in grid.euler_points
+             if row[0] >= 1 and row[2] != 0]
+    return {
+        harness._lifts: set(poly),
+        harness._eq6_column: {(p, sign) for p in poly for sign in (1, -1)},
+        harness._shift_setup: {(p, m) for p in shiftable for m in grid.shift_ms},
+        harness._euler_rec_setup: {(p, m) for p in euler for m in grid.shift_ms},
+        harness._pair_setup: {harness._pair_params(
+            dict(zip(("lam1", "gamma1", "lam2", "gamma2", "alpha", "beta"), row)))
+            for row in grid.pair_points},
+        harness._spivey_setup: {(harness.ExpPolyParams(*row), m) for row in grid.exp_points
+                                for m in range(min(3, grid.n_max) + 1)},
+    }
+
+
+def test_row_setup_is_built_once_per_key():
+    keys = _setup_keys(GRID)
+    for memo in keys:
+        memo.cache_clear()
+    run_suite(GRID)
+    for memo, distinct in keys.items():
+        assert memo.cache_info().misses == len(distinct), memo.__name__
+        assert memo.cache_info().currsize == len(distinct), memo.__name__
+
+
+def test_seed_517_run_builds_few_records(monkeypatch):
+    # the records and dataclasses.replace calls of one cold seed-517 run: the
+    # per-point set-up built 12 393 records and made 2106 replace calls
+    from geomstir import euler, exppoly, geom, oracle, stirling
+
+    grid = GridSpec.from_json(SEED_517_GRID)
+    for memo in (*_setup_keys(grid), stirling._table, geom.a_explicit, geom.a_egf,
+                 exppoly.s_exp_explicit, exppoly.s_exp_egf, euler.euler_egf,
+                 euler._gamma_polynomials, euler._euler_column, oracle.section_poly_value):
+        memo.cache_clear()
+    built = []
+    for cls in (geom.PolyParams, stirling.StirlingParams, euler.EulerParams,
+                exppoly.ExpPolyParams):
+        def counted(self, post=cls.__post_init__):
+            built.append(type(self))
+            post(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    replaced = []
+    real_replace = harness.replace
+
+    def counted_replace(*args, **kwargs):
+        replaced.append(args)
+        return real_replace(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "replace", counted_replace)
+    run_suite(grid)
+    assert len(built) <= 6000 and len(replaced) <= 200, (len(built), len(replaced))
+
+
+def test_an_evaluator_that_raises_fails_the_evaluates_reading(monkeypatch):
+    ident = BY_ID["thm6"]
+
+    def broken(pt):
+        if pt["n"] >= 3:
+            raise ArithmeticError(f"no A_{pt['n'] + 1}")
+        return ident.evaluate(pt)
+
+    patched = replace(ident, evaluate=broken)
+    monkeypatch.setattr(harness, "REGISTRY",
+                        tuple(patched if i is ident else i for i in REGISTRY))
+    monkeypatch.setitem(harness._BY_ID, "thm6", patched)
+    rep = run_suite(replace(GRID, select=("thm6",)))
+    (entry,) = rep.identities
+    rows = len(GRID.poly_points)
+    assert [r.name for r in entry.readings] == ["main", harness.EVALUATES]
+    main, evaluates = entry.readings
+    # n = 0, 1, 2 return their sides on every row; n = 3..n_max raise
+    assert (main.passed, main.failed) == (3 * rows, 0)
+    assert (evaluates.passed, evaluates.failed) == (3 * rows, (GRID.n_max - 2) * rows)
+    lam, a, b, g = GRID.poly_points[0]
+    assert evaluates.first_counterexample == {
+        "point": {"alpha": str(a), "beta": str(b), "gamma": str(g), "lam": lam, "n": 3},
+        "lhs": "ArithmeticError: no A_4",
+        "rhs": "no exception",
+    }
+    assert rep.hard_failures() == [("thm6", "evaluates")] and rep.verdict() == "FAIL"
+    assert "        lhs: ArithmeticError: no A_4\n" in rep.to_text()
+    # the shrinker mirrors the tally: a raise fails evaluates, never main
+    start = _pt(3, 1, 1, 2, 7)
+    assert counterexample_minimize("thm6", harness.EVALUATES, start)["n"] == 3
+    with pytest.raises(ValueError, match="does not fail"):
+        counterexample_minimize("thm6", "main", start)
+
+
 def test_euler_identities_build_no_a_polynomial():
     # euler-rec and euler-conv read each E_n from the explicit Stirling sum,
     # not from a whole A_n polynomial read at x = -1/2

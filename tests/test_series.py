@@ -298,6 +298,9 @@ def test_series_memos_stay_within_their_bound():
     from geomstir.euler import _euler_column
     from geomstir.stirling import _table
 
+    from geomstir.oracle import section_poly_value
+    from geomstir.series import SECTION_CACHE_SIZE
+
     # every memo of the package, with one cheap build per distinct key
     memos = {
         _table: (TABLE_CACHE_SIZE, lambda i: _table(StirlingParams(0, 1, i))),
@@ -312,6 +315,19 @@ def test_series_memos_stay_within_their_bound():
         euler_egf: (SERIES_CACHE_SIZE, lambda i: euler_egf(EulerParams(1, 0, 1), i, 1)),
         _gamma_polynomials: (SERIES_CACHE_SIZE,
                              lambda i: _gamma_polynomials(EulerParams(1, i, 1), 1)),
+        section_poly_value: (SECTION_CACHE_SIZE, lambda i: section_poly_value(0, 0, 1, i)),
+        # the conformance harness's per-row set-up
+        harness._lifts: (TABLE_CACHE_SIZE, lambda i: harness._lifts(PolyParams(0, 0, 1, i))),
+        harness._eq6_column: (TABLE_CACHE_SIZE,
+                              lambda i: harness._eq6_column(PolyParams(0, 0, 1, i), 1)),
+        harness._shift_setup: (TABLE_CACHE_SIZE,
+                               lambda i: harness._shift_setup(PolyParams(1, 0, 1, i), 0)),
+        harness._euler_rec_setup: (
+            TABLE_CACHE_SIZE, lambda i: harness._euler_rec_setup(PolyParams(1, 0, 1, i), 0)),
+        harness._pair_setup: (TABLE_CACHE_SIZE, lambda i: harness._pair_setup(
+            PolyParams(0, 0, 1, i), PolyParams(0, 0, 1, 0))),
+        harness._spivey_setup: (TABLE_CACHE_SIZE,
+                                lambda i: harness._spivey_setup(ExpPolyParams(0, 1, i), 0)),
     }
     try:
         for memo, (bound, build) in memos.items():

@@ -236,3 +236,71 @@ def test_every_memo_has_a_named_bound():
 ])
 def test_memo_guard_flags_unbounded_memos(source, flagged):
     assert bool(list(_unbounded_memos(source, {"POLY_CACHE_SIZE"}))) is flagged
+
+
+def _is_dict(node: ast.AST) -> bool:
+    return (isinstance(node, (ast.Dict, ast.DictComp))
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "dict")
+
+
+_DICT_WRITERS = {"setdefault", "update", "__setitem__"}
+
+
+def _dict_caches(source: str):
+    """(line, name) of each write a function makes into a module-level dict
+    (a {...}, dict comprehension or dict(...) bound at the top level): a memo
+    with no bound that the lru_cache guard cannot see."""
+    tree = ast.parse(source)
+    dicts = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _is_dict(node.value):
+            dicts.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and node.value is not None \
+                and _is_dict(node.value) and isinstance(node.target, ast.Name):
+            dicts.add(node.target.id)
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        inner = list(ast.walk(fn))
+        local = {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        local |= {n.arg for n in inner if isinstance(n, ast.arg)}
+        local -= {name for n in inner if isinstance(n, ast.Global) for name in n.names}
+        shared = dicts - local
+        for node in inner:
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _DICT_WRITERS:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in shared:
+                yield node.lineno, target.id
+
+
+def test_no_module_level_dict_is_a_cache():
+    found = {
+        (path.name, *write)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for write in _dict_caches(path.read_text())
+    }
+    assert not found, sorted(found)
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("_memo = {}\ndef f(k):\n    _memo[k] = 1", True),
+    ("_memo = dict()\ndef f(k):\n    return _memo.setdefault(k, 1)", True),
+    ("_memo: dict = {}\ndef f(k, v):\n    _memo.update({k: v})", True),
+    ("_memo = {k: 0 for k in 'ab'}\nclass C:\n    def f(self, k):\n        _memo[k] += 1",
+     True),
+    ("_memo = {}\ndef f(k):\n    global _memo\n    _memo = {}\n    _memo[k] = 1", True),
+    ("g = lambda k: _memo.__setitem__(k, 1)\n_memo = {}", True),
+    ("_TABLE = {'a': 1}\ndef f(k):\n    return _TABLE[k]", False),
+    ("_TABLE = {}\n_TABLE['a'] = 1", False),                       # filled at import
+    ("def f(k):\n    memo = {}\n    memo[k] = 1", False),           # a local dict
+    ("_memo = {}\ndef f(k):\n    _memo = {}\n    _memo[k] = 1", False),  # shadowed
+    ("_memo = {}\ndef f(_memo, k):\n    _memo[k] = 1", False),      # a parameter
+])
+def test_dict_cache_guard_flags_module_level_writes(source, flagged):
+    assert bool(list(_dict_caches(source))) is flagged
