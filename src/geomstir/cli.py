@@ -36,17 +36,12 @@ from .exppoly import ExpPolyParams, _s_ratio, s_exp_values
 from .geom import PolyParams, _a_ratio, _stirling_a, a_eval, a_values
 from .harness import GridSpec, _parse_rational, default_grid, run_suite
 from .oracle import BPAConfig, count_bpa
+from .series import MAX_N_BITS, _bit_size
 from .stirling import StirlingParams, _scaled_params, _unit_ratio, _value_sweep
 
 # Input caps: past one, the command exits 2 before any work
 MAX_N = 400  # the top index of compute --n and of asymptotic --n
 MAX_S = 40   # asymptotic --s; W(n, 0..s) is one banded exp recurrence, O(n s^2)
-# the top n times the largest bit length of any numerator or denominator of
-# --alpha, --beta, --gamma and --x: the integers of a sweep, a table row or a
-# W row grow with it.  At the cap (5-bit parameters at n = 400) the Euler
-# table takes 13 s and asymptotic --s 40 5.6 s; at 16 800 asymptotic --s 40
-# was still running at 120 s
-MAX_N_BITS = 2048
 
 _SIZED_FLAGS = ("alpha", "beta", "gamma", "x")
 
@@ -54,9 +49,8 @@ _SIZED_FLAGS = ("alpha", "beta", "gamma", "x")
 def _check_size(n: int, args):
     """ValueError if n times the largest bit length among the rational
     flags' numerators and denominators is past MAX_N_BITS."""
-    bits = max((max(v.numerator.bit_length(), v.denominator.bit_length())
-                for v in (getattr(args, name) for name in _SIZED_FLAGS)
-                if v is not None), default=0)
+    bits = _bit_size(v for v in (getattr(args, name) for name in _SIZED_FLAGS)
+                     if v is not None)
     if n * bits > MAX_N_BITS:
         raise ValueError(f"--n {n} times {bits}, the largest bit length of a parameter, "
                          f"is {n * bits}, past the cap of {MAX_N_BITS}")

@@ -28,18 +28,18 @@ convolution
 
     C_m = sum_{i<=m} A_i B_{m-i}  over  df dg.
 
-series_exp uses the recurrence of g = exp(f), g' = f' g (Knuth, TAOCP
-vol. 2, 4.7):
+series_exp, series_int_pow and series_geom_inverse (the power -1) run one
+engine, _solve: g = exp(f) obeys g' = f' g, and g = f^r for any integer r
+obeys f g' = r f' g (J. C. P. Miller's recurrence; Knuth, TAOCP vol. 2, 4.7):
 
-    g_0 = 1,    m g_m = sum_{k=1..m} k f_k g_{m-k},
+    exp:    g_0 = 1,       m g_m = sum_{k=1..m} k f_k g_{m-k},
+    power:  g_0 = f_0^r,   m f_0 g_m = sum_{k=1..m} ((r+1) k - m) f_k g_{m-k}.
 
-which is O(N^2) coefficient products instead of summing N series powers.
-It and series_geom_inverse are linear recurrences in the g_j already
-found, run by _solve over the running lcm of the g_j's reduced
-denominators: one integer dot product and one Fraction per coefficient.
-Keeping every g_m over a fixed power such as f_0^(m+1) or (m! D^m) instead
-lets the integers outgrow the values: at order 150 the inverse of the Euler
-base took 0.46-0.99 s that way and 6-7 ms in _solve.
+Both are O(N^2) coefficient products; r enters only as a scalar.  _solve
+keeps the g_j over the running lcm of their reduced denominators.  Over a
+fixed power such as f_0^(m+1) or (m! D^m) instead, the integers outgrow the
+values: at order 150 the inverse of the Euler base took 0.46-0.99 s that
+way and 6-7 ms in _solve.
 """
 
 from __future__ import annotations
@@ -66,6 +66,18 @@ SECTION_CACHE_SIZE = 128  # oracle.section_poly_value
 def _q(v) -> Fraction:
     """v as a Fraction; an int exactly, a float by its exact binary value."""
     return v if isinstance(v, Fraction) else Fraction(v)
+
+
+# Cap on the top index read times _bit_size of the rational inputs, checked
+# by cli and harness.GridSpec: the integers of every sweep grow with both
+# (README, "Input caps", has the times).
+MAX_N_BITS = 2048
+
+
+def _bit_size(values) -> int:
+    """The largest bit length of a numerator or denominator of the rationals."""
+    return max((max(v.numerator.bit_length(), v.denominator.bit_length())
+                for v in values), default=0)
 
 
 class _IntKeyed:
@@ -245,16 +257,17 @@ def series_mul(f: Series, g: Series) -> Series:
                    f.den * g.den)
 
 
-def _solve(g0: Fraction, w: list[int], c) -> Series:
-    """The series g_0, g_m = sum_{i=1..m} w[i] g_(m-i) / c(m) for m = 1..len(w)-1.
-
-    Every g_j is kept as scaled[j] / L over the running lcm L of the reduced
-    denominators so far, so a step is one integer dot product and one
-    Fraction; the integers stay the size of the reduced values.
-    """
+def _solve(g0: Fraction, a: list[int], b, c) -> Series:
+    """The series g_0, g_m = (sum_k a[k] g_(m-k) - m sum_k b[k] g_(m-k)) / c(m),
+    k = 1..m, for m = 1..len(a)-1; b None drops the second sum.  Each g_j is
+    kept as scaled[j] / L over the running lcm L of the reduced denominators so
+    far: one integer dot product per sum and one Fraction per step."""
     scaled, lcd = [g0.numerator], g0.denominator
-    for m in range(1, len(w)):
-        g = Fraction(sum(map(operator.mul, w[1:m + 1], reversed(scaled))), c(m) * lcd)
+    for m in range(1, len(a)):
+        s = sum(map(operator.mul, a[1:m + 1], reversed(scaled)))
+        if b is not None:
+            s -= m * sum(map(operator.mul, b[1:m + 1], reversed(scaled)))
+        g = Fraction(s, c(m) * lcd)
         q = g.denominator
         if lcd % q:
             k = q // math.gcd(lcd, q)
@@ -264,46 +277,30 @@ def _solve(g0: Fraction, w: list[int], c) -> Series:
     return _series(scaled, lcd)
 
 
+def series_int_pow(f: Series, r: int) -> Series:
+    """f**r for integer r and a nonzero constant term, by Miller's recurrence
+    (module docstring); with f_k = F_k / D the step (_solve) is
+    g_m = (sum_k (r+1) k F_k g_(m-k) - m sum_k F_k g_(m-k)) / (m F_0)."""
+    fs, f0 = f.num, f.num[0]
+    if not f0:
+        raise ValueError("a series power needs a nonzero constant term")
+    return _solve(Fraction(f0, f.den) ** r, [(r + 1) * k * c for k, c in enumerate(fs)],
+                  fs, lambda m: m * f0)
+
+
+# The inverse, f**-1; kept only for perfbench/tracing.py, which probes this name.
 def series_geom_inverse(f: Series) -> Series:
-    """Multiplicative inverse of f, truncated at f.order.
-
-    Solves g_0 = 1/f_0 and g_m = -1/f_0 * sum_{i=1..m} f_i g_{m-i}; the
-    constant term must be nonzero.  With f_i = F_i / D the step is
-    g_m = sum_i (-F_i) g_(m-i) / F_0 (_solve).
-    """
-    fs = f.num
-    if not fs[0]:
-        raise ValueError("constant term must be nonzero to invert")
-    f0 = fs[0]
-    return _solve(Fraction(f.den, f0), [-c for c in fs], lambda m: f0)
-
-
-def series_int_pow(f: Series, m: int) -> Series:
-    """f**m for integer m; negative m inverts first.  Square-and-multiply:
-    about 2 log2(m) products, and the same m products as a loop for m <= 3."""
-    if m < 0:
-        return series_int_pow(series_geom_inverse(f), -m)
-    out = series_one(f.order)
-    while m:
-        if m & 1:
-            out = series_mul(out, f)
-        m >>= 1
-        if m:
-            f = series_mul(f, f)
-    return out
+    return series_int_pow(f, -1)
 
 
 def series_exp(f: Series) -> Series:
-    """exp(f) for a series with zero constant term (so the sum is finite),
-    by the recurrence m g_m = sum_{k=1..m} k f_k g_{m-k}, g_0 = 1.
-
-    With f_k = F_k / D the step is g_m = sum_k (k F_k) g_(m-k) / (m D) (_solve).
-    """
+    """exp(f) for a series with zero constant term (so the sum is finite);
+    with f_k = F_k / D the step (_solve) is g_m = sum_k (k F_k) g_(m-k) / (m D)."""
     fs = f.num
     if fs[0]:
         raise ValueError("series_exp needs a zero constant term")
     d = f.den
-    return _solve(Fraction(1), [k * c for k, c in enumerate(fs)], lambda m: m * d)
+    return _solve(Fraction(1), [k * c for k, c in enumerate(fs)], None, lambda m: m * d)
 
 
 def binomial_series(alpha, beta, order: int) -> Series:

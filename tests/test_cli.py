@@ -399,6 +399,17 @@ def test_verify_caps_the_grid_index(tmp_path, capsys):
     assert code == 0 and out.endswith("hard identities: PASS\n")
 
 
+def test_verify_caps_the_size_of_grid_values(tmp_path, capsys):
+    # GridSpec keeps compute's size rules at the grid's top index (15 here)
+    path = tmp_path / "grid.json"
+    for text in (f'{{"n_max": 12, "x_values": ["1/{1 << 136}"]}}',
+                 f'{{"n_max": 12, "euler_points": [[{1 << 1120}, 1, 1, 0]]}}'):
+        path.write_text(text)
+        assert_rejected(capsys, "verify", "--grid", str(path))
+        _, _, err = run(capsys, "verify", "--grid", str(path))
+        assert err.count("\n") == 1
+
+
 def test_verify_caps_the_oracle_order(tmp_path, capsys):
     # the oracle enumerates up to MAX_ORACLE_N; a larger order is refused,
     # not run at the cap while the report echoes the larger one
@@ -781,6 +792,11 @@ VALUE_TABLE_DIGESTS = {
     ("compute", "A", "--lambda", "2", "--alpha", "1", "--beta", "0",
      "--gamma", "1", "--n", "0..6"):
         "fd4f6ab017809c8ef89f6ce465ef4dea0ed174b42ad3cd9747d533993d916faf",
+    # lambda = 10^100 (333 bits): the gamma-free factor is a series power far
+    # past any repeated product
+    ("compute", "euler", "--lambda", str(10 ** 100), "--alpha", "1/2", "--beta", "3",
+     "--n", "0..50"):
+        "12381b5b815639c7e73cbb360ce1ec93a6f9612e2c4c6184b648da9bce922235",
 }
 
 

@@ -13,7 +13,9 @@ from geomstir import (GridSpec, a_egf, counterexample_minimize, default_grid,
 from geomstir import harness
 from geomstir.euler import _euler_sum, _gamma_polynomials
 from geomstir.harness import REGISTRY
+from geomstir.asymptotics import MAX_LAMBDA_BITS
 from geomstir.oracle import MAX_ORACLE_N
+from geomstir.series import MAX_N_BITS
 from geomstir.stirling import StirlingParams
 
 Q = Fraction
@@ -339,6 +341,38 @@ def test_grid_keeps_exact_values_exact():
     assert spec.poly_points == ((1, Q(1), Q(1, 2), Q(-3)),)
     assert [type(v) for v in spec.poly_points[0]] == [int, Q, Q, Q]
     assert spec.x_values == (Q(2),) and type(spec.x_values[0]) is Q
+
+
+def test_grid_caps_rational_sizes():
+    # compute's rule at the grid's top index, n_max + max(shift_ms) + 1 = 15
+    # here: 15 * 136 bits is within MAX_N_BITS, 15 * 137 is past it, and a
+    # denominator counts as much as a numerator
+    assert 15 * 136 <= MAX_N_BITS < 15 * 137
+    at, past = Q(1, 1 << 135), Q(-(1 << 136), 3)
+    rows = {"x_values": lambda q: q,
+            "poly_points": lambda q: (1, q, Q(1), Q(0)),
+            "pair_points": lambda q: (1, Q(0), 1, Q(0), Q(1), q),
+            "exp_points": lambda q: (Q(1), Q(1), q),
+            "euler_points": lambda q: (1, Q(1), Q(1), q)}
+    for key, row in rows.items():
+        assert GridSpec(n_max=12, **{key: (row(at),)}).n_max == 12
+        with pytest.raises(ValueError, match=str(MAX_N_BITS)):
+            GridSpec(n_max=12, **{key: (row(past),)})
+
+
+def test_grid_caps_lambda_sizes():
+    # 15 * 1120 bits is MAX_LAMBDA_BITS; a pair row counts lam1 + lam2, so two
+    # lambdas each within the cap can sum past it
+    assert 15 * 1120 == MAX_LAMBDA_BITS
+    at, past = 1 << 1119, 1 << 1120
+    for key in ("poly_points", "euler_points"):
+        assert GridSpec(n_max=12, **{key: ((at, Q(1), Q(1), Q(0)),)}).n_max == 12
+        with pytest.raises(ValueError, match=str(MAX_LAMBDA_BITS)):
+            GridSpec(n_max=12, **{key: ((past, Q(1), Q(1), Q(0)),)})
+    half = at >> 1
+    GridSpec(n_max=12, pair_points=((half, Q(0), half, Q(0), Q(1), Q(1)),))
+    with pytest.raises(ValueError, match=str(MAX_LAMBDA_BITS)):
+        GridSpec(n_max=12, pair_points=((at, Q(0), at, Q(0), Q(1), Q(1)),))
 
 
 def test_grid_file_rejects_unknown_keys():

@@ -156,16 +156,37 @@ def test_int_pow_matches_repeated_product():
     assert series_int_pow(f, 3) == f * f * f
     assert series_int_pow(f, 0) == series_one(2)
     assert series_int_pow(f, -2) * f * f == series_one(2)
-    # square-and-multiply against m - 1 products, on every bit pattern to 9
+    # the recurrence against |m| products, for every m from -6 to 9
     unit = Series((Q(2), Q(-1, 3), Q(0), Q(5, 7), Q(1)))
+    base = series_geom_inverse(unit)
+    for m in range(-6, 10):
+        want = series_one(unit.order)
+        for _ in range(abs(m)):
+            want = series_mul(want, unit if m > 0 else base)
+        assert series_int_pow(unit, m) == want, m
+    # a zero constant term is refused at every power, as the inverse refuses it
     no_constant = Series((Q(0), Q(3, 2), Q(-1), Q(0), Q(2)))
-    for g, powers in ((unit, range(-6, 10)), (no_constant, range(10))):
-        base = g if min(powers) >= 0 else series_geom_inverse(g)
-        for m in powers:
-            want = series_one(g.order)
-            for _ in range(abs(m)):
-                want = series_mul(want, g if m > 0 else base)
-            assert series_int_pow(g, m) == want, m
+    for m in (-2, 0, 3):
+        with pytest.raises(ValueError):
+            series_int_pow(no_constant, m)
+
+
+@settings(max_examples=60)
+@given(small_q.filter(bool), st.lists(small_q, max_size=6),
+       st.integers(-6, 9), st.integers(-6, 9))
+def test_int_pow_exponent_law(f0, tail, r, s):
+    f = Series((f0, *tail))
+    assert series_int_pow(f, r) * series_int_pow(f, s) == series_int_pow(f, r + s)
+
+
+@pytest.mark.parametrize("r", [1 << 41, -(1 << 41), 10 ** 100, -(10 ** 100)])
+@pytest.mark.parametrize("c", [Q(1), Q(-3, 5)])
+def test_int_pow_at_huge_exponents_is_the_binomial_series(r, c):
+    # coefficient k of (1 + c t)^r is the generalized binomial C(r, k) c^k
+    got = series_int_pow(Series((1, c, 0, 0, 0, 0, 0, 0, 0)), r)
+    want = [Q(math.prod(r - j for j in range(k)), math.factorial(k)) * c ** k
+            for k in range(9)]
+    assert got.coeffs == tuple(want)
 
 
 def test_series_exp_of_t():

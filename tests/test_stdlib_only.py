@@ -156,6 +156,23 @@ def _reader_names() -> set[str]:
     return _referenced_names(paths)
 
 
+def test_every_tracer_probe_resolves():
+    # perfbench/tracing.py wraps the program's functions by dotted name, so a
+    # program change that drops or renames a probed name breaks traced runs;
+    # the tracer is read and run here, not imported, so nothing is written there
+    import types
+
+    import geomstir.cli  # noqa: F401  (loads every module a probe names)
+
+    path = REPO / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    targets = [t for _, ts in tracing.probes() for t in ts]
+    assert targets
+    for target in targets:
+        assert callable(tracing._resolve(target)[2]), target
+
+
 def test_every_export_has_a_reader():
     # a name in __all__ that only its own tests call is surface, not a route
     unread = set(geomstir.__all__) - _reader_names()
