@@ -20,14 +20,25 @@ from geomstir.cli import (MAX_N, MAX_S, _fail, _write, parse_lambda_list,
                           parse_rational)
 
 
+def _arg(parse):
+    """parse as an argparse type, whose ValueError text is the usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return convert
+
+
 def main() -> int:
+    rational = _arg(parse_rational)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--alpha", type=parse_rational, default=Fraction(1))
-    ap.add_argument("--beta", type=parse_rational, default=Fraction(1))
-    ap.add_argument("--gamma", type=parse_rational, default=Fraction(0))
-    ap.add_argument("--x", type=parse_rational, default=Fraction(1))
+    ap.add_argument("--alpha", type=rational, default=Fraction(1))
+    ap.add_argument("--beta", type=rational, default=Fraction(1))
+    ap.add_argument("--gamma", type=rational, default=Fraction(0))
+    ap.add_argument("--x", type=rational, default=Fraction(1))
     ap.add_argument("--n", type=int, default=4)
-    ap.add_argument("--depths", type=parse_lambda_list, default=[1, 2, 3],
+    ap.add_argument("--depths", type=_arg(parse_lambda_list), default=[1, 2, 3],
                     help="comma list of truncation depths s")
     ap.add_argument("--lambda-start", type=int, default=32)
     ap.add_argument("--doublings", type=int, default=5)

@@ -19,7 +19,6 @@ are still parsed under CPython's int-to-str digit limit.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import itertools
 import json
@@ -29,14 +28,16 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .asymptotics import MAX_LAMBDA_BITS, error_decay_report, format_sig
 from .euler import EulerParams, _gamma_polynomial_rows, euler_values
 from .exppoly import ExpPolyParams, _s_ratio, s_exp_values
 from .geom import PolyParams, _a_ratio, _stirling_a, a_eval, a_values
-from .harness import GridSpec, _parse_rational, default_grid, run_suite
+from .harness import GridSpec, default_grid, run_suite
 from .oracle import BPAConfig, count_bpa
 from .series import MAX_N_BITS, _bit_size
+from .series import _parse_rational as parse_rational
 from .stirling import StirlingParams, _scaled_params, _unit_ratio, _value_sweep
 
 # Input caps: past one, the command exits 2 before any work
@@ -56,13 +57,6 @@ def _check_size(n: int, args):
                          f"is {n * bits}, past the cap of {MAX_N_BITS}")
 
 
-def parse_rational(text: str) -> Fraction:
-    try:
-        return _parse_rational(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
-
-
 def parse_n_range(text: str) -> range:
     """Single index "4" or inclusive range "0..5", as a range, so a huge --n
     is not built before the cap check rejects it."""
@@ -71,18 +65,18 @@ def parse_n_range(text: str) -> range:
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo > hi:
-            raise argparse.ArgumentTypeError(f"empty range {text!r}")
+            raise ValueError(f"empty range {text!r}")
         return range(lo, hi + 1)
     if re.match(r"^\d+$", text):
         return range(int(text), int(text) + 1)
-    raise argparse.ArgumentTypeError(f"{text!r} is not an index or lo..hi range")
+    raise ValueError(f"{text!r} is not an index or lo..hi range")
 
 
 def parse_lambda_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of integers")
+        raise ValueError(f"{text!r} is not a comma list of integers") from None
 
 
 def _fail(message: str) -> int:
@@ -375,71 +369,167 @@ def cmd_asymptotic(args) -> int:
     return _table(header, records, args.format, args.out)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="geomstir",
-        description="exact tables and identity checks for geometric "
-                    "polynomial families",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+def _choice(dest: str, choices) -> tuple:
+    """The (dest, parse, metavar) of a word that must be one of choices."""
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"{text!r} is not one of {', '.join(choices)}")
+        return text
+    return dest, parse, "{" + ",".join(choices) + "}"
 
-    def add_rationals(p, names):
-        for name in names:
-            dest = "lam" if name == "lambda" else name
-            p.add_argument(f"--{name}", dest=dest, type=parse_rational
-                           if name != "lambda" else int, default=None)
 
-    comp = sub.add_parser("compute", help="tabulate a family")
-    comp.add_argument("family_pos", nargs="?", choices=FAMILIES, default=None,
-                      metavar="family")
-    comp.add_argument("--family", dest="family_flag", choices=FAMILIES,
-                      default=None)
-    add_rationals(comp, ["alpha", "beta", "gamma", "lambda", "x"])
-    comp.add_argument("--n", type=parse_n_range, default=None,
-                      help='index or inclusive range "0..5"')
-    comp.add_argument("--k", type=int, default=None)
-    comp.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    comp.add_argument("--out", default=None)
-    comp.set_defaults(func=cmd_compute)
+def _rationals(*names: str) -> dict:
+    return {f"--{name}": (name, parse_rational, "P/Q") for name in names}
 
-    ver = sub.add_parser("verify", help="run the conformance suite")
-    ver.add_argument("--grid", default=None, help="GridSpec JSON file")
-    ver.add_argument("--select", nargs="*", default=None,
-                     help="identity ids to run (default: all)")
-    ver.add_argument("--format", choices=("text", "json"), default="text")
-    ver.add_argument("--out", default=None)
-    ver.set_defaults(func=cmd_verify)
 
-    orc = sub.add_parser("oracle", help="brute-force count vs polynomial")
-    for name in ("n", "lambda", "alpha", "beta", "gamma", "x"):
-        orc.add_argument(f"--{name}", dest="lam" if name == "lambda" else name,
-                         type=int, required=True)
-    orc.set_defaults(func=cmd_oracle)
+# command -> (run, summary, {flag: (dest, parse, metavar)}, required flags,
+# defaults).  parse turns one word into the dest's value or raises ValueError;
+# None marks --select, whose value is the list of words up to the next flag.
+# A key without dashes is a positional, filled in order by the words that are
+# not flags.  A dest that is not given and has no default is None.
+_COMMANDS = {
+    "compute": (cmd_compute, "tabulate a family", {
+        "family": _choice("family_pos", FAMILIES),
+        "--family": _choice("family_flag", FAMILIES),
+        **_rationals("alpha", "beta", "gamma"),
+        "--lambda": ("lam", int, "INT"),
+        **_rationals("x"),
+        "--n": ("n", parse_n_range, "N|LO..HI"),
+        "--k": ("k", int, "INT"),
+        "--format": _choice("format", ("csv", "jsonl")),
+        "--out": ("out", str, "PATH"),
+    }, (), {"format": "csv"}),
+    "verify": (cmd_verify, "run the conformance suite", {
+        "--grid": ("grid", str, "FILE"),
+        "--select": ("select", None, "ID ..."),
+        "--format": _choice("format", ("text", "json")),
+        "--out": ("out", str, "PATH"),
+    }, (), {"format": "text"}),
+    "oracle": (cmd_oracle, "brute-force count vs polynomial", {
+        f"--{name}": ("lam" if name == "lambda" else name, int, "INT")
+        for name in ("n", "lambda", "alpha", "beta", "gamma", "x")
+    }, ("--n", "--lambda", "--alpha", "--beta", "--gamma", "--x"), {}),
+    "asymptotic": (cmd_asymptotic, "error-decay table", {
+        **_rationals("alpha", "beta", "gamma", "x"),
+        "--n": ("n", int, "INT"),
+        "--s": ("s", int, "INT"),
+        "--lambdas": ("lambdas", parse_lambda_list, "L,L,..."),
+        "--format": _choice("format", ("csv", "jsonl")),
+        "--out": ("out", str, "PATH"),
+    }, ("--n", "--s", "--lambdas"), {"format": "csv"}),
+}
+_HELP = ("-h", "--help")
 
-    asy = sub.add_parser("asymptotic", help="error-decay table")
-    add_rationals(asy, ["alpha", "beta", "gamma", "x"])
-    asy.add_argument("--n", type=int, required=True)
-    asy.add_argument("--s", type=int, required=True)
-    asy.add_argument("--lambdas", type=parse_lambda_list, required=True,
-                     help='comma list, e.g. "64,128,256"')
-    asy.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    asy.add_argument("--out", default=None)
-    asy.set_defaults(func=cmd_asymptotic)
-    return top
+
+def _usage_error(message: str):
+    raise SystemExit(_fail(message))
+
+
+def _help(command: str | None):
+    """Print the help text of command, or of the program, and exit 0."""
+    if command is None:
+        head = ["usage: geomstir COMMAND [flags]", "",
+                "exact tables and identity checks for geometric polynomial families",
+                "", "geomstir COMMAND -h lists the flags of one command:"]
+        rows = [(name, spec[1]) for name, spec in _COMMANDS.items()]
+    else:
+        _, summary, flags, required, defaults = _COMMANDS[command]
+        slots = "".join(f" [{key}]" for key in flags if not key.startswith("-"))
+        head = [f"usage: geomstir {command}{slots} [flags]", "", summary, ""]
+        rows = [(f"{key} {metavar}", "required" if key in required
+                 else f"default {defaults[dest]}" if dest in defaults else "")
+                for key, (dest, _, metavar) in flags.items()]
+        rows.append((", ".join(_HELP), "print this help"))
+    width = min(22, max(len(left) for left, _ in rows))  # a long choice list overflows
+    print("\n".join(head + [f"  {left:<{width}}  {right}".rstrip()
+                            for left, right in rows]))
+    raise SystemExit(0)
+
+
+def _resolve(name: str, names) -> str:
+    """The flag that name stands for: itself, or the one flag it begins."""
+    if name in names:
+        return name
+    hits = [flag for flag in names if flag.startswith(name)]
+    if len(hits) == 1:
+        return hits[0]
+    _usage_error(f"ambiguous flag {name}: could be {', '.join(hits)}" if hits
+                 else f"unknown flag {name}")
+
+
+def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
+    """The command argv names and its values, read against _COMMANDS.
+
+    A flag is written "--name value" or "--name=value", where name may be
+    cut to any prefix that begins no other flag of the command; the value is
+    the next word whatever it starts with, and the last of a repeated flag
+    wins.  The other words fill the positionals; after a bare "--" every
+    word does.  A usage error prints one error: line and raises
+    SystemExit(2); -h or --help prints the help text and raises SystemExit(0).
+    """
+    if not argv:
+        _usage_error(f"a command is needed: {', '.join(_COMMANDS)}")
+    command, words = argv[0], argv[1:]
+    if command not in _COMMANDS:
+        if command in _HELP or command.startswith("--") and _resolve(command, _HELP):
+            _help(None)
+        _usage_error(f"unknown command {command!r}; the commands are "
+                     f"{', '.join(_COMMANDS)}")
+    _, _, flags, required, defaults = _COMMANDS[command]
+    names = [*(key for key in flags if key.startswith("-")), *_HELP]
+    slots = [key for key in flags if not key.startswith("-")]
+    values = {dest: None for dest, _, _ in flags.values()} | defaults
+    i, ended = 0, False
+    while i < len(words):
+        word = words[i]
+        i += 1
+        if word == "--" and not ended:
+            ended = True
+            continue
+        if ended or not word.startswith("-") or word == "-":
+            if not slots:
+                _usage_error(f"unexpected argument {word!r}")
+            key, value = slots.pop(0), word
+        else:
+            name, eq, value = word.partition("=")
+            key = _resolve(name, names)
+            if key in _HELP:
+                _help(command)
+            if flags[key][1] is None:  # --select: a list of words
+                end = i
+                while not eq and end < len(words) and not words[end].startswith("-"):
+                    end += 1
+                values[flags[key][0]] = [value] if eq else words[i:end]
+                i = end
+                continue
+            if not eq:
+                if i == len(words):
+                    _usage_error(f"{key} needs a value")
+                value = words[i]
+                i += 1
+        dest, parse, _ = flags[key]
+        try:
+            values[dest] = parse(value)
+        except ValueError as e:
+            _usage_error(f"{key}: {e}")
+    missing = [key for key in required if values[flags[key][0]] is None]
+    if missing:
+        _usage_error(f"{command} needs {', '.join(missing)}")
+    return command, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "compute":
+    command, args = _parse(sys.argv[1:] if argv is None else argv)
+    if command == "compute":
         if args.family_pos is not None and args.family_flag is not None \
                 and args.family_pos != args.family_flag:
             return _fail("conflicting positional family and --family")
         args.family = args.family_pos or args.family_flag
-    elif args.command == "asymptotic":
+    elif command == "asymptotic":
         for name in ("alpha", "beta", "gamma", "x"):
             if getattr(args, name) is None:
                 return _fail(f"asymptotic needs --{name}")
-    return args.func(args)
+    return _COMMANDS[command][0](args)
 
 
 if __name__ == "__main__":

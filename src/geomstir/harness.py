@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import re
 import reprlib
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -53,7 +52,14 @@ from .geom import (
     lam_binom,
 )
 from .oracle import MAX_ORACLE_N, BPAConfig, count_bpa
-from .series import MAX_N_BITS, TABLE_CACHE_SIZE, Series, _bit_size, rising
+from .series import (
+    MAX_N_BITS,
+    TABLE_CACHE_SIZE,
+    Series,
+    _bit_size,
+    _parse_rational,
+    rising,
+)
 from .stirling import (
     StirlingParams,
     _scaled_params,
@@ -69,18 +75,6 @@ SCHEMA = "geomstir-conformance/1"
 
 # The largest index a grid may make the harness read, n_max + max(shift_ms) + 1
 MAX_GRID_INDEX = 48
-
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
-
-def _parse_rational(text: str) -> Fraction:
-    """An integer or "p/q" with q > 0 as an exact Fraction; decimals and
-    anything else raise ValueError, so no binary float gets in."""
-    text = text.strip()
-    if not _RATIONAL.match(text):
-        raise ValueError(f"{text!r} is not an exact rational; write an integer or p/q")
-    return Fraction(text)
-
 
 # ---------------------------------------------------------------------------
 # grid

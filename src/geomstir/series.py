@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -66,6 +67,18 @@ SECTION_CACHE_SIZE = 128  # oracle.section_poly_value
 def _q(v) -> Fraction:
     """v as a Fraction; an int exactly, a float by its exact binary value."""
     return v if isinstance(v, Fraction) else Fraction(v)
+
+
+_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """An integer or "p/q" with q > 0 as an exact Fraction; decimals and
+    anything else raise ValueError, so no binary float gets in."""
+    text = text.strip()
+    if not _RATIONAL.match(text):
+        raise ValueError(f"{text!r} is not an exact rational; write an integer or p/q")
+    return Fraction(text)
 
 
 # Cap on the top index read times _bit_size of the rational inputs, checked

@@ -6,8 +6,13 @@ Gauss-Laguerre quadrature), the hand-expanded W(n, 0..2) closed forms and
 the column generating series of the Stirling triangle.  They read only
 public package routes (names in geomstir.__all__ and their methods), so a
 change to the package internals cannot bend a reference to agree with it.
+
+build_parser is the argparse parser the command line used to be read with;
+the command line's own parser must read every argv it accepts to the same
+values.  It reads the public value parsers and family names of geomstir.cli.
 """
 
+import argparse
 import math
 from fractions import Fraction
 
@@ -23,6 +28,7 @@ from geomstir import (
     s_exp_explicit,
     w_coefficient,
 )
+from geomstir.cli import FAMILIES, parse_lambda_list, parse_n_range, parse_rational
 
 
 def _laguerre(n: int, alpha: float, z: float) -> tuple[float, float, float]:
@@ -167,3 +173,48 @@ def stirling_egf_check(params: StirlingParams, k: int, order: int) -> Series:
     for _ in range(k):
         column = column * bracket
     return column
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The four commands and their flags as argparse reads them: a value
+    parser's ValueError is a usage error (SystemExit(2)), and parse_args
+    returns the command and every dest, absent ones None or defaulted."""
+    top = argparse.ArgumentParser(prog="geomstir")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def add_rationals(p, names):
+        for name in names:
+            dest = "lam" if name == "lambda" else name
+            p.add_argument(f"--{name}", dest=dest, type=parse_rational
+                           if name != "lambda" else int, default=None)
+
+    comp = sub.add_parser("compute")
+    comp.add_argument("family_pos", nargs="?", choices=FAMILIES, default=None,
+                      metavar="family")
+    comp.add_argument("--family", dest="family_flag", choices=FAMILIES,
+                      default=None)
+    add_rationals(comp, ["alpha", "beta", "gamma", "lambda", "x"])
+    comp.add_argument("--n", type=parse_n_range, default=None)
+    comp.add_argument("--k", type=int, default=None)
+    comp.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    comp.add_argument("--out", default=None)
+
+    ver = sub.add_parser("verify")
+    ver.add_argument("--grid", default=None)
+    ver.add_argument("--select", nargs="*", default=None)
+    ver.add_argument("--format", choices=("text", "json"), default="text")
+    ver.add_argument("--out", default=None)
+
+    orc = sub.add_parser("oracle")
+    for name in ("n", "lambda", "alpha", "beta", "gamma", "x"):
+        orc.add_argument(f"--{name}", dest="lam" if name == "lambda" else name,
+                         type=int, required=True)
+
+    asy = sub.add_parser("asymptotic")
+    add_rationals(asy, ["alpha", "beta", "gamma", "x"])
+    asy.add_argument("--n", type=int, required=True)
+    asy.add_argument("--s", type=int, required=True)
+    asy.add_argument("--lambdas", type=parse_lambda_list, required=True)
+    asy.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    asy.add_argument("--out", default=None)
+    return top

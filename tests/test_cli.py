@@ -2,16 +2,21 @@
 
 Everything runs in-process through main(argv) so exit codes and output can
 be asserted without spawning subprocesses, except the write-failure tests at
-the end, which need a real stdout descriptor.  argparse-level usage errors
-raise SystemExit(2); errors we catch ourselves return 2.
+the end, which need a real stdout descriptor.  Usage errors found while the
+command line is parsed raise SystemExit(2); errors we catch ourselves return 2.
 """
 
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from references import build_parser
 
 from geomstir import cli
 from geomstir.asymptotics import MAX_LAMBDA_BITS, MAX_LAMBDAS
@@ -260,6 +265,184 @@ def test_tables_are_written_row_by_row(monkeypatch, argv, rows):
     assert main(argv) == 0
     assert len(chunks) == rows
     assert all(c.endswith("\n") and c.count("\n") == 1 for c in chunks)
+
+
+# ----------------------------------------------------------------- parser
+
+# value words that parse and words that do not
+RATIONALS = (["0", "1", "-3", "3/2", "-3/2", "+7", " 5 "], ["0.5", "1/0", "x", ""])
+INTS = (["0", "2", "-1", "+3"], ["1/2", "x", ""])
+FAMILY_WORDS = (list(cli.FAMILIES), ["B", "csv"])
+PATHS = (["out.csv", "-", "a b", ""], [])
+SELECT_WORDS = ["thm6", "orthogonality", "eq31", "nope", "", "a=b"]
+
+# every flag of each command and the words its values are drawn from
+FLAG_WORDS = {
+    "compute": {"--family": FAMILY_WORDS, "--alpha": RATIONALS, "--beta": RATIONALS,
+                "--gamma": RATIONALS, "--lambda": INTS, "--x": RATIONALS,
+                "--n": (["4", "0..5", "0..0"], ["5..2", "-1", "x"]), "--k": INTS,
+                "--format": (["csv", "jsonl"], ["text", "xml"]), "--out": PATHS},
+    "verify": {"--grid": PATHS, "--select": (SELECT_WORDS, []),
+               "--format": (["text", "json"], ["csv", "xml"]), "--out": PATHS},
+    "oracle": {f"--{name}": INTS for name in ("n", "lambda", "alpha", "beta", "gamma", "x")},
+    "asymptotic": {"--alpha": RATIONALS, "--beta": RATIONALS, "--gamma": RATIONALS,
+                   "--x": RATIONALS, "--n": INTS, "--s": INTS,
+                   "--lambdas": (["64", "64,128", "", "-3"], ["3,x", "x"]),
+                   "--format": (["csv", "jsonl"], ["text", "xml"]), "--out": PATHS},
+}
+REQUIRED = {"oracle": list(FLAG_WORDS["oracle"]),
+            "asymptotic": ["--n", "--s", "--lambdas"]}
+
+
+@st.composite
+def argvs(draw):
+    """An argv for one command, and whether it gives some flag a separate
+    value word that starts with "-" (which argparse refuses unless it reads
+    as a negative number).
+
+    The command's required flags come first, in any order, then up to six
+    more.  Flags are spelt in full or cut to any prefix of three or more
+    characters, unique or not, with their value after a space or an "=";
+    about one value in five does not parse.  --select takes a list of ids.
+    Flags repeat, compute gets a positional family, and stray words, unknown
+    flags and a last flag without its value mix in."""
+    command = draw(st.sampled_from(list(FLAG_WORDS)))
+    flags = FLAG_WORDS[command]
+    chosen = draw(st.permutations(REQUIRED.get(command, [])))
+    chosen += draw(st.lists(st.sampled_from(list(flags)), max_size=6))
+    argv, dash_value = [command], False
+    for flag in chosen:
+        if command == "compute" and draw(st.integers(0, 4)) == 0:
+            argv.append(draw(st.sampled_from(FAMILY_WORDS[draw(st.integers(0, 4)) // 4])))
+        if draw(st.integers(0, 19)) == 19:
+            argv.append(draw(st.sampled_from(["--bogus", "-x", "stray"])))
+        name = flag[:draw(st.integers(3, len(flag)))]
+        if flag == "--select":  # words after "--select=id" are not in the list
+            ids = draw(st.lists(st.sampled_from(SELECT_WORDS), max_size=3))
+            if ids and draw(st.booleans()):
+                argv += [f"{name}={ids[0]}", *ids[1:]]
+            else:
+                argv += [name, *ids]
+            continue
+        good, bad = flags[flag]
+        value = draw(st.sampled_from(bad if bad and draw(st.integers(0, 4)) == 4 else good))
+        if draw(st.booleans()):
+            argv.append(f"{name}={value}")
+        else:
+            argv += [name, value]
+            dash_value |= value.startswith("-")
+    if draw(st.integers(0, 9)) == 9:
+        argv.append(draw(st.sampled_from(list(flags))))
+    return argv, dash_value
+
+
+def _parsed(parse, argv):
+    """The values parse reads from argv, or the exit code it raises."""
+    with redirect_stderr(io.StringIO()), redirect_stdout(io.StringIO()):
+        try:
+            return parse(argv)
+        except SystemExit as e:
+            return e.code
+
+
+REFERENCE = build_parser()
+
+
+def _reference(argv):
+    return vars(REFERENCE.parse_args(argv))
+
+
+def _from_table(argv):
+    command, args = cli._parse(argv)
+    return {"command": command, **vars(args)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_parser_reads_what_the_argparse_reference_reads(case):
+    argv, dash_value = case
+    expected, got = _parsed(_reference, argv), _parsed(_from_table, argv)
+    if expected == 2:
+        # argparse refuses a separate value such as "--gamma -3/2"; the
+        # parser takes it
+        assert got == 2 or dash_value, argv
+    else:
+        assert got == expected, argv
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["-h"], list(FLAG_WORDS)),
+    (["--help"], list(FLAG_WORDS)),
+    *(([command, spelling], [*flags, "-h", "--help"])
+      for command, flags in FLAG_WORDS.items() for spelling in ("-h", "--help")),
+])
+def test_help_names_every_flag(capsys, argv, names):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: geomstir")
+    missing = [name for name in names
+               if not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", out)]
+    assert not missing, out
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["tabulate"],
+    ["compute", "A", "--bogus", "1"],
+    ["compute", "A", "--f", "A"],
+    ["compute", "A", "--n"],
+    ["compute", "A", "--format", "xml"],
+    ["compute", "B", "--n", "2"],
+    ["oracle", "--n", "3", "--lambda", "1"],
+    ["compute", "A", "M", "--n", "2"],
+], ids=["no-command", "unknown-command", "unknown-flag", "ambiguous-prefix",
+        "missing-value", "bad-format", "bad-family", "missing-required",
+        "second-positional"])
+def test_usage_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+STIRLING = ["compute", "stirling", "--alpha", "1/2", "--beta", "1"]
+
+
+@pytest.mark.parametrize("argv, same", [
+    ([*STIRLING, "--gamma", "-3/2", "--n", "0..3"],
+     [*STIRLING, "--gamma=-3/2", "--n", "0..3"]),
+    (["compute", "--alpha", "1/2", "--beta", "1", "--gamma", "3/2", "--n", "2",
+      "--", "stirling"],
+     [*STIRLING, "--gamma", "3/2", "--n", "2"]),
+], ids=["negative-value", "positional-after-dashes"])
+def test_spellings_give_one_table(capsys, argv, same):
+    assert run(capsys, *argv) == run(capsys, *same)
+    assert run(capsys, *same)[0] == 0
+
+
+def test_commands_import_no_argument_parser():
+    # argparse imports gettext, whose translation lookup imports locale; a
+    # module the interpreter had already loaded at start-up is not counted
+    names = ("argparse", "gettext", "locale")
+    code = "\n".join([
+        "import sys",
+        f"before = {{m for m in {names!r} if m in sys.modules}}",
+        "from geomstir.cli import main",
+        "assert main(['compute', 'A', '--lambda', '2', '--alpha', '1/2', '--beta', '1',"
+        " '--gamma', '3/2', '--n', '0..3']) == 0",
+        "assert main(['asymptotic', '--alpha', '1', '--beta', '1', '--gamma', '0',"
+        " '--x', '1', '--n', '4', '--s', '1', '--lambdas', '64,128']) == 0",
+        f"print(sorted({{m for m in {names!r} if m in sys.modules}} - before))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 # ------------------------------------------------------------------- caps
