@@ -13,10 +13,10 @@ Routes: generating series (euler_egf), both A-specializations (euler_via_a,
 or euler_values for a whole column E_0..E_N at one gamma), and two explicit
 Stirling sums (euler_explicit).  All four agree exactly.  euler_polynomial
 gives E_n as a polynomial in gamma, by integer Horner in the Newton basis.
-The explicit sum of one triangle and lam, for n = 0, 1, ..., is also kept as
-one memoised column that grows as it is read (_euler_values), for the
-harness's recurrence and convolution readings, which read the same sums at
-many n.
+The explicit sum of one triangle and lam, for n = 0, 1, ..., is kept as one
+memoised column that grows as it is read (_euler_values).  euler_explicit
+reads it, and so do the harness's recurrence and convolution readings, which
+read the same sums at many n.
 
 The circulating recurrence and convolution displays, several of which fail
 as written, are checked by the conformance harness next to their repaired
@@ -33,8 +33,8 @@ from typing import Iterator
 
 from .geom import PolyParams, a_eval, a_values
 from .series import (SERIES_CACHE_SIZE, TABLE_CACHE_SIZE, Series, _IntKeyed, _q,
-                     _scaled, binomial_series, series_int_pow)
-from .stirling import StirlingParams, _value_sweep, weighted_row
+                     _scaled, _upto, binomial_series, series_int_pow)
+from .stirling import StirlingParams, _value_sweep
 from .xpoly import XPolynomial
 
 HALF = Fraction(1, 2)
@@ -101,7 +101,7 @@ def euler_explicit(p: EulerParams, gamma, n: int) -> tuple[Fraction, Fraction]:
     gamma = _q(gamma)
     s_plus = StirlingParams(p.alpha, p.beta, gamma)
     s_minus = StirlingParams(p.alpha, -p.beta, gamma - p.beta * p.lam)
-    return _euler_sum(s_plus, p.lam, n), _euler_sum(s_minus, p.lam, n)
+    return _euler_values(s_plus, p.lam, n)[n], _euler_values(s_minus, p.lam, n)[n]
 
 
 def _euler_ratio(lam: int):
@@ -110,31 +110,19 @@ def _euler_ratio(lam: int):
     return lambda k, d, b: -(k + lam - 1) * b
 
 
-def _euler_sum(sp: StirlingParams, lam: int, n: int) -> Fraction:
-    """sum_k S(n, k) C(k+lam-1, k) k! (-beta/2)^k for the triangle sp.
-
-    The weighted row with ratio _euler_ratio(lam), read at x = 1/2: an
-    integer sum over d^n 2^n.
-    """
-    row, den = weighted_row(sp, n, _euler_ratio(lam))
-    return Fraction(sum(t << (n - k) for k, t in enumerate(row)), den << n)
-
-
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _euler_column(sp: StirlingParams, lam: int) -> tuple[list[Fraction], Iterator]:
-    """(the values _euler_sum(sp, lam, n) for n = 0, 1, ... read so far, the
-    sweep that extends them): the weighted rows of ratio _euler_ratio(lam),
-    swept at x = 1/2, sum(R_n) over (2 d)^n, the same integers as _euler_sum."""
-    return [], _value_sweep(sp, HALF, None, _euler_ratio(lam))
+    """sum_k S(n, k) C(k+lam-1, k) k! (-beta/2)^k for the triangle sp and
+    n = 0, 1, ..., as a memo that grows as it is read (series._upto): the
+    weighted rows of ratio _euler_ratio(lam) swept at x = 1/2, each value
+    sum(R_n) over (2 d)^n."""
+    return [], (Fraction(sum(row), den)
+                for row, den in _value_sweep(sp, HALF, None, _euler_ratio(lam)))
 
 
 def _euler_values(sp: StirlingParams, lam: int, n: int) -> list[Fraction]:
-    """The memoised column of _euler_sum(sp, lam, .), extended to hold index n."""
-    values, sweep = _euler_column(sp, lam)
-    while len(values) <= n:
-        row, den = next(sweep)
-        values.append(Fraction(sum(row), den))
-    return values
+    """The memoised column of _euler_column(sp, lam), extended to hold index n."""
+    return _upto(_euler_column(sp, lam), n)
 
 
 def euler_polynomial(p: EulerParams, n: int) -> XPolynomial:

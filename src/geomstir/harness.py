@@ -27,9 +27,9 @@ import reprlib
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, count, product
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Iterator
 
 from .asymptotics import MAX_LAMBDA_BITS
 from .euler import (
@@ -58,6 +58,7 @@ from .series import (
     Series,
     _bit_size,
     _parse_rational,
+    _upto,
     rising,
 )
 from .stirling import (
@@ -367,20 +368,12 @@ def _lifts(p: PolyParams) -> SimpleNamespace:
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _eq6_column(p: PolyParams, removal_sign: int) -> list[Fraction]:
+def _eq6_column(p: PolyParams, removal_sign: int) -> tuple[list[Fraction], Iterator]:
     """The weights (-1)^k (g | -removal_sign a)_k of eq6 at the row p for
-    k = 0, 1, ... built so far, which _eq6_weights extends."""
-    return [Fraction(1)]
-
-
-def _eq6_weights(p: PolyParams, removal_sign: int, n: int) -> list[Fraction]:
-    """The memoised eq6 weights, extended to hold index n."""
-    weights = _eq6_column(p, removal_sign)
-    step = -removal_sign * p.alpha
-    while len(weights) <= n:
-        # (g | s)_k = (g | s)_(k-1) (g - (k-1) s), and the sign flips
-        weights.append(weights[-1] * ((len(weights) - 1) * step - p.gamma))
-    return weights
+    k = 0, 1, ..., as a memo that grows as it is read (series._upto): the
+    running product of the factors j s - g, s = -removal_sign a."""
+    return [], accumulate(count(-p.gamma, -removal_sign * p.alpha), operator.mul,
+                          initial=Fraction(1))
 
 
 _SHIFT_MARKERS = (Fraction(1), Fraction(2), Fraction(-3, 2))
@@ -477,15 +470,16 @@ def _pair_setup(one: PolyParams, two: PolyParams) -> SimpleNamespace:
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _spivey_setup(p: ExpPolyParams, m: int) -> SimpleNamespace:
     """The n-free parts of spivey at an (alpha, beta, r) row and m: the
-    triangle, its lcm d and scaled ad = alpha d, bd = beta d, the inner row
-    T(m, j) d^j, and falls[j][L] = G(j, L) for the L read so far, which
-    _ev_spivey extends."""
+    triangle, its lcm d, the inner row T(m, j) d^j, and for each j the
+    products G(j, L), L = 0, 1, ..., as a memo that grows as it is read
+    (series._upto): the running product of the factors j bd - (m+l) ad."""
     sp = p.stirling()
     d, ad, bd, _ = _scaled_params(sp)
     return SimpleNamespace(
-        sp=sp, d=d, ad=ad, bd=bd,
+        sp=sp, d=d,
         inner=tuple(t * d ** j for j, t in enumerate(stirling_int_row(sp, m)[1])),
-        falls=[[1] for _ in range(m + 1)],
+        falls=[([], accumulate(count(j * bd - m * ad, -ad), operator.mul, initial=1))
+               for j in range(m + 1)],
     )
 
 
@@ -581,7 +575,7 @@ def _ev_thm4(pt: Point) -> dict:
 def _eq6_sides(pt: Point, removal_sign: int):
     p, n = _params(pt), pt["n"]
     lhs = a_explicit(_lifts(p).zero_gamma, n)
-    weights = _eq6_weights(p, removal_sign, n)
+    weights = _upto(_eq6_column(p, removal_sign), n)
     return lhs, _binomial_sum(n, lambda k: weights[k] * a_explicit(p, n - k))
 
 
@@ -756,15 +750,13 @@ def _ev_spivey(pt: Point) -> dict:
     s = _spivey_setup(p, m)
     sp, d = s.sp, s.d
     outer = stirling_int_row(sp, n)[1]
-    for j, run in enumerate(s.falls):
-        while len(run) <= n:
-            run.append(run[-1] * (j * s.bd - (m + len(run) - 1) * s.ad))
+    falls = [_upto(run, n) for run in s.falls]
     powers = [u ** j * v ** (m - j) for j in range(m + 1)]
     weights = [t * w for t, w in zip(s.inner, powers)]
     printed = classical = 0
     for k, (row, _) in enumerate(_value_sweep(sp, x, n, _s_ratio)):
         head = math.comb(n, k) * sum(row) * v ** (n - k)
-        col = [run[n - k] for run in s.falls]
+        col = [run[n - k] for run in falls]
         printed += outer[k] * d ** k * head * sum(map(operator.mul, col, powers))
         classical += head * sum(map(operator.mul, col, weights))
     vden = v ** (n + m)

@@ -48,20 +48,32 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 # Memo bounds: every builder whose value is read again is an lru_cache at its
 # own definition with one of these, and nothing else memoises.  Each is at
 # least twice the largest working set of one memo on verify-wide (n_max=12,
-# seeds 1 and 301-310): 160 tables, 1724 polynomials, 12 series builds,
-# 48 section values; and 85-97 Euler columns (seeds 1, 517 and 4243).  The
-# harness's per-row set-up memos hold at most 6 (_lifts), 12 (_eq6_column),
-# 15 (_shift_setup), 12 (_euler_rec_setup), 4 (_pair_setup) and 16
-# (_spivey_setup) entries there (seeds 1, 301-310, 517 and 4243).
+# seeds 1, 301-310, 517 and 4243): 110-126 Stirling tables, 82-99 Euler
+# columns (euler_explicit reads them too), 1724 polynomials, 12 series
+# builds and 48 section values.  The harness's per-row set-up memos hold at
+# most 6 (_lifts), 12 (_eq6_column), 15 (_shift_setup), 12
+# (_euler_rec_setup), 4 (_pair_setup) and 16 (_spivey_setup) entries there.
 TABLE_CACHE_SIZE = 512  # stirling._table, euler._euler_column, harness set-up
 POLY_CACHE_SIZE = 8192  # a_explicit, s_exp_explicit
 SERIES_CACHE_SIZE = 32  # a_egf, s_exp_egf, euler_egf, euler._gamma_polynomials
 SECTION_CACHE_SIZE = 128  # oracle.section_poly_value
+
+
+def _upto(column: tuple[list, Iterator], n: int) -> list:
+    """The values of a memo that grows as it is read, extended to hold index n.
+
+    Such a memo holds (values, source): the values read so far, a plain list,
+    and the endless iterator that yields the next ones.
+    """
+    values, source = column
+    while len(values) <= n:
+        values.append(next(source))
+    return values
 
 
 def _q(v) -> Fraction:

@@ -23,9 +23,9 @@ entries T(n, k) = S(n, k) * d^(n-k) are integers satisfying
 
     T(n+1, k) = T(n, k-1) + (k*B - n*A + G) * T(n, k),
 
-so a row costs integer multiply-adds and no gcd.  The table keeps these
-integer rows only; a Fraction S(n, k) = T(n, k) / d^(n-k) is formed on each
-read.
+so a row costs integer multiply-adds and no gcd.  The table is one
+unit-ratio sweep kept as it is read (below); a Fraction S(n, k) =
+T(n, k) / d^(n-k) is formed on each read.
 
 Every polynomial family built on the triangle is a weighted column sum
 sum_k S(n, k) (w_k / d^k) x^k whose weights are one ratio r(k, d, B): w_0 = 1,
@@ -42,7 +42,9 @@ at small-by-big integer products and no polynomial, gcd or kept table
 (_value_sweep).  A value column reads V_n = sum_k R_n(k) over (d v)^n.  At
 x = 1 the row R_n is weighted_row's numerators over d^n, so a whole table
 of coefficient rows streams from the same sweep: with the unit ratio R_n is
-the triangle row T(n, .) itself.
+the triangle row T(n, .) itself, and the memoised table (_table) is that
+sweep's rows kept as tuples.  So _value_sweep is the one place the
+recurrence is stepped.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from functools import lru_cache
 from itertools import count
 from typing import Callable, Iterator
 
-from .series import TABLE_CACHE_SIZE, _IntKeyed
+from .series import TABLE_CACHE_SIZE, _IntKeyed, _upto
 
 _ZERO = Fraction(0)
 
@@ -83,29 +85,20 @@ def _scaled_params(params) -> tuple[int, int, int, int]:
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _table(params: StirlingParams) -> tuple[int, tuple[int, int, int], list]:
-    """(d, (A, B, G), rows): the scale, the scaled parameters and the integer
-    rows T(0, .), T(1, .), ... built so far, which stirling_int_row extends."""
-    d, a, b, g = _scaled_params(params)
-    return d, (a, b, g), [(1,)]
+def _table(params: StirlingParams) -> tuple[int, int, tuple[list, Iterator]]:
+    """(d, B, rows): the scale, the scaled beta and the integer rows
+    T(0, .), T(1, .), ... as a memo that grows as it is read (series._upto),
+    the unit-ratio sweep with each row kept as a tuple."""
+    d, _, b, _ = _scaled_params(params)
+    return d, b, ([], (tuple(row) for row, _ in _value_sweep(params, 1, None, _unit_ratio)))
 
 
 def stirling_int_row(params: StirlingParams, n: int) -> tuple[int, tuple[int, ...]]:
     """(d, T(n, 0..n)) with S(n, k) = T(n, k) / d^(n-k) and every T an integer."""
     if n < 0:
         raise ValueError("need n >= 0")
-    d, (a, b, g), rows = _table(params)
-    while len(rows) <= n:
-        m = len(rows) - 1  # previous row index
-        prev = rows[-1]
-        c = g - m * a  # k*B - m*A + G at k = 0
-        row = [prev[0] * c]
-        for lo, hi in zip(prev, prev[1:]):
-            c += b
-            row.append(lo + c * hi)
-        row.append(1)
-        rows.append(tuple(row))
-    return d, rows[n]
+    d, _, rows = _table(params)
+    return d, _upto(rows, n)[n]
 
 
 def stirling_row(params: StirlingParams, n: int) -> tuple[Fraction, ...]:
@@ -136,7 +129,7 @@ def _weigh(row, d: int, b: int, ratio: Ratio) -> list[int]:
 def weighted_row(params: StirlingParams, n: int, ratio: Ratio) -> tuple[list[int], int]:
     """(T(n, k) w_k for k = 0..n, d^n) with w_0 = 1 and w_k = w_(k-1) ratio(k, d, B):
     the numerators over d^n of the polynomial sum_k S(n, k) (w_k / d^k) x^k."""
-    d, (_, b, _), _ = _table(params)
+    d, b, _ = _table(params)
     return _weigh(stirling_int_row(params, n)[1], d, b, ratio), d ** n
 
 

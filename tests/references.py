@@ -2,8 +2,9 @@
 
 Each one reaches a value the package computes by a different road: the
 weighted integral of the exponential polynomials (floating-point
-Gauss-Laguerre quadrature), the hand-expanded W(n, 0..2) closed forms and
-the column generating series of the Stirling triangle.  They read only
+Gauss-Laguerre quadrature), the hand-expanded W(n, 0..2) closed forms, the
+column generating series of the Stirling triangle and the Euler explicit
+sums term by term over S(n, k).  They read only
 public package routes (names in geomstir.__all__ and their methods), so a
 change to the package internals cannot bend a reference to agree with it.
 
@@ -25,7 +26,9 @@ from geomstir import (
     a_eval,
     binomial_series,
     gff,
+    lam_binom,
     s_exp_explicit,
+    stirling_rec,
     w_coefficient,
 )
 from geomstir.cli import FAMILIES, parse_lambda_list, parse_n_range, parse_rational
@@ -173,6 +176,37 @@ def stirling_egf_check(params: StirlingParams, k: int, order: int) -> Series:
     for _ in range(k):
         column = column * bracket
     return column
+
+
+def ref_euler_explicit(p, gamma, n):
+    """euler_explicit's two Stirling sums as plain Fraction sums over
+    stirling_rec, each weight written out term by term."""
+    gamma = Fraction(gamma)
+    s_plus = StirlingParams(p.alpha, p.beta, gamma)
+    s_minus = StirlingParams(p.alpha, -p.beta, gamma - p.beta * p.lam)
+    f1 = sum(
+        (
+            stirling_rec(s_plus, n, k)
+            * lam_binom(p.lam, k)
+            * math.factorial(k)
+            * (-p.beta) ** k
+            / Fraction(2) ** k
+            for k in range(n + 1)
+        ),
+        Fraction(0),
+    )
+    f2 = sum(
+        (
+            stirling_rec(s_minus, n, k)
+            * lam_binom(p.lam, k)
+            * math.factorial(k)
+            * p.beta ** k
+            / Fraction(2) ** k
+            for k in range(n + 1)
+        ),
+        Fraction(0),
+    )
+    return f1, f2
 
 
 def build_parser() -> argparse.ArgumentParser:

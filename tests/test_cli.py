@@ -136,7 +136,7 @@ def test_compute_jsonl_records(capsys):
 
 
 def test_compute_rational_parameters(capsys):
-    # negative rationals need the --flag=value spelling to survive argparse
+    # a negative rational read in the --flag=value spelling; --x -1/3 reads the same
     code, out, _ = run(
         capsys, "compute", "A", "--lambda", "2", "--alpha", "1/2",
         "--beta", "1", "--gamma", "3/2", "--x=-1/3", "--n", "2",

@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 from geomstir import (GridSpec, a_egf, counterexample_minimize, default_grid,
                       euler_egf, run_suite, s_exp_egf)
 from geomstir import harness
-from geomstir.euler import _euler_sum, _gamma_polynomials
+from geomstir.euler import EulerParams, _gamma_polynomials
 from geomstir.harness import REGISTRY
 from geomstir.asymptotics import MAX_LAMBDA_BITS
 from geomstir.oracle import MAX_ORACLE_N
 from geomstir.series import MAX_N_BITS
-from geomstir.stirling import StirlingParams
+from references import ref_euler_explicit
 
 Q = Fraction
 
@@ -165,6 +165,37 @@ def test_an_evaluator_that_raises_fails_the_evaluates_reading(monkeypatch):
     assert counterexample_minimize("thm6", harness.EVALUATES, start)["n"] == 3
     with pytest.raises(ValueError, match="does not fail"):
         counterexample_minimize("thm6", "main", start)
+
+
+@pytest.fixture
+def fresh_rows():
+    """Clears the Stirling tables and every memo built from their rows before
+    and after the test, so no row read under a patch outlives it."""
+    from geomstir import exppoly, geom, stirling
+
+    memos = (stirling._table, geom.a_explicit, exppoly.s_exp_explicit, *_setup_keys(GRID))
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_a_sweep_fault_fails_the_hard_stirling_identities(monkeypatch, fresh_rows):
+    # the Stirling table is the unit-ratio sweep kept as it is read, so a
+    # fault in _value_sweep (here each row's last entry doubled from n = 5 on)
+    # reaches the hard routes-stirling and orthogonality readings
+    from geomstir import stirling
+
+    sweep = stirling._value_sweep
+
+    def doubled(*args):
+        for n, (row, den) in enumerate(sweep(*args)):
+            yield ([*row[:-1], 2 * row[-1]] if n >= 5 else row), den
+
+    monkeypatch.setattr(stirling, "_value_sweep", doubled)
+    rep = run_suite(replace(GRID, select=("routes-stirling", "orthogonality")))
+    assert rep.verdict() == "FAIL"
 
 
 def test_euler_identities_build_no_a_polynomial():
@@ -506,7 +537,7 @@ def _lowered_recursive(lam, a, b, theta, n, steps):
     """The recursive rec3-derived lowering the evaluator replaced (2^steps
     calls), kept as the reference for its values."""
     if steps == 0:
-        return _euler_sum(StirlingParams(a, b, theta), lam, n)
+        return ref_euler_explicit(EulerParams(lam, a, b), theta, n)[0]
     prev = lam + steps - 1
     return (2 / (prev * b)) * (
         (theta + a - b) * _lowered_recursive(lam, a, b, theta - b, n, steps - 1)

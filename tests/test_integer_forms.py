@@ -14,8 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geomstir import harness
-from geomstir.euler import (EulerParams, _euler_column, _euler_sum, _euler_values,
-                            euler_explicit)
+from geomstir.euler import EulerParams, _euler_column, _euler_values, euler_explicit
 from geomstir.exppoly import ExpPolyParams, s_exp_eval
 from geomstir.geom import PolyParams, a_eval, a_explicit, a_recurrence, lam_binom
 from geomstir.series import (Series, binomial_series, gff, rising, series_exp,
@@ -23,6 +22,7 @@ from geomstir.series import (Series, binomial_series, gff, rising, series_exp,
 from geomstir.stirling import (StirlingParams, param_swap_rhs, stirling_explicit,
                                stirling_rec, stirling_row)
 from geomstir.xpoly import XPolynomial
+from references import ref_euler_explicit
 
 Q = Fraction
 
@@ -112,35 +112,6 @@ def ref_shift_inverse(pt):
         "printed": ref_shift_inverse_sides(pt, lambda k: m),
         "rowwise": ref_shift_inverse_sides(pt, lambda k: k),
     }
-
-
-def ref_euler_explicit(p, gamma, n):
-    gamma = Fraction(gamma)
-    s_plus = StirlingParams(p.alpha, p.beta, gamma)
-    s_minus = StirlingParams(p.alpha, -p.beta, gamma - p.beta * p.lam)
-    f1 = sum(
-        (
-            stirling_rec(s_plus, n, k)
-            * lam_binom(p.lam, k)
-            * math.factorial(k)
-            * (-p.beta) ** k
-            / Fraction(2) ** k
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-    f2 = sum(
-        (
-            stirling_rec(s_minus, n, k)
-            * lam_binom(p.lam, k)
-            * math.factorial(k)
-            * p.beta ** k
-            / Fraction(2) ** k
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-    return f1, f2
 
 
 def ref_stirling_explicit(params, n, k):
@@ -450,7 +421,7 @@ def test_euler_column_matches_euler_sum(a, b, g, lam, reads):
     for n in reads:
         col = _euler_values(sp, lam, n)
         assert len(col) > n
-        same(col[n], _euler_sum(sp, lam, n))
+        same(col[n], ref_euler_explicit(EulerParams(lam, a, b), g, n)[0])
     assert _euler_values(sp, lam, 0) is col
 
 
@@ -465,4 +436,5 @@ def test_euler_column_matches_euler_sum_to_the_grid_cap(triple, lam):
     top = harness.MAX_GRID_INDEX
     _euler_column.cache_clear()
     col = _euler_values(sp, lam, top)
-    same(col, [_euler_sum(sp, lam, n) for n in range(top + 1)])
+    same(col, [ref_euler_explicit(EulerParams(lam, *triple[:2]), triple[2], n)[0]
+               for n in range(top + 1)])

@@ -1,6 +1,7 @@
 """The package runs on the Python standard library alone, computes in exact
-arithmetic, imports only what it reads, every memo in it has a named bound,
-and every name it exports has a reader outside the tests."""
+arithmetic, imports only what it reads, every memo in it has a named bound
+and grows as it is read only through series._upto, and every name it
+exports has a reader outside the tests."""
 
 import ast
 import inspect
@@ -321,3 +322,46 @@ def test_no_module_level_dict_is_a_cache():
 ])
 def test_dict_cache_guard_flags_module_level_writes(source, flagged):
     assert bool(list(_dict_caches(source))) is flagged
+
+
+def _extend_loops(source: str):
+    """(line, function) of each `while len(...) <= ...` or `< ...` loop, the
+    shape of a memo extended in place until it holds an index."""
+    tree = ast.parse(source)
+    owner = {}  # ast.walk meets an outer function before the ones inside it
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.While):
+            continue
+        test = node.test
+        if isinstance(test, ast.Compare) and isinstance(test.left, ast.Call) \
+                and isinstance(test.left.func, ast.Name) and test.left.func.id == "len" \
+                and isinstance(test.ops[0], (ast.Lt, ast.LtE)):
+            yield node.lineno, owner.get(id(node), "<module>")
+
+
+def test_memos_grow_only_through_upto():
+    # a memo that grows as it is read holds (values, source) and is extended
+    # by series._upto alone, so every such memo is read the same way
+    found = {
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, name in _extend_loops(path.read_text())
+    }
+    assert found == {("series.py", "_upto")}, sorted(found)
+
+
+@pytest.mark.parametrize("source, loops", [
+    ("def f(v, n):\n    while len(v) <= n:\n        v.append(0)", [(2, "f")]),
+    ("def f(v, n):\n    while len(v) < n + 1:\n        v.append(0)", [(2, "f")]),
+    ("def f(v):\n    def g():\n        while len(v) < 3:\n            v.append(0)",
+     [(3, "g")]),
+    ("while len(v) <= 3:\n    v.append(0)", [(1, "<module>")]),
+    ("def f(v):\n    while len(v) > 1:\n        v.pop()", []),
+    ("def f(v):\n    while v:\n        v.pop()", []),
+    ("def f(v, n):\n    if len(v) <= n:\n        v.append(0)", []),
+])
+def test_extend_loop_guard_flags_len_bounded_loops(source, loops):
+    assert list(_extend_loops(source)) == loops
