@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .geom import PolyParams, _a_ratio, _stirling_a, a_values
-from .series import _q, falling
+from .series import _q, _scaled, falling
 from .stirling import _scaled_params, _unit_ratio, _value_sweep, _weigh
 
 # Caps of error_decay_report, checked before any work.  Each lam weighs a
@@ -74,13 +74,12 @@ def w_row(a: Sequence[Fraction], n: int, s: int) -> list[Fraction]:
     if len(a) < n:
         raise IndexError(f"need at least {n} coefficients, got {len(a)}")
     top = min(n, s + 1)  # x_k for k > s+1 is never read
-    qs = [_q(v) for v in a[:top]]
-    D = math.lcm(*(q.denominator for q in qs))
+    scaled, D = _scaled([_q(v) for v in a[:top]])
     xs = [0]
     fact = 1
-    for k, q in enumerate(qs, 1):
+    for k, c in enumerate(scaled, 1):
         fact *= k
-        xs.append(fact * q.numerator * (D // q.denominator))
+        xs.append(fact * c)
     # band[m][i] = G_m(lo(m) + i) for p from lo(m) = max(0, m - s) to m
     band = [[1]]
     for m in range(1, n + 1):
@@ -209,7 +208,7 @@ def _exact_column(alpha: Fraction, beta: Fraction, gamma: Fraction, x: Fraction,
     """A_n^(lam,x)(alpha, beta, lam*gamma) for each lam.
 
     a_explicit's sum, with the weights taken out of the sweep: one unit-ratio
-    sweep at x per distinct triangle (alpha, -beta, -lam*gamma) gives its top
+    sweep at x per distinct triangle (-alpha, beta, lam*gamma) gives its top
     row T(n, k) u^k v^(n-k), which each lam of the triangle weighs with
     _a_ratio(lam).  With gamma == 0 every lam shares one sweep.  Nothing is
     kept past the report.
@@ -224,8 +223,7 @@ def _exact_column(alpha: Fraction, beta: Fraction, gamma: Fraction, x: Fraction,
             pass  # only row n is read
         d, _, bd, _ = _scaled_params(sp)
         for lam in lams:
-            v = sum(_weigh(top, d, bd, _a_ratio(lam)))
-            out[lam] = Fraction(-v if n % 2 else v, den)
+            out[lam] = Fraction(sum(_weigh(top, d, bd, _a_ratio(lam))), den)
     return out
 
 

@@ -262,9 +262,8 @@ def _compute_rows(args):
             params_repr = {"alpha": str(p.alpha), "beta": str(p.beta)}
         at = args.x
         values = lambda top: a_values(p, at, top)
-        # A_n is (-1)^n times the weighted row of the (alpha, -beta, -gamma) triangle
-        rows = lambda top: _signed(_value_sweep(_stirling_a(p), 1, top,
-                                                _a_ratio(p.lam)))
+        # A_n is the weighted row of the reflected triangle (-alpha, beta, gamma)
+        rows = lambda top: _value_sweep(_stirling_a(p), 1, top, _a_ratio(p.lam))
     elif fam == "exp-poly":
         p = ExpPolyParams(args.alpha, args.beta, args.gamma)
         params_repr = {"alpha": str(p.alpha), "beta": str(p.beta),
@@ -289,12 +288,6 @@ def _compute_rows(args):
     # every value is read from one sweep at the top n
     column = values(ns[-1])
     return ["n", "value"], params_repr, ({"n": n, "value": column[n]} for n in ns)
-
-
-def _signed(rows):
-    """(-1)^n times each (row, den) pair, on the numerators: den stays > 0."""
-    for n, (row, den) in enumerate(rows):
-        yield ([-t for t in row] if n % 2 else row), den
 
 
 def _stirling_records(table: StirlingParams, ns: range, k: int | None):

@@ -13,10 +13,11 @@ Routes: generating series (euler_egf), both A-specializations (euler_via_a,
 or euler_values for a whole column E_0..E_N at one gamma), and two explicit
 Stirling sums (euler_explicit).  All four agree exactly.  euler_polynomial
 gives E_n as a polynomial in gamma, by integer Horner in the Newton basis.
-The explicit sum of one triangle and lam, for n = 0, 1, ..., is kept as one
-memoised column that grows as it is read (_euler_values).  euler_explicit
-reads it, and so do the harness's recurrence and convolution readings, which
-read the same sums at many n.
+The explicit sum of one triangle and lam, for n = 0, 1, ..., is the second
+line read literally: the A family's sweep (geom._a_ratio) of that triangle at
+x = -1/2.  It is kept as one memoised column that grows as it is read
+(_euler_values).  euler_explicit reads it, and so do the harness's recurrence
+and convolution readings, which read the same sums at many n.
 
 The circulating recurrence and convolution displays, several of which fail
 as written, are checked by the conformance harness next to their repaired
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .geom import PolyParams, a_eval, a_values
+from .geom import PolyParams, _a_ratio, a_eval, a_values
 from .series import (SERIES_CACHE_SIZE, TABLE_CACHE_SIZE, Series, _IntKeyed, _q,
                      _scaled, _upto, binomial_series, series_int_pow)
 from .stirling import StirlingParams, _value_sweep
@@ -104,20 +105,18 @@ def euler_explicit(p: EulerParams, gamma, n: int) -> tuple[Fraction, Fraction]:
     return _euler_values(s_plus, p.lam, n)[n], _euler_values(s_minus, p.lam, n)[n]
 
 
-def _euler_ratio(lam: int):
-    """w_k / w_(k-1) = -(k+lam-1) B for the weights w_k = C(k+lam-1, k) k! (-B)^k,
-    B = beta d the triangle's scaled beta."""
-    return lambda k, d, b: -(k + lam - 1) * b
-
-
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _euler_column(sp: StirlingParams, lam: int) -> tuple[list[Fraction], Iterator]:
     """sum_k S(n, k) C(k+lam-1, k) k! (-beta/2)^k for the triangle sp and
-    n = 0, 1, ..., as a memo that grows as it is read (series._upto): the
-    weighted rows of ratio _euler_ratio(lam) swept at x = 1/2, each value
-    sum(R_n) over (2 d)^n."""
+    n = 0, 1, ..., as a memo that grows as it is read (series._upto).
+
+    This is A_n^(lam, -1/2) read from sp, the A family's column sum: the
+    weighted rows of ratio geom._a_ratio(lam) swept at x = -1/2, each value
+    sum(R_n) over (2 d)^n.  For sp = (alpha, beta, gamma) it is
+    E_n = A_n^(lam, -1/2)(-alpha, beta, gamma), whose reflected triangle
+    (geom._stirling_a) is sp itself."""
     return [], (Fraction(sum(row), den)
-                for row, den in _value_sweep(sp, HALF, None, _euler_ratio(lam)))
+                for row, den in _value_sweep(sp, -HALF, None, _a_ratio(lam)))
 
 
 def _euler_values(sp: StirlingParams, lam: int, n: int) -> list[Fraction]:

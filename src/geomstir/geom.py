@@ -4,8 +4,13 @@ A_n is a polynomial in the weight marker x, indexed by an integer order
 lam >= 0 and rational parameters (alpha, beta, gamma).  Three independent
 routes compute it:
 
-  * a_explicit  -- finite sum over a generalized Stirling column,
-        A_n = sum_k C(k+lam-1, k) (-1)^(n+k) beta^k k! S(n,k; alpha,-beta,-gamma) x^k
+  * a_explicit  -- finite sum over a generalized Stirling column.  The
+        paper prints it over the (alpha, -beta, -gamma) triangle,
+            A_n = sum_k C(k+lam-1, k) (-1)^(n+k) beta^k k! S(n,k; alpha,-beta,-gamma) x^k,
+        and it is computed over the reflected triangle, with no sign,
+            A_n = sum_k C(k+lam-1, k) beta^k k! S(n,k; -alpha,beta,gamma) x^k.
+        The two agree because the triangle is homogeneous of degree n - k:
+        S(n,k; -a,-b,-g) = (-1)^(n-k) S(n,k; a,b,g).
   * a_egf       -- coefficient extraction from the closed generating series
         (1 - alpha t)^(-gamma/alpha) * [1 / (1 - x ((1 - alpha t)^(-beta/alpha) - 1))]^lam,
         read one power of x at a time
@@ -61,21 +66,21 @@ def lam_binom(lam: int, k: int) -> int:
 
 
 def _stirling_a(params: PolyParams):
-    return StirlingParams(params.alpha, -params.beta, -params.gamma)
+    """The reflected triangle (-alpha, beta, gamma) that A_n is read from."""
+    return StirlingParams(-params.alpha, params.beta, params.gamma)
 
 
 def _a_ratio(lam: int):
     """w_k / w_(k-1) = (k+lam-1) B for the weights w_k = C(k+lam-1, k) k! B^k,
-    B = -beta d the scaled beta of the (alpha, -beta, -gamma) triangle."""
+    B = beta d the scaled beta of the (-alpha, beta, gamma) triangle."""
     return lambda k, d, b: (k + lam - 1) * b
 
 
 @lru_cache(maxsize=POLY_CACHE_SIZE)
 def a_explicit(params: PolyParams, n: int) -> XPolynomial:
-    """A_n via the generalized Stirling column sum: (-1)^n times the
-    weighted row of the (alpha, -beta, -gamma) triangle, ratio _a_ratio(lam)."""
-    num, den = weighted_row(_stirling_a(params), n, _a_ratio(params.lam))
-    return XPolynomial.from_ints(num, -den if n % 2 else den)
+    """A_n via the generalized Stirling column sum: the weighted row of the
+    (-alpha, beta, gamma) triangle, ratio _a_ratio(lam)."""
+    return XPolynomial.from_ints(*weighted_row(_stirling_a(params), n, _a_ratio(params.lam)))
 
 
 def a_eval(params: PolyParams, n: int, x) -> Fraction:
@@ -87,13 +92,12 @@ def a_values(params: PolyParams, x, order: int) -> list[Fraction]:
     """A_0(x) .. A_order(x) from one integer sweep of the Stirling recurrence.
 
     a_explicit's column sum with the same ratio _a_ratio(lam), so
-    A_n(x) = (-1)^n sum(R_n) / (d v)^n.  Builds no polynomial, so it
+    A_n(x) = sum(R_n) / (d v)^n.  Builds no polynomial, so it
     pays for a whole column read once; repeated single reads belong to
     a_eval, which shares the cached polynomials.  Prefix-stable.
     """
     sweep = _value_sweep(_stirling_a(params), _q(x), order, _a_ratio(params.lam))
-    return [Fraction(-sum(row) if n % 2 else sum(row), den)
-            for n, (row, den) in enumerate(sweep)]
+    return [Fraction(sum(row), den) for row, den in sweep]
 
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)

@@ -44,7 +44,6 @@ from .euler import (
 from .exppoly import ExpPolyParams, _s_ratio, lemma34_sides, s_exp_eval, s_exp_egf
 from .geom import (
     PolyParams,
-    _stirling_a,
     a_egf,
     a_eval,
     a_explicit,
@@ -58,6 +57,7 @@ from .series import (
     Series,
     _bit_size,
     _parse_rational,
+    _scaled,
     _upto,
     rising,
 )
@@ -388,11 +388,12 @@ def _shift_setup(p: PolyParams, m: int) -> SimpleNamespace:
     dual = StirlingParams(a, -b, -g + m * a - lam * b).dual()
     rise = rising(Fraction(lam), m)
     return SimpleNamespace(
-        # shift-raise: (weight, record) of the x^k term, k = 0..m
+        # shift-raise: (weight, record) of the x^k term, k = 0..m, over the
+        # display's own triangle S(m, k; a, -b, -g)
         raise_terms=tuple(
             (s * lam_binom(lam, k) * math.factorial(k) * (-b) ** k,
              PolyParams(lam + k, a, b, g + m * a + k * b))
-            for k, s in enumerate(stirling_row(_stirling_a(p), m))),
+            for k, s in enumerate(stirling_row(StirlingParams(a, -b, -g), m))),
         # shift-inverse: its left side's record, the signed dual row
         # (-1)^k s(m, k), each reading's record per k and the scale per marker
         inverse_lhs=PolyParams(lam + m, a, -b, g),
@@ -599,9 +600,7 @@ def _ev_eq7(pt: Point) -> dict:
     sp0 = _lifts(p).eq7_tri
     d, _, b, _ = _scaled_params(sp0)
     rows = [stirling_int_row(sp0, i)[1] for i in range(n + 1)]
-    a, g = p.alpha, p.gamma
-    e = math.lcm(a.denominator, g.denominator)
-    ae, ge = a.numerator * (e // a.denominator), g.numerator * (e // g.denominator)
+    (ae, ge), e = _scaled((p.alpha, p.gamma))
     u, fall = [0] * (n + 1), 1  # fall = F_(n-i)
     for i in range(n, -1, -1):
         u[i] = (-1) ** i * math.comb(n, i) * fall * d ** (n - i) * e ** i

@@ -53,7 +53,7 @@ from typing import Iterator, Sequence
 # Memo bounds: every builder whose value is read again is an lru_cache at its
 # own definition with one of these, and nothing else memoises.  Each is at
 # least twice the largest working set of one memo on verify-wide (n_max=12,
-# seeds 1, 301-310, 517 and 4243): 110-126 Stirling tables, 82-99 Euler
+# seeds 1, 301-310, 517 and 4243): 111-128 Stirling tables, 82-99 Euler
 # columns (euler_explicit reads them too), 1724 polynomials, 12 series
 # builds and 48 section values.  The harness's per-row set-up memos hold at
 # most 6 (_lifts), 12 (_eq6_column), 15 (_shift_setup), 12
@@ -193,8 +193,7 @@ class Series:
         cs = [_q(c) for c in coeffs]
         if not cs:
             raise ValueError("a Series needs at least the constant term")
-        den = math.lcm(*(c.denominator for c in cs))
-        s = _series([c.numerator * (den // c.denominator) for c in cs], den)
+        s = _series(*_scaled(cs))
         self.num, self.den = s.num, s.den
 
     @classmethod
@@ -204,10 +203,10 @@ class Series:
         qs = [_q(v) for v in values]
         if not qs:
             raise ValueError("a Series needs at least the constant term")
-        lcd = math.lcm(*(q.denominator for q in qs))
+        scaled, lcd = _scaled(qs)
         num, fall = [], 1  # fall = N! / n!, n from N down
-        for n in range(len(qs) - 1, -1, -1):
-            num.append(qs[n].numerator * (lcd // qs[n].denominator) * fall)
+        for n in range(len(scaled) - 1, -1, -1):
+            num.append(scaled[n] * fall)
             fall *= n or 1
         num.reverse()
         return _series(num, lcd * fall)
@@ -337,10 +336,7 @@ def binomial_series(alpha, beta, order: int) -> Series:
     (beta | alpha)_n = P_n / E^n for P_n = prod_{j<n} (B - j A), and
     coefficient n is P_n E^(N-n) (N! / n!) over E^N N!.
     """
-    alpha, beta = _q(alpha), _q(beta)
-    e = math.lcm(alpha.denominator, beta.denominator)
-    a = alpha.numerator * (e // alpha.denominator)
-    b = beta.numerator * (e // beta.denominator)
+    (a, b), e = _scaled((_q(alpha), _q(beta)))
     num, acc = [], 1
     for n in range(order + 1):
         num.append(acc)

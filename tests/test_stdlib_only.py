@@ -128,6 +128,17 @@ def test_families_read_no_integer_rows():
         assert not used & hidden, (name, sorted(used & hidden))
 
 
+def test_harness_writes_its_own_a_triangles():
+    # the A-family displays name their own triangles and weights, so the
+    # harness reads neither of the ones a_explicit is computed from
+    path = PACKAGE / "harness.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("geom", "geomstir.geom"):
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"_stirling_a", "_a_ratio"}, sorted(imported)
+
+
 def _referenced_names(paths) -> set[str]:
     """Every Name, Attribute, imported name and last part of a "geomstir.*"
     string (a tracer target) in the files at paths."""

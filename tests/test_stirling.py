@@ -15,7 +15,6 @@ from geomstir import (
     stirling_row,
 )
 from geomstir import stirling
-from geomstir.euler import _euler_ratio
 from geomstir.exppoly import _s_ratio
 from geomstir.geom import _a_ratio
 from geomstir.xpoly import XPolynomial
@@ -186,11 +185,11 @@ q12 = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 @settings(max_examples=60, deadline=None)
 @given(q12, st.one_of(st.just(Q(0)), q12), q12, st.integers(0, 3),
-       st.sampled_from("ASE"), st.sampled_from([Q(0), Q(1), Q(-1, 2), Q(5, 3)]),
+       st.sampled_from("AS"), st.sampled_from([Q(0), Q(1), Q(-1, 2), Q(5, 3)]),
        st.integers(0, 12))
 def test_weighted_row_is_the_weighted_column_sum(a, b, g, lam, family, x, n):
-    # each family's ratio: A_n's, S_n's and E_n's
-    ratio = {"A": _a_ratio(lam), "S": _s_ratio, "E": _euler_ratio(lam)}[family]
+    # each family's ratio: A_n's and S_n's (E_n's is A_n's at x = -1/2)
+    ratio = {"A": _a_ratio(lam), "S": _s_ratio}[family]
     p = StirlingParams(a, b, g)
     d, _, bd, _ = stirling._scaled_params(p)
     want, w = Q(0), 1
@@ -204,3 +203,19 @@ def test_weighted_row_is_the_weighted_column_sum(a, b, g, lam, family, x, n):
     row, vden = list(stirling._value_sweep(p, x, n, ratio))[n]
     assert Q(sum(row), vden) == want
     assert list(stirling._value_sweep(p, Q(1), n, ratio))[n] == (num, den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=3), q12, q12, q12, st.integers(0, 12))
+def test_a_explicit_is_the_printed_sum_over_the_reflected_triangle(lam, a, b, g, n):
+    # the triangle is homogeneous: S(n, k; -a, -b, -g) = (-1)^(n-k) S(n, k; a, b, g)
+    p = StirlingParams(a, b, g)
+    assert stirling_row(StirlingParams(-a, -b, -g), n) == tuple(
+        (-1) ** (n - k) * s for k, s in enumerate(stirling_row(p, n)))
+    # so a_explicit, read from S(n, k; -a, b, g), is the paper's printed sum
+    # sum_k C(k+lam-1, k) (-1)^(n+k) b^k k! S(n, k; a, -b, -g) x^k
+    printed = StirlingParams(a, -b, -g)
+    want = XPolynomial([(math.comb(k + lam - 1, k) if k else 1) * (-1) ** (n + k)
+                        * b ** k * math.factorial(k) * stirling_rec(printed, n, k)
+                        for k in range(n + 1)])
+    assert a_explicit(PolyParams(lam, a, b, g), n) == want
