@@ -15,9 +15,8 @@ import argparse
 import math
 from fractions import Fraction
 
-from geomstir.asymptotics import MAX_LAMBDAS, error_decay_reports, format_sig
-from geomstir.cli import (MAX_N, MAX_S, _fail, _write, parse_lambda_list,
-                          parse_rational)
+from geomstir.asymptotics import _check_caps, error_decay_reports, format_sig
+from geomstir.cli import _fail, _write, parse_lambda_list, parse_rational
 
 
 def _arg(parse):
@@ -44,23 +43,17 @@ def main() -> int:
     ap.add_argument("--doublings", type=int, default=5)
     args = ap.parse_args()
 
-    # the caps of `geomstir asymptotic`, checked before the ladder is built;
-    # error_decay_reports checks the size of each lambda.  It reports every
-    # distinct depth up to n from one exact column and one W row.
-    run = dict.fromkeys(s for s in args.depths if s <= args.n)
-    if args.n > MAX_N:
-        return _fail(f"--n {args.n} is past the cap of {MAX_N}")
-    if any(s > MAX_S for s in run):
-        return _fail(f"--depths {max(run)} is past the cap of {MAX_S}")
-    if args.doublings + 1 > MAX_LAMBDAS:
-        return _fail(f"--doublings {args.doublings} makes {args.doublings + 1}"
-                     f" lambdas, past the cap of {MAX_LAMBDAS}")
-    lams = [args.lambda_start * 2**i for i in range(args.doublings + 1)]
-    # every report is computed before the first line is printed, so a bad
-    # input ends in one error line and exit 2, with no partial table
+    # error_decay_reports checks every input, then reports each distinct depth
+    # up to n from one exact column and one W row, all before the first line
+    # is printed: a bad input ends in one error line and exit 2.  Its caps on
+    # n, the depths and the count of lambdas are checked first here, before
+    # the ladder is built and also when every depth is skipped.
+    run = list(dict.fromkeys(s for s in args.depths if s <= args.n))
     try:
+        _check_caps(args.n, run, args.doublings + 1)
+        lams = [args.lambda_start * 2**i for i in range(args.doublings + 1)]
         reports = error_decay_reports(args.alpha, args.beta, args.gamma,
-                                      args.x, args.n, list(run), lams) if run else {}
+                                      args.x, args.n, run, lams) if run else {}
     except ValueError as e:
         return _fail(str(e))
     return _write(_study(args, lams, reports), None)

@@ -37,16 +37,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .geom import PolyParams, _a_ratio, _stirling_a, a_values
-from .series import _q, _scaled, falling
+from .series import MAX_N, _check_size, _q, _scaled, falling
 from .stirling import _scaled_params, _unit_ratio, _value_sweep, _weigh
 
-# Caps of error_decay_report, checked before any work.  Each lam weighs a
-# top row with integers that grow like lam^n, of about n * bit_length(lam)
-# bits, and with gamma != 0 sweeps a triangle of its own; past 16 800
-# (42-bit lambdas at n = 400) or past 20 lambdas a report would outlast the
-# slowest table under the CLI's index cap.
-MAX_LAMBDA_BITS = 16_800  # n * bit_length(lam), for each lam
-MAX_LAMBDAS = 20          # lams per report
+# Caps of an asymptotic table, checked by _check_caps before any work; the
+# size rules on n times the bits of the parameters and of each lam are
+# series._check_size's.  Each lam weighs a top row of about n * bit_length(lam)
+# bits and with gamma != 0 sweeps a triangle of its own, so past 20 lambdas a
+# report would outlast the slowest table under MAX_N.
+MAX_S = 40        # depth s; W(n, 0..s) is one banded exp recurrence, O(n s^2)
+MAX_LAMBDAS = 20  # lams per report
 
 
 def w_coefficient(a: Sequence[Fraction], n: int, j: int) -> Fraction:
@@ -159,14 +159,25 @@ class DecayReport:
         return out
 
 
+def _check_caps(n: int, depths: Sequence[int], count: int) -> None:
+    """ValueError if n is past MAX_N, a depth past MAX_S or a count of
+    lambdas past MAX_LAMBDAS."""
+    if n > MAX_N:
+        raise ValueError(f"n = {n} is past the cap of {MAX_N}")
+    if depths and max(depths) > MAX_S:
+        raise ValueError(f"depth s = {max(depths)} is past the cap of {MAX_S}")
+    if count > MAX_LAMBDAS:
+        raise ValueError(f"{count} lambdas is past the cap of {MAX_LAMBDAS}")
+
+
 def error_decay_report(alpha, beta, gamma, x, n: int, s: int,
                        lambdas: Sequence[int]) -> DecayReport:
     """Exact vs predicted A_n^(lam,x)(alpha, beta, lam*gamma) per lam.
 
     lam values must be integers (the exact route needs an integer order)
     and must exceed n - 1 so the expansion denominators are nonzero.
-    Every input is checked, against MAX_LAMBDAS and MAX_LAMBDA_BITS too,
-    before any value is computed.
+    Every input is checked before any value is computed, against the caps
+    of error_decay_reports too.
     """
     return error_decay_reports(alpha, beta, gamma, x, n, (s,), lambdas)[s]
 
@@ -177,8 +188,11 @@ def error_decay_reports(alpha, beta, gamma, x, n: int, depths: Sequence[int],
 
     The depth-free work is done once: the exact column, and the W row at
     the deepest s, whose prefix W(n, 0..s) serves every shallower depth.
-    Every input is checked before any value is computed.
+    Every input is checked before any value is computed: _check_caps first,
+    then each s and each lam, then series._check_size on n times the bits of
+    alpha, beta, gamma and x, and of each lam.
     """
+    _check_caps(n, depths, len(lambdas))
     if not depths:
         raise ValueError("need at least one depth")
     for s in depths:
@@ -186,15 +200,11 @@ def error_decay_reports(alpha, beta, gamma, x, n: int, depths: Sequence[int],
             raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     if not lambdas:
         raise ValueError("need at least one lambda")
-    if len(lambdas) > MAX_LAMBDAS:
-        raise ValueError(f"{len(lambdas)} lambdas is past the cap of {MAX_LAMBDAS}")
     for lam in lambdas:
         if not isinstance(lam, int) or lam <= n - 1:
             raise ValueError(f"lam={lam} must be an integer > n-1 = {n - 1}")
-        if n * lam.bit_length() > MAX_LAMBDA_BITS:
-            raise ValueError(f"n * bit_length(lambda) = {n * lam.bit_length()}"
-                             f" is past the cap of {MAX_LAMBDA_BITS}")
     al, b, g, x = _q(alpha), _q(beta), _q(gamma), _q(x)
+    _check_size(n, (al, b, g, x), lambdas)
     ws = w_row(a_coefficients(al, b, g, x, n), n, max(depths))
     exact = _exact_column(al, b, g, x, n, lambdas)
     return {s: DecayReport(tuple(DecayRow(lam, exact[lam],

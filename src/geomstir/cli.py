@@ -30,31 +30,15 @@ from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .asymptotics import MAX_LAMBDA_BITS, error_decay_report, format_sig
+from .asymptotics import error_decay_report, format_sig
 from .euler import EulerParams, _gamma_polynomial_rows, euler_values
 from .exppoly import ExpPolyParams, _s_ratio, s_exp_values
 from .geom import PolyParams, _a_ratio, _stirling_a, a_eval, a_values
 from .harness import GridSpec, default_grid, run_suite
 from .oracle import BPAConfig, count_bpa
-from .series import MAX_N_BITS, _bit_size
+from .series import MAX_N, _check_size
 from .series import _parse_rational as parse_rational
 from .stirling import StirlingParams, _scaled_params, _unit_ratio, _value_sweep
-
-# Input caps: past one, the command exits 2 before any work
-MAX_N = 400  # the top index of compute --n and of asymptotic --n
-MAX_S = 40   # asymptotic --s; W(n, 0..s) is one banded exp recurrence, O(n s^2)
-
-_SIZED_FLAGS = ("alpha", "beta", "gamma", "x")
-
-
-def _check_size(n: int, args):
-    """ValueError if n times the largest bit length among the rational
-    flags' numerators and denominators is past MAX_N_BITS."""
-    bits = _bit_size(v for v in (getattr(args, name) for name in _SIZED_FLAGS)
-                     if v is not None)
-    if n * bits > MAX_N_BITS:
-        raise ValueError(f"--n {n} times {bits}, the largest bit length of a parameter, "
-                         f"is {n * bits}, past the cap of {MAX_N_BITS}")
 
 
 def parse_n_range(text: str) -> range:
@@ -236,13 +220,8 @@ def _compute_rows(args):
     if ns[-1] > MAX_N:
         raise ValueError(f"--n goes up to {ns[-1]}, past the cap of {MAX_N}")
     _check_flags(args)
-    _check_size(ns[-1], args)
-    # the weights (k + lambda - 1) B grow a sweep's integers with n times the
-    # bits of lambda: the rule asymptotic keeps for each of its lambdas
-    if args.lam is not None and ns[-1] * args.lam.bit_length() > MAX_LAMBDA_BITS:
-        raise ValueError(f"--n {ns[-1]} times the bit length of --lambda is "
-                         f"{ns[-1] * args.lam.bit_length()}, past the cap of "
-                         f"{MAX_LAMBDA_BITS}")
+    _check_size(ns[-1], [v for v in (args.alpha, args.beta, args.gamma, args.x)
+                         if v is not None], () if args.lam is None else (args.lam,))
 
     if fam in ("stirling", "stirling-dual"):
         sp = StirlingParams(args.alpha, args.beta, args.gamma)
@@ -342,12 +321,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
-    if args.n > MAX_N:
-        return _fail(f"--n {args.n} is past the cap of {MAX_N}")
-    if args.s > MAX_S:
-        return _fail(f"--s {args.s} is past the cap of {MAX_S}")
     try:
-        _check_size(args.n, args)
         report = error_decay_report(args.alpha, args.beta, args.gamma,
                                     args.x, args.n, args.s, args.lambdas)
     except ValueError as e:

@@ -31,7 +31,6 @@ from itertools import accumulate, count, product
 from types import SimpleNamespace
 from typing import Callable, Iterator
 
-from .asymptotics import MAX_LAMBDA_BITS
 from .euler import (
     EulerParams,
     HALF,
@@ -52,10 +51,9 @@ from .geom import (
 )
 from .oracle import MAX_ORACLE_N, BPAConfig, count_bpa
 from .series import (
-    MAX_N_BITS,
     TABLE_CACHE_SIZE,
     Series,
-    _bit_size,
+    _check_size,
     _parse_rational,
     _scaled,
     _upto,
@@ -119,20 +117,12 @@ class GridSpec:
                              f"= {top}, past the cap of {MAX_GRID_INDEX}")
         # compute's size caps, at the top index: the rationals' bits, and each
         # lambda's (lam1 + lam2 for a pair row)
-        bits = _bit_size([v for key, kinds in _ROW_KINDS.items()
+        _check_size(top, [v for key, kinds in _ROW_KINDS.items()
                           for row in getattr(self, key)
                           for kind, v in zip(kinds, row) if kind == "q"]
-                         + list(self.x_values))
-        if top * bits > MAX_N_BITS:
-            raise ValueError(f"index {top} times {bits}, the largest bit length of a "
-                             f"rational, is {top * bits}, past the cap of {MAX_N_BITS}")
-        lam_bits = max([row[0] for row in self.poly_points + self.euler_points]
-                       + [row[0] + row[2] for row in self.pair_points],
-                       default=0).bit_length()
-        if top * lam_bits > MAX_LAMBDA_BITS:
-            raise ValueError(f"index {top} times {lam_bits}, the largest bit length of a "
-                             f"lambda (lam1 + lam2 in a pair row), is {top * lam_bits}, "
-                             f"past the cap of {MAX_LAMBDA_BITS}")
+                    + list(self.x_values),
+                    [row[0] for row in self.poly_points + self.euler_points]
+                    + [row[0] + row[2] for row in self.pair_points])
         if self.select is not None:
             if not isinstance(self.select, (tuple, list)) \
                     or not all(isinstance(s, str) for s in self.select):

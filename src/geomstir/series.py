@@ -93,16 +93,32 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-# Cap on the top index read times _bit_size of the rational inputs, checked
-# by cli and harness.GridSpec: the integers of every sweep grow with both
-# (README, "Input caps", has the times).
-MAX_N_BITS = 2048
+# Input caps (README, "Input caps", has the times).  The integers of every
+# sweep grow with the top index read times the bits of the rational inputs,
+# and times the bits of lambda; _check_size holds both rules for compute,
+# grids and the asymptotic table.  Past 16 800 (42-bit lambdas at n = 400) an
+# asymptotic report would outlast the slowest table under MAX_N.
+MAX_N = 400               # the top index of a compute or asymptotic table
+MAX_N_BITS = 2048         # top index * _bit_size of the rationals
+MAX_LAMBDA_BITS = 16_800  # top index * bit_length of each lambda
 
 
 def _bit_size(values) -> int:
     """The largest bit length of a numerator or denominator of the rationals."""
     return max((max(v.numerator.bit_length(), v.denominator.bit_length())
                 for v in values), default=0)
+
+
+def _check_size(top: int, rationals, lams=()) -> None:
+    """ValueError if a read up to index top is past MAX_N_BITS for the
+    rationals or past MAX_LAMBDA_BITS for the int lambdas."""
+    for size, what, cap in (
+            (_bit_size(rationals), "a rational parameter", MAX_N_BITS),
+            (max((lam.bit_length() for lam in lams), default=0), "a lambda",
+             MAX_LAMBDA_BITS)):
+        if top * size > cap:
+            raise ValueError(f"index {top} times {size}, the largest bit length of "
+                             f"{what}, is {top * size}, past the cap of {cap}")
 
 
 class _IntKeyed:

@@ -175,7 +175,8 @@ def test_lambda_validation():
 def test_lambda_caps(monkeypatch):
     # every lambda is checked before the first value is computed
     from geomstir import asymptotics
-    from geomstir.asymptotics import MAX_LAMBDA_BITS, MAX_LAMBDAS
+    from geomstir.asymptotics import MAX_LAMBDAS
+    from geomstir.series import MAX_LAMBDA_BITS, MAX_N_BITS
 
     ok = list(range(64, 64 + MAX_LAMBDAS))
     big = 1 << (MAX_LAMBDA_BITS // 4 - 1)  # n * bit_length at the cap for n = 4
@@ -191,6 +192,9 @@ def test_lambda_caps(monkeypatch):
         with pytest.raises(ValueError) as err:
             error_decay_report(Q(1), Q(1), Q(1), Q(1), 4, 1, lambdas)
         assert ("past the cap of" in str(err.value)) is (3 not in lambdas)
+    # the rationals' size too: n times the 3322 bits of x is past MAX_N_BITS
+    with pytest.raises(ValueError, match=f"past the cap of {MAX_N_BITS}$"):
+        error_decay_report(1, 1, 1, Q(10**1000, 3), 4, 1, [8])
 
 
 def test_reports_at_many_depths_share_one_w_row_and_exact_column(monkeypatch):

@@ -19,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 from references import build_parser
 
 from geomstir import cli
-from geomstir.asymptotics import MAX_LAMBDA_BITS, MAX_LAMBDAS
-from geomstir.cli import MAX_N, MAX_N_BITS, MAX_S, main, parse_n_range, parse_rational
+from geomstir.asymptotics import MAX_LAMBDAS, MAX_S
+from geomstir.cli import main, parse_n_range, parse_rational
 from geomstir.harness import MAX_GRID_INDEX
 from geomstir.oracle import MAX_ORACLE_LAM, MAX_ORACLE_N
+from geomstir.series import MAX_LAMBDA_BITS, MAX_N, MAX_N_BITS
 
 
 def run(capsys, *argv):

@@ -13,9 +13,8 @@ from geomstir import (GridSpec, a_egf, counterexample_minimize, default_grid,
 from geomstir import harness
 from geomstir.euler import EulerParams, _gamma_polynomials
 from geomstir.harness import REGISTRY
-from geomstir.asymptotics import MAX_LAMBDA_BITS
 from geomstir.oracle import MAX_ORACLE_N
-from geomstir.series import MAX_N_BITS
+from geomstir.series import MAX_LAMBDA_BITS, MAX_N_BITS
 from references import ref_euler_explicit
 
 Q = Fraction

@@ -56,11 +56,12 @@ def test_full_device_json_report_is_a_write_error():
 
 
 @pytest.mark.parametrize("args", [
-    ["--n", "401"],                                    # cli.MAX_N
-    ["--n", "50", "--depths", "1,41"],                 # cli.MAX_S
+    ["--n", "401"],                                    # MAX_N
+    ["--n", "50", "--depths", "1,41"],                 # MAX_S
     ["--depths", "9", "--doublings", "1000"],          # MAX_LAMBDAS
     ["--n", "400", "--depths", "1", "--lambda-start", str(1 << 41)],  # MAX_LAMBDA_BITS
-], ids=["n", "depth", "lambdas", "lambda-bits"])
+    ["--n", "4", "--depths", "1", "--x", "1" + "0" * 1000 + "/3"],      # MAX_N_BITS
+], ids=["n", "depth", "lambdas", "lambda-bits", "rational-bits"])
 def test_decay_study_keeps_the_asymptotic_caps(args):
     out = run_script("error_decay_study.py", *args)
     assert out.returncode == 2

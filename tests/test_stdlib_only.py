@@ -139,6 +139,48 @@ def test_harness_writes_its_own_a_triangles():
     assert not imported & {"_stirling_a", "_a_ratio"}, sorted(imported)
 
 
+def _size_cap_reads(source: str):
+    """(line, name) of each read or import of a size cap that series._check_size
+    compares, or of an import of asymptotics."""
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if (node.module or "").rpartition(".")[2] == "asymptotics":
+                names.append("asymptotics")
+        elif isinstance(node, ast.Import):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        yield from ((node.lineno, name) for name in names
+                    if name in ("MAX_N_BITS", "MAX_LAMBDA_BITS", "asymptotics"))
+
+
+def test_only_series_compares_the_size_caps():
+    # the size rules sit in series._check_size alone: no other module reads
+    # their caps, so no module writes a second copy of a rule, and the harness
+    # takes nothing from asymptotics
+    found = {(path.name, line, name)
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "series.py"
+             for line, name in _size_cap_reads(path.read_text())
+             if name != "asymptotics" or path.name == "harness.py"}
+    assert not found, sorted(found)
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("from .series import _check_size\n_check_size(4, ())", []),
+    ("from .series import MAX_N_BITS", [(1, "MAX_N_BITS")]),
+    ("from . import series\nif n > series.MAX_LAMBDA_BITS: pass",
+     [(2, "MAX_LAMBDA_BITS")]),
+    ("from .asymptotics import format_sig", [(1, "asymptotics")]),
+    ("import geomstir.asymptotics", [(1, "asymptotics")]),
+])
+def test_size_cap_guard_flags_reads(source, reads):
+    assert sorted(_size_cap_reads(source)) == reads
+
+
 def _referenced_names(paths) -> set[str]:
     """Every Name, Attribute, imported name and last part of a "geomstir.*"
     string (a tracer target) in the files at paths."""
