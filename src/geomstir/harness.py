@@ -1,12 +1,16 @@
 """Conformance harness: every identity in the library, run over a grid.
 
-Each registry entry owns an id, a kind, an anchor (a plain rendering of the
-statement being tested), a point generator, a domain predicate (the points
-the identity is stated for; both the grid and the counterexample shrinker
-stay inside it), and an evaluator that returns both sides of the identity
-for every reading of it.  A reading passes at a point when its two sides
-are exactly equal; an evaluator that raises at a point fails the point's
-EVALUATES reading instead (see run_suite).  Evaluators write each display's own weights rather
+Each identity is one declaration, @_identity(id, kind, anchor, layout,
+domain), on the evaluator that returns both sides of the identity for every
+reading of it.  The anchor is a plain rendering of the statement being
+tested, the layout lays candidate points out over a grid (every layout
+through _across), and the domain predicate says which points the identity is
+stated for; both the grid and the counterexample shrinker stay inside it.
+REGISTRY holds the declarations in the order they are made.  A reading passes
+at a point when its two sides are exactly equal.  run_suite and
+counterexample_minimize read an identity at a point through one judge,
+_sides, which turns an evaluator's exception there into a failure of the
+point's EVALUATES reading.  Evaluators write each display's own weights rather
 than reuse a_explicit's, so the two sides do not share the code they check.
 
 Kinds:
@@ -170,11 +174,15 @@ class GridSpec:
 
 # grid rows: "n" is a non-negative int (an order), "q" an exact rational
 _ROW_KINDS = {
-    "poly_points": "nqqq",    # lam, alpha, beta, gamma
-    "pair_points": "nqnqqq",  # lam1, gamma1, lam2, gamma2, alpha, beta
-    "exp_points": "qqq",      # alpha, beta, r
-    "euler_points": "nqqq",   # lam, alpha, beta, gamma
+    "poly_points": "nqqq",
+    "pair_points": "nqnqqq",
+    "exp_points": "qqq",
+    "euler_points": "nqqq",
 }
+# the names a point gives a row's entries, in the row's order
+_POLY = ("lam", "alpha", "beta", "gamma")                       # poly and euler rows
+_PAIR = ("lam1", "gamma1", "lam2", "gamma2", "alpha", "beta")   # pair rows
+_EXP = ("alpha", "beta", "r")                                   # exp rows
 
 
 def _field(key: str, value):
@@ -237,9 +245,6 @@ def _exact(key: str, value) -> Fraction:
 def default_grid() -> GridSpec:
     q = Fraction
     return GridSpec(
-        n_max=8,
-        oracle_n_max=5,
-        shift_ms=(0, 1, 2),
         poly_points=(
             (1, q(0), q(1), q(0)),
             (1, q(1), q(1), q(1)),
@@ -280,42 +285,84 @@ def _params(pt: Point) -> PolyParams:
     return PolyParams(pt["lam"], pt["alpha"], pt["beta"], pt["gamma"])
 
 
-def _poly_pts(grid: GridSpec, rows=None, shifted=False):
-    """(lam, alpha, beta, gamma, n) points over rows (default: poly_points);
-    shifted adds every m of shift_ms."""
-    pts = []
-    for lam, a, b, g in grid.poly_points if rows is None else rows:
-        for n in range(grid.n_max + 1):
-            pt = {"lam": lam, "alpha": a, "beta": b, "gamma": g, "n": n}
-            if shifted:
-                pts.extend({**pt, "m": m} for m in grid.shift_ms)
-            else:
-                pts.append(pt)
-    return pts
+def _across(rows, names, **axes) -> list:
+    """One point per row and combination of the axes' values, the last axis
+    varying fastest: the row's entries under names, then each axis's value
+    under the axis's name.  A series route takes order=(grid.n_max,): it
+    reads every n from one build per parameter set at the grid's top order."""
+    combos = [dict(zip(axes, values)) for values in product(*axes.values())]
+    return [{**row, **combo} for row in (dict(zip(names, r)) for r in rows)
+            for combo in combos]
 
 
-def _at_top_order(points):
-    """points plus "order": grid.n_max, for a route that reads every n from
-    one series build per parameter set at the grid's top order."""
-    return lambda grid: [{**pt, "order": grid.n_max} for pt in points(grid)]
+def _poly_pts(grid: GridSpec, rows=None, **axes) -> list:
+    """(lam, alpha, beta, gamma) rows (default: poly_points) at n = 0..n_max,
+    crossed with axes."""
+    return _across(grid.poly_points if rows is None else rows, _POLY,
+                   n=range(grid.n_max + 1), **axes)
 
 
-def _stirling_pts(grid: GridSpec):
+def _stirling_pts(grid: GridSpec) -> list:
     # each distinct (alpha, beta, gamma) of poly_points, in first-seen order
-    return [
-        {"alpha": a, "beta": b, "gamma": g, "n": n}
-        for a, b, g in dict.fromkeys(row[1:] for row in grid.poly_points)
-        for n in range(grid.n_max + 1)
-    ]
+    return _across(dict.fromkeys(row[1:] for row in grid.poly_points), _POLY[1:],
+                   n=range(grid.n_max + 1))
 
 
-def _pair_pts(grid: GridSpec):
-    return [
-        {"lam1": l1, "gamma1": g1, "lam2": l2, "gamma2": g2,
-         "alpha": a, "beta": b, "n": n}
-        for l1, g1, l2, g2, a, b in grid.pair_points
-        for n in range(grid.n_max + 1)
-    ]
+def _pair_pts(grid: GridSpec) -> list:
+    return _across(grid.pair_points, _PAIR, n=range(grid.n_max + 1))
+
+
+def _exp_pts(grid: GridSpec, **axes) -> list:
+    return _across(grid.exp_points, _EXP, x=grid.x_values, **axes)
+
+
+def _spivey_ms(grid: GridSpec) -> range:
+    # the m that spivey and lemma34 are read at
+    return range(min(3, grid.n_max) + 1)
+
+
+def _anywhere(pt: Point) -> bool:
+    return True
+
+
+def _beta_nonzero(pt: Point) -> bool:
+    # the generating-series brackets and finite differences divide by beta
+    return pt["beta"] != 0
+
+
+def _shiftable(pt: Point) -> bool:
+    # the index-shift and order-lowering forms divide by (lam)^(m) and beta
+    return pt["lam"] >= 1 and pt["beta"] != 0
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One identity, built by its _identity declaration: `generate` lays out
+    candidate points over a grid, `domain` says which points the identity is
+    stated for, and `evaluate` returns both sides of every reading at a point."""
+
+    id: str
+    kind: str
+    anchor: str
+    generate: Callable[[GridSpec], list]
+    evaluate: Callable[[Point], dict]
+    domain: Callable[[Point], bool] = _anywhere
+
+    def points(self, grid: GridSpec) -> list:
+        return [pt for pt in self.generate(grid) if self.domain(pt)]
+
+
+_DECLARED: list[Identity] = []
+
+
+def _identity(id: str, kind: str, anchor: str, layout: Callable[[GridSpec], list],
+              domain: Callable[[Point], bool] = _anywhere):
+    """Declares the evaluator below as an Identity; REGISTRY holds the
+    declarations in the order they are made."""
+    def declare(evaluate):
+        _DECLARED.append(Identity(id, kind, anchor, layout, evaluate, domain))
+        return evaluate
+    return declare
 
 
 def _binomial_sum(n: int, term: Callable, zero=XPolynomial.zero()):
@@ -474,15 +521,9 @@ def _spivey_setup(p: ExpPolyParams, m: int) -> SimpleNamespace:
     )
 
 
-def _ev_routes_a(pt: Point) -> dict:
-    p, n = _params(pt), pt["n"]
-    e = a_explicit(p, n)
-    return {
-        "explicit-vs-series": (e, a_egf(p, pt["order"]).values[n]),
-        "explicit-vs-recurrence": (e, a_recurrence(p, n)),
-    }
-
-
+@_identity("routes-stirling", "hard",
+           "S(n,k;a,b,g) = sum_s (-1)^(k-s) C(k,s) (b s + g | a)_n / (b^k k!)",
+           _stirling_pts, _beta_nonzero)
 def _ev_routes_stirling(pt: Point) -> dict:
     sp = StirlingParams(pt["alpha"], pt["beta"], pt["gamma"])
     n = pt["n"]
@@ -505,6 +546,9 @@ def _row_product(first: StirlingParams, second: StirlingParams, n: int) -> tuple
     )
 
 
+@_identity("orthogonality", "hard",
+           "sum_k S(n,k;a,b,g) S(k,m;b,a,-g) = [n == m], both orders",
+           _stirling_pts)
 def _ev_orthogonality(pt: Point) -> dict:
     sp = StirlingParams(pt["alpha"], pt["beta"], pt["gamma"])
     dp = sp.dual()
@@ -514,14 +558,22 @@ def _ev_orthogonality(pt: Point) -> dict:
             "backward": (_row_product(dp, sp, n), unit)}
 
 
-def _oracle_pts(grid: GridSpec):
-    return [
-        {"lam": lam, "alpha": a, "beta": b, "gamma": g, "x": x, "n": n}
-        for lam, a, b, g, x in product((0, 1, 2), (0, 1), (1, 2), (0, 1), (1, 2))
-        for n in range(grid.oracle_n_max + 1)
-    ]
+@_identity("routes-a", "hard",
+           "A_n by explicit column sum == generating series == raising recurrence",
+           lambda g: _poly_pts(g, order=(g.n_max,)))
+def _ev_routes_a(pt: Point) -> dict:
+    p, n = _params(pt), pt["n"]
+    e = a_explicit(p, n)
+    return {
+        "explicit-vs-series": (e, a_egf(p, pt["order"]).values[n]),
+        "explicit-vs-recurrence": (e, a_recurrence(p, n)),
+    }
 
 
+@_identity("oracle", "hard",
+           "A_n(x) at integer parameters counts barred preferential arrangements",
+           lambda g: _across(product((0, 1, 2), (0, 1), (1, 2), (0, 1), (1, 2)),
+                             (*_POLY, "x"), n=range(g.oracle_n_max + 1)))
 def _ev_oracle(pt: Point) -> dict:
     cfg = BPAConfig(pt["n"], pt["lam"], pt["alpha"], pt["beta"],
                     pt["gamma"], pt["x"])
@@ -529,6 +581,9 @@ def _ev_oracle(pt: Point) -> dict:
     return {"count-vs-explicit": (counted, a_eval(_params(pt), pt["n"], pt["x"]))}
 
 
+@_identity("thm6", "hard",
+           "A_{n+1}(g) = g A_n(g+a) + x l b A^{l+1}_n(g+a+b)",
+           _poly_pts)
 def _ev_thm6(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
     r = _lifts(p)
@@ -537,6 +592,10 @@ def _ev_thm6(pt: Point) -> dict:
     return {"main": (a_explicit(p, n + 1), rhs)}
 
 
+@_identity("thm2", "recorded",
+           "A_{n+1}(g) = g A_n(g+a) + sum_k C(n,k) F_k A_{n-k+1}(0); "
+           "F read at order 0 (statement) or with b = 0 (proof)",
+           _poly_pts)
 def _ev_thm2(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
     r = _lifts(p)
@@ -553,6 +612,9 @@ def _ev_thm2(pt: Point) -> dict:
     }
 
 
+@_identity("thm4", "hard",
+           "A_{n+1}(g) = g A_n(g+a) + x l b sum_k C(n,k) A^1_k(g+a+b) A_{n-k}(0)",
+           _poly_pts)
 def _ev_thm4(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
     r = _lifts(p)
@@ -570,15 +632,25 @@ def _eq6_sides(pt: Point, removal_sign: int):
     return lhs, _binomial_sum(n, lambda k: weights[k] * a_explicit(p, n - k))
 
 
+@_identity("eq6", "hard",
+           "A_n(0) = sum_k C(n,k) (-1)^k (g|a)_k A_{n-k}(g)  [removal at -a]",
+           _poly_pts)
 def _ev_eq6(pt: Point) -> dict:
     return {"reflected": _eq6_sides(pt, -1)}
 
 
+@_identity("eq6-printed", "recorded",
+           "A_n(0) = sum_k C(n,k) (-1)^k (g|-a)_k A_{n-k}(g)  [removal at +a]",
+           _poly_pts)
 def _ev_eq6_printed(pt: Point) -> dict:
     # repaired reading included for side-by-side comparison
     return {"printed": _eq6_sides(pt, 1), "reflected": _eq6_sides(pt, -1)}
 
 
+@_identity("eq7", "hard",
+           "A_n(g) = sum_k sum_i c_lk C(n,i) (-1)^(k+i) b^k k! S(i,k;a,-b,0) "
+           "(g|-a)_{n-i} x^k",
+           _poly_pts)
 def _ev_eq7(pt: Point) -> dict:
     # x^k: c_lk (-b)^k k! sum_(i>=k) (-1)^i C(n,i) S(i,k;a,-b,0) (g|-a)_(n-i)
     # in integers: S(i,k) = T(i,k) / d^(i-k) with B = -b d the triangle's
@@ -603,6 +675,10 @@ def _ev_eq7(pt: Point) -> dict:
     return {"main": (a_explicit(p, n), rhs)}
 
 
+@_identity("eq8", "recorded",
+           "sum_s C(n,s) (g|a)_{n-s} S(s,k;a,b,g) vs S(n,k;a,g,b) [printed] "
+           "or S(n,k;a,b,2g) [gamma-doubled]",
+           _stirling_pts)
 def _ev_eq8(pt: Point) -> dict:
     sp = StirlingParams(pt["alpha"], pt["beta"], pt["gamma"])
     n = pt["n"]
@@ -615,6 +691,9 @@ def _ev_eq8(pt: Point) -> dict:
     }
 
 
+@_identity("eq31", "hard",
+           "x A^{l+1}_n(g+b) = (x+1) A^{l+1}_n(g) - A^l_n(g)",
+           _poly_pts)
 def _ev_eq31(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
     r = _lifts(p)
@@ -623,6 +702,9 @@ def _ev_eq31(pt: Point) -> dict:
     return {"main": (lhs, rhs)}
 
 
+@_identity("eq32", "hard",
+           "A_{n+1}(g-a) - l b (x+1) A^{l+1}_n(g) = (g - a - l b) A_n(g)",
+           _poly_pts)
 def _ev_eq32(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
     r = _lifts(p)
@@ -641,6 +723,10 @@ def _eq37_third(record: PolyParams, n: int) -> XPolynomial:
     return (-1) ** n * _sub_neg(a_explicit(record, n))
 
 
+@_identity("eq37", "hard",
+           "A^{l,x}_n(a,b,g+bl) == A^{l,-x-1}_n(a,-b,g) "
+           "== (-1)^n A^{l,-x-1}_n(-a,b,-g)",
+           _poly_pts)
 def _ev_eq37(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
     r = _lifts(p)
@@ -649,6 +735,9 @@ def _ev_eq37(pt: Point) -> dict:
     return {"pair": (t1, t2), "third-reflected": (t1, _eq37_third(r.neg_alpha_gamma, n))}
 
 
+@_identity("eq37-printed", "recorded",
+           "A^{l,x}_n(a,b,g+bl) == (-1)^n A^{l,-x-1}_n(a,b,-g)",
+           _poly_pts)
 def _ev_eq37_printed(pt: Point) -> dict:
     p, n = _params(pt), pt["n"]
     r = _lifts(p)
@@ -657,6 +746,9 @@ def _ev_eq37_printed(pt: Point) -> dict:
             "third-reflected": (t1, _eq37_third(r.neg_alpha_gamma, n))}
 
 
+@_identity("eq38", "hard",
+           "A_n(g) = (-1)^n sum_k c_lk (-b)^k k! S(n,k;a,b,bl-g) (x+1)^k",
+           _poly_pts)
 def _ev_eq38(pt: Point) -> dict:
     # sum_k c_k (x+1)^k is the polynomial sum_k c_k x^k read at x+1 (Horner)
     p, n = _params(pt), pt["n"]
@@ -670,11 +762,20 @@ def _pair_conv(first: PolyParams, second: PolyParams, n: int) -> XPolynomial:
     return _binomial_sum(n, lambda k: a_explicit(first, k) * a_explicit(second, n - k))
 
 
+@_identity("teo2", "hard",
+           "sum_k C(n,k) A^{l1}_k(a+b+g1) A^{l2}_{n-k}(g2) "
+           "= A^{l1+l2}_n(a+b+g1+g2)",
+           _pair_pts)
 def _ev_teo2(pt: Point) -> dict:
     s, n = _pair_setup(*_pair_params(pt)), pt["n"]
     return {"main": (_pair_conv(s.first, s.second, n), a_explicit(s.joined, n))}
 
 
+@_identity("teo1", "recorded",
+           "x b (l1+l2) sum_k C(n,k) A^{l1}_k(a+b+g1) A^{l2'}_{n-k}(g2) = "
+           "A^{l1+l2}_{n+1}(g1+g2) - (g1+g2) A^{l1+l2}_n(g1+g2+a); "
+           "l2' read as l2 (printed) or l2+1 (shifted)",
+           _pair_pts)
 def _ev_teo1(pt: Point) -> dict:
     s, n = _pair_setup(*_pair_params(pt)), pt["n"]
     rhs = a_explicit(s.summed, n + 1) - s.gsum * a_explicit(s.summed_up, n)
@@ -684,6 +785,10 @@ def _ev_teo1(pt: Point) -> dict:
     }
 
 
+@_identity("shift-raise", "hard",
+           "(-1)^m A_{n+m}(g) = sum_k S(m,k;a,-b,-g) c_lk k! (-b)^k "
+           "A^{l+k}_n(g+ma+kb) x^k",
+           lambda g: _poly_pts(g, m=g.shift_ms), _shiftable)
 def _ev_shift_raise(pt: Point) -> dict:
     p, n, m = _params(pt), pt["n"], pt["m"]
     rhs = XPolynomial.zero()
@@ -692,6 +797,11 @@ def _ev_shift_raise(pt: Point) -> dict:
     return {"main": ((-1) ** m * a_explicit(p, n + m), rhs)}
 
 
+@_identity("shift-inverse", "recorded",
+           "A^{l+m}_n(a,-b,g) at -x-1 = (-1)^m sum_k (-1)^k S(m,k;-b,a,g-ma+lb) "
+           "A^l_{n+k}(g-sa+lb)(x) / ((l)^(m) (bx)^m); s read as m (printed) "
+           "or k (rowwise)",
+           lambda g: _poly_pts(g, m=g.shift_ms), _shiftable)
 def _ev_shift_inverse(pt: Point) -> dict:
     # Both readings sum (-1)^k s(m, k) A_(n+k)(x0) over the dual row s(m, .)
     # and scale by (-1)^m / ((lam)^(m) (b x0)^m); they differ only in the
@@ -711,17 +821,15 @@ def _ev_shift_inverse(pt: Point) -> dict:
     return {"printed": (lhs, rhs(s.printed)), "rowwise": (lhs, rhs(s.rowwise))}
 
 
-def _spivey_pts(grid: GridSpec):
-    return [
-        {"alpha": a, "beta": b, "r": r, "x": x, "n": n, "m": m}
-        for a, b, r in grid.exp_points
-        for x in grid.x_values
-        for n in range(grid.n_max + 1)
-        for m in range(min(3, grid.n_max) + 1)
-        if n + m <= grid.n_max
-    ]
+def _spivey_pts(grid: GridSpec) -> list:
+    pts = _exp_pts(grid, n=range(grid.n_max + 1), m=_spivey_ms(grid))
+    return [pt for pt in pts if pt["n"] + pt["m"] <= grid.n_max]
 
 
+@_identity("spivey", "recorded",
+           "S_{n+m}(x) = sum_j sum_k C(n,k) S(M,J) (j b - m a | a)_{n-k} S_k(x) "
+           "x^j; (M,J) read as (n,k) [printed] or (m,j) [classical]",
+           _spivey_pts)
 def _ev_spivey(pt: Point) -> dict:
     # Both readings sum C(n,k) S_k(x) (j b - m a | a)_(n-k) x^j over k, j,
     # times S(n, k) (printed) or S(m, j) (classical).  With d the triangle's
@@ -754,30 +862,20 @@ def _ev_spivey(pt: Point) -> dict:
             "classical": (lhs, Fraction(classical, d ** (n + m) * vden))}
 
 
-def _lemma34_pts(grid: GridSpec):
-    return [
-        {"alpha": a, "beta": b, "r": r, "x": x, "m": m, "order": grid.n_max}
-        for a, b, r in grid.exp_points
-        for x in grid.x_values
-        for m in range(min(3, grid.n_max) + 1)
-    ]
-
-
+@_identity("lemma34", "hard",
+           "sum_n S_{n+m}(x) t^n/n! = (1+at)^((r-ma)/a) exp((x/b) u) "
+           "S_m(x (1+at)^(b/a)), u = (1+at)^(b/a) - 1",
+           lambda g: _exp_pts(g, m=_spivey_ms(g), order=(g.n_max,)), _beta_nonzero)
 def _ev_lemma34(pt: Point) -> dict:
     p = ExpPolyParams(pt["alpha"], pt["beta"], pt["r"])
     lhs, rhs = lemma34_sides(p, pt["x"], pt["m"], pt["order"])
     return {"main": (lhs, rhs)}
 
 
-def _exp_route_pts(grid: GridSpec):
-    return [
-        {"alpha": a, "beta": b, "r": r, "x": x, "n": n, "order": grid.n_max}
-        for a, b, r in grid.exp_points
-        for x in grid.x_values
-        for n in range(grid.n_max + 1)
-    ]
-
-
+@_identity("routes-exp", "hard",
+           "S_n(x) from triangle rows == generating series coefficients",
+           lambda g: _exp_pts(g, n=range(g.n_max + 1), order=(g.n_max,)),
+           _beta_nonzero)
 def _ev_routes_exp(pt: Point) -> dict:
     p = ExpPolyParams(pt["alpha"], pt["beta"], pt["r"])
     x, n = pt["x"], pt["n"]
@@ -785,6 +883,10 @@ def _ev_routes_exp(pt: Point) -> dict:
     return {"explicit-vs-series": (s_exp_eval(p, n, x), rhs)}
 
 
+@_identity("routes-euler", "hard",
+           "E_n by A-specialization == generating series == both explicit sums "
+           "== gamma polynomial",
+           lambda g: _poly_pts(g, g.euler_points, order=(g.n_max,)))
 def _ev_routes_euler(pt: Point) -> dict:
     p = EulerParams(pt["lam"], pt["alpha"], pt["beta"])
     g, n, order = pt["gamma"], pt["n"], pt["order"]
@@ -805,6 +907,10 @@ def _euler_at(sp: StirlingParams, lam: int, n: int) -> Fraction:
     return _euler_values(sp, lam, n)[n]
 
 
+@_identity("euler-rec", "recorded",
+           "order raising, argument raising, and order lowering for E_n; "
+           "printed forms plus repaired readings",
+           lambda g: _poly_pts(g, g.euler_points, m=g.shift_ms), _shiftable)
 def _ev_euler_rec(pt: Point) -> dict:
     lam, b = pt["lam"], pt["beta"]
     g, n, m = pt["gamma"], pt["n"], pt["m"]
@@ -840,6 +946,10 @@ def _ev_euler_rec(pt: Point) -> dict:
     return out
 
 
+@_identity("euler-conv", "recorded",
+           "binomial convolutions for E_n: weighted, plain, alternating; "
+           "printed forms plus repaired readings",
+           _pair_pts)
 def _ev_euler_conv(pt: Point) -> dict:
     s, n = _pair_setup(*_pair_params(pt)), pt["n"]
 
@@ -864,159 +974,7 @@ def _ev_euler_conv(pt: Point) -> dict:
     }
 
 
-def _anywhere(pt: Point) -> bool:
-    return True
-
-
-def _beta_nonzero(pt: Point) -> bool:
-    # the generating-series brackets and finite differences divide by beta
-    return pt["beta"] != 0
-
-
-def _shiftable(pt: Point) -> bool:
-    # the index-shift and order-lowering forms divide by (lam)^(m) and beta
-    return pt["lam"] >= 1 and pt["beta"] != 0
-
-
-@dataclass(frozen=True)
-class Identity:
-    """One identity: `generate` lays out candidate points over a grid,
-    `domain` says which points the identity is stated for, and `evaluate`
-    returns both sides of every reading at a point."""
-
-    id: str
-    kind: str
-    anchor: str
-    generate: Callable[[GridSpec], list]
-    evaluate: Callable[[Point], dict]
-    domain: Callable[[Point], bool] = _anywhere
-
-    def points(self, grid: GridSpec) -> list:
-        return [pt for pt in self.generate(grid) if self.domain(pt)]
-
-
-REGISTRY: tuple[Identity, ...] = (
-    Identity(
-        "routes-stirling", "hard",
-        "S(n,k;a,b,g) = sum_s (-1)^(k-s) C(k,s) (b s + g | a)_n / (b^k k!)",
-        _stirling_pts, _ev_routes_stirling, _beta_nonzero),
-    Identity(
-        "orthogonality", "hard",
-        "sum_k S(n,k;a,b,g) S(k,m;b,a,-g) = [n == m], both orders",
-        _stirling_pts, _ev_orthogonality),
-    Identity(
-        "routes-a", "hard",
-        "A_n by explicit column sum == generating series == raising recurrence",
-        _at_top_order(_poly_pts), _ev_routes_a),
-    Identity(
-        "oracle", "hard",
-        "A_n(x) at integer parameters counts barred preferential arrangements",
-        _oracle_pts, _ev_oracle),
-    Identity(
-        "thm6", "hard",
-        "A_{n+1}(g) = g A_n(g+a) + x l b A^{l+1}_n(g+a+b)",
-        _poly_pts, _ev_thm6),
-    Identity(
-        "thm2", "recorded",
-        "A_{n+1}(g) = g A_n(g+a) + sum_k C(n,k) F_k A_{n-k+1}(0); "
-        "F read at order 0 (statement) or with b = 0 (proof)",
-        _poly_pts, _ev_thm2),
-    Identity(
-        "thm4", "hard",
-        "A_{n+1}(g) = g A_n(g+a) + x l b sum_k C(n,k) A^1_k(g+a+b) A_{n-k}(0)",
-        _poly_pts, _ev_thm4),
-    Identity(
-        "eq6", "hard",
-        "A_n(0) = sum_k C(n,k) (-1)^k (g|a)_k A_{n-k}(g)  [removal at -a]",
-        _poly_pts, _ev_eq6),
-    Identity(
-        "eq6-printed", "recorded",
-        "A_n(0) = sum_k C(n,k) (-1)^k (g|-a)_k A_{n-k}(g)  [removal at +a]",
-        _poly_pts, _ev_eq6_printed),
-    Identity(
-        "eq7", "hard",
-        "A_n(g) = sum_k sum_i c_lk C(n,i) (-1)^(k+i) b^k k! S(i,k;a,-b,0) "
-        "(g|-a)_{n-i} x^k",
-        _poly_pts, _ev_eq7),
-    Identity(
-        "eq8", "recorded",
-        "sum_s C(n,s) (g|a)_{n-s} S(s,k;a,b,g) vs S(n,k;a,g,b) [printed] "
-        "or S(n,k;a,b,2g) [gamma-doubled]",
-        _stirling_pts, _ev_eq8),
-    Identity(
-        "eq31", "hard",
-        "x A^{l+1}_n(g+b) = (x+1) A^{l+1}_n(g) - A^l_n(g)",
-        _poly_pts, _ev_eq31),
-    Identity(
-        "eq32", "hard",
-        "A_{n+1}(g-a) - l b (x+1) A^{l+1}_n(g) = (g - a - l b) A_n(g)",
-        _poly_pts, _ev_eq32),
-    Identity(
-        "eq37", "hard",
-        "A^{l,x}_n(a,b,g+bl) == A^{l,-x-1}_n(a,-b,g) "
-        "== (-1)^n A^{l,-x-1}_n(-a,b,-g)",
-        _poly_pts, _ev_eq37),
-    Identity(
-        "eq37-printed", "recorded",
-        "A^{l,x}_n(a,b,g+bl) == (-1)^n A^{l,-x-1}_n(a,b,-g)",
-        _poly_pts, _ev_eq37_printed),
-    Identity(
-        "eq38", "hard",
-        "A_n(g) = (-1)^n sum_k c_lk (-b)^k k! S(n,k;a,b,bl-g) (x+1)^k",
-        _poly_pts, _ev_eq38),
-    Identity(
-        "teo2", "hard",
-        "sum_k C(n,k) A^{l1}_k(a+b+g1) A^{l2}_{n-k}(g2) "
-        "= A^{l1+l2}_n(a+b+g1+g2)",
-        _pair_pts, _ev_teo2),
-    Identity(
-        "teo1", "recorded",
-        "x b (l1+l2) sum_k C(n,k) A^{l1}_k(a+b+g1) A^{l2'}_{n-k}(g2) = "
-        "A^{l1+l2}_{n+1}(g1+g2) - (g1+g2) A^{l1+l2}_n(g1+g2+a); "
-        "l2' read as l2 (printed) or l2+1 (shifted)",
-        _pair_pts, _ev_teo1),
-    Identity(
-        "shift-raise", "hard",
-        "(-1)^m A_{n+m}(g) = sum_k S(m,k;a,-b,-g) c_lk k! (-b)^k "
-        "A^{l+k}_n(g+ma+kb) x^k",
-        lambda g: _poly_pts(g, shifted=True), _ev_shift_raise, _shiftable),
-    Identity(
-        "shift-inverse", "recorded",
-        "A^{l+m}_n(a,-b,g) at -x-1 = (-1)^m sum_k (-1)^k S(m,k;-b,a,g-ma+lb) "
-        "A^l_{n+k}(g-sa+lb)(x) / ((l)^(m) (bx)^m); s read as m (printed) "
-        "or k (rowwise)",
-        lambda g: _poly_pts(g, shifted=True), _ev_shift_inverse, _shiftable),
-    Identity(
-        "spivey", "recorded",
-        "S_{n+m}(x) = sum_j sum_k C(n,k) S(M,J) (j b - m a | a)_{n-k} S_k(x) "
-        "x^j; (M,J) read as (n,k) [printed] or (m,j) [classical]",
-        _spivey_pts, _ev_spivey),
-    Identity(
-        "lemma34", "hard",
-        "sum_n S_{n+m}(x) t^n/n! = (1+at)^((r-ma)/a) exp((x/b) u) "
-        "S_m(x (1+at)^(b/a)), u = (1+at)^(b/a) - 1",
-        _lemma34_pts, _ev_lemma34, _beta_nonzero),
-    Identity(
-        "routes-exp", "hard",
-        "S_n(x) from triangle rows == generating series coefficients",
-        _exp_route_pts, _ev_routes_exp, _beta_nonzero),
-    Identity(
-        "routes-euler", "hard",
-        "E_n by A-specialization == generating series == both explicit sums "
-        "== gamma polynomial",
-        _at_top_order(lambda g: _poly_pts(g, g.euler_points)), _ev_routes_euler),
-    Identity(
-        "euler-rec", "recorded",
-        "order raising, argument raising, and order lowering for E_n; "
-        "printed forms plus repaired readings",
-        lambda g: _poly_pts(g, g.euler_points, shifted=True), _ev_euler_rec,
-        _shiftable),
-    Identity(
-        "euler-conv", "recorded",
-        "binomial convolutions for E_n: weighted, plain, alternating; "
-        "printed forms plus repaired readings",
-        _pair_pts, _ev_euler_conv),
-)
+REGISTRY: tuple[Identity, ...] = tuple(_DECLARED)
 
 _BY_ID = {ident.id: ident for ident in REGISTRY}
 
@@ -1143,6 +1101,16 @@ def _counterexample(pt: Point, lhs: str, rhs: str) -> dict:
 EVALUATES = "evaluates"
 
 
+def _sides(ident: Identity, pt: Point) -> dict:
+    """The identity's {reading: (lhs, rhs)} at pt, the one way run_suite and
+    counterexample_minimize read it.  Where the evaluator raises (any
+    Exception) it is {EVALUATES: ("<exception type>: <text>", "no exception")}."""
+    try:
+        return ident.evaluate(pt)
+    except Exception as e:
+        return {EVALUATES: (f"{type(e).__name__}: {e}", "no exception")}
+
+
 def run_suite(spec: GridSpec) -> ConformanceReport:
     """Every chosen identity at every point of its domain on the grid.
 
@@ -1165,13 +1133,11 @@ def run_suite(spec: GridSpec) -> ConformanceReport:
         tally: dict[str, list] = {}
         evaluates = [0, 0, None]
         for pt in pts:
-            try:
-                sides = ident.evaluate(pt)
-            except Exception as e:
+            sides = _sides(ident, pt)
+            if EVALUATES in sides:
                 evaluates[1] += 1
                 if evaluates[2] is None:
-                    evaluates[2] = _counterexample(pt, f"{type(e).__name__}: {e}",
-                                                   "no exception")
+                    evaluates[2] = _counterexample(pt, *sides[EVALUATES])
                 continue
             evaluates[0] += 1
             for name, (lhs, rhs) in sides.items():
@@ -1213,10 +1179,10 @@ def _point_rank(pt: Point) -> int:
 def counterexample_minimize(identity_id: str, reading: str, point: Point) -> Point:
     """Shrink a failing point: n and m first, then parameter magnitudes.
 
-    Every candidate stays inside the identity's domain, and fails the
-    reading exactly where run_suite would tally a failure of it there: a
-    comparison reading where the evaluator returns two unequal sides, the
-    EVALUATES reading where it raises.  So an exception of any type
+    Every candidate stays inside the identity's domain, and is read through
+    _sides, as run_suite reads a point: it fails a comparison reading where
+    the evaluator returns two unequal sides, the EVALUATES reading where it
+    raises.  So an exception of any type
     (ValueError and ZeroDivisionError, the domain gaps of the forms that
     divide, as much as any other) never makes a candidate a counterexample
     of a comparison reading, and always makes it one of EVALUATES.  Raises
@@ -1229,16 +1195,13 @@ def counterexample_minimize(identity_id: str, reading: str, point: Point) -> Poi
     def fails(pt: Point) -> bool:
         if not ident.domain(pt):
             return False
-        try:
-            res = ident.evaluate(pt)
-        except Exception:
-            return reading == EVALUATES
-        if reading == EVALUATES:
+        sides = _sides(ident, pt)
+        if reading in sides:
+            lhs, rhs = sides[reading]
+            return lhs != rhs
+        if reading == EVALUATES or EVALUATES in sides:
             return False
-        if reading not in res:
-            raise ValueError(f"unknown reading {reading!r} for {identity_id}")
-        lhs, rhs = res[reading]
-        return lhs != rhs
+        raise ValueError(f"unknown reading {reading!r} for {identity_id}")
 
     if not fails(point):
         raise ValueError("point does not fail the given reading")

@@ -1,9 +1,11 @@
 import hashlib
 import inspect
 import json
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,6 +272,18 @@ def test_report_schema_and_shape():
     assert ids == [ident.id for ident in REGISTRY]
 
 
+def test_registry_ids_are_unique_and_match_the_readme():
+    # a copy-pasted declaration would run twice while _BY_ID kept the last
+    ids = [ident.id for ident in REGISTRY]
+    assert len(ids) == 26 and len(set(ids)) == 26, ids
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("## Conformance registry", 1)[1]
+    for kind in ("hard", "recorded"):
+        row = re.search(rf"^\| {kind} \| (.*) \|$", table, re.M).group(1)
+        want = [ident.id for ident in REGISTRY if ident.kind == kind]
+        assert re.findall(r"`([^`]+)`", row) == want, kind
+
+
 def test_text_report_mentions_verdict():
     text = REPORT.to_text()
     assert text.endswith("hard identities: PASS\n")
@@ -514,6 +528,9 @@ def test_minimize_requires_failing_point():
         counterexample_minimize("thm6", "main", _pt(1, 0, 1, 0, 2))
     with pytest.raises(ValueError):
         counterexample_minimize("no-such-id", "main", _pt(1, 0, 1, 0, 2))
+    # a reading the evaluator does not return, at a point where it returns
+    with pytest.raises(ValueError, match="unknown reading 'nonsense' for thm6"):
+        counterexample_minimize("thm6", "nonsense", _pt(1, 0, 1, 0, 2))
 
 
 def test_minimize_shrinks_n_first_then_magnitudes():
