@@ -80,7 +80,8 @@ def _study(args, lams, reports):
             if ratio is None or ratio == 0:
                 ratio_cell, order_cell = "-", "-"
             else:
-                order = -math.log2(float(ratio))
+                # exact logs: a ratio past float range neither overflows nor reads 0
+                order = math.log2(ratio.denominator) - math.log2(ratio.numerator)
                 orders.append(order)
                 ratio_cell = format_sig(ratio, 6)
                 order_cell = f"{order:.3f}"

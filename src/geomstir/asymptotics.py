@@ -31,13 +31,15 @@ Everything is exact rational arithmetic; callers format floats for display.
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .geom import PolyParams, _a_ratio, _stirling_a, a_values
-from .series import MAX_N, _check_size, _q, _scaled, falling
+from .series import MAX_N, _check_size, _falls, _q, _scaled, falling
 from .stirling import _scaled_params, _unit_ratio, _value_sweep, _weigh
 
 # Caps of an asymptotic table, checked by _check_caps before any work; the
@@ -75,11 +77,7 @@ def w_row(a: Sequence[Fraction], n: int, s: int) -> list[Fraction]:
         raise IndexError(f"need at least {n} coefficients, got {len(a)}")
     top = min(n, s + 1)  # x_k for k > s+1 is never read
     scaled, D = _scaled([_q(v) for v in a[:top]])
-    xs = [0]
-    fact = 1
-    for k, c in enumerate(scaled, 1):
-        fact *= k
-        xs.append(fact * c)
+    xs = [c * f for c, f in zip([0, *scaled], _falls(1, -1))]  # x_0 = 0, k! = (1 | -1)_k
     # band[m][i] = G_m(lo(m) + i) for p from lo(m) = max(0, m - s) to m
     band = [[1]]
     for m in range(1, n + 1):
@@ -100,13 +98,9 @@ def w_row(a: Sequence[Fraction], n: int, s: int) -> list[Fraction]:
 
 def a_coefficients(alpha, beta, gamma, x, n: int) -> list[Fraction]:
     """a_1 .. a_n of the order-1 generating series, a_j = A_j(x) / j!,
-    read from one a_values sweep."""
+    read from one a_values sweep, with j! = (1 | -1)_j from _falls."""
     base = PolyParams(1, _q(alpha), _q(beta), _q(gamma))
-    out, fact = [], 1
-    for j, v in enumerate(a_values(base, x, n)[1:], 1):
-        fact *= j
-        out.append(v / fact)
-    return out
+    return [v / f for v, f in zip(a_values(base, x, n), _falls(1, -1))][1:]
 
 
 def hsu_expansion(a: Sequence[Fraction], n: int, s: int, lam) -> Fraction:
@@ -123,10 +117,10 @@ def hsu_expansion(a: Sequence[Fraction], n: int, s: int, lam) -> Fraction:
 
 
 def _expand(ws: Sequence[Fraction], n: int, lam: Fraction) -> Fraction:
-    """The prediction at one lam from precomputed W(n, 0..s)."""
+    """The prediction at one lam from precomputed W(n, 0..s); the
+    denominators (lam-n+j)_j = (lam-n+1 | -1)_j are one _falls run."""
     total = Fraction(0)
-    for j, w in enumerate(ws):
-        denom = falling(lam - n + j, j)
+    for j, (w, denom) in enumerate(zip(ws, _falls(lam - n + 1, -1))):
         if denom == 0:
             raise ValueError(f"vanishing denominator (lam-n+j)_j at j={j}")
         total += w / denom
@@ -238,5 +232,11 @@ def _exact_column(alpha: Fraction, beta: Fraction, gamma: Fraction, x: Fraction,
 
 
 def format_sig(value: Fraction | float, digits: int = 12) -> str:
-    """Fixed significant-digit rendering used by reports."""
+    """Fixed significant-digit rendering used by reports.  A rational past
+    float range or below its normal range is rendered in the same form by one
+    exactly rounded decimal division, not as an overflow, 0 or lost digits."""
+    if isinstance(value, Fraction) and value and not (
+            sys.float_info.min <= abs(value) <= sys.float_info.max):
+        quotient = decimal.Context(prec=digits).divide(value.numerator, value.denominator)
+        return f"{quotient:.{digits}g}"
     return f"{float(value):.{digits}g}"

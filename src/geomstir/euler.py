@@ -147,6 +147,8 @@ def _gamma_polynomial_rows(p: EulerParams, order: int) -> Iterator[XPolynomial]:
     K_m = c_m D b^m make every step integer:
 
         H <- C(n, j) K_(n-j) + (b gamma - j a) H,    E_n = H / (D b^n).
+
+    Newton-Horner, not a running product, so it does not read series._falls.
     """
     nums, d = _scaled(_gamma_free(p, order).egf_values())
     a, b = p.alpha.numerator, p.alpha.denominator

@@ -31,7 +31,7 @@ import reprlib
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count, product
+from itertools import product
 from types import SimpleNamespace
 from typing import Callable, Iterator
 
@@ -58,6 +58,7 @@ from .series import (
     TABLE_CACHE_SIZE,
     Series,
     _check_size,
+    _falls,
     _parse_rational,
     _scaled,
     _upto,
@@ -408,9 +409,8 @@ def _lifts(p: PolyParams) -> SimpleNamespace:
 def _eq6_column(p: PolyParams, removal_sign: int) -> tuple[list[Fraction], Iterator]:
     """The weights (-1)^k (g | -removal_sign a)_k of eq6 at the row p for
     k = 0, 1, ..., as a memo that grows as it is read (series._upto): the
-    running product of the factors j s - g, s = -removal_sign a."""
-    return [], accumulate(count(-p.gamma, -removal_sign * p.alpha), operator.mul,
-                          initial=Fraction(1))
+    _falls products (-g | removal_sign a)_k."""
+    return [], _falls(-p.gamma, removal_sign * p.alpha)
 
 
 _SHIFT_MARKERS = (Fraction(1), Fraction(2), Fraction(-3, 2))
@@ -510,14 +510,13 @@ def _spivey_setup(p: ExpPolyParams, m: int) -> SimpleNamespace:
     """The n-free parts of spivey at an (alpha, beta, r) row and m: the
     triangle, its lcm d, the inner row T(m, j) d^j, and for each j the
     products G(j, L), L = 0, 1, ..., as a memo that grows as it is read
-    (series._upto): the running product of the factors j bd - (m+l) ad."""
+    (series._upto): the _falls products G(j, L) = (j bd - m ad | ad)_L."""
     sp = p.stirling()
     d, ad, bd, _ = _scaled_params(sp)
     return SimpleNamespace(
         sp=sp, d=d,
         inner=tuple(t * d ** j for j, t in enumerate(stirling_int_row(sp, m)[1])),
-        falls=[([], accumulate(count(j * bd - m * ad, -ad), operator.mul, initial=1))
-               for j in range(m + 1)],
+        falls=[([], _falls(j * bd - m * ad, ad)) for j in range(m + 1)],
     )
 
 
@@ -655,7 +654,7 @@ def _ev_eq7(pt: Point) -> dict:
     # x^k: c_lk (-b)^k k! sum_(i>=k) (-1)^i C(n,i) S(i,k;a,-b,0) (g|-a)_(n-i)
     # in integers: S(i,k) = T(i,k) / d^(i-k) with B = -b d the triangle's
     # scaled beta, and (g|-a)_j = F_j / e^j with e the lcm of the denominators
-    # of g and a, F_j = prod_(m<j) (g e + m a e).  Over (d e)^n the x^k
+    # of g and a, F_j = (g e | -a e)_j from _falls.  Over (d e)^n the x^k
     # coefficient is c_lk B^k k! sum_(i>=k) T(i,k) u_i, where
     # u_i = (-1)^i C(n,i) F_(n-i) d^(n-i) e^i.
     p, n = _params(pt), pt["n"]
@@ -663,10 +662,9 @@ def _ev_eq7(pt: Point) -> dict:
     d, _, b, _ = _scaled_params(sp0)
     rows = [stirling_int_row(sp0, i)[1] for i in range(n + 1)]
     (ae, ge), e = _scaled((p.alpha, p.gamma))
-    u, fall = [0] * (n + 1), 1  # fall = F_(n-i)
-    for i in range(n, -1, -1):
+    u = [0] * (n + 1)
+    for i, fall in zip(range(n, -1, -1), _falls(ge, -ae)):  # fall = F_(n-i)
         u[i] = (-1) ** i * math.comb(n, i) * fall * d ** (n - i) * e ** i
-        fall *= ge + (n - i) * ae
     rhs = XPolynomial.from_ints(
         [lam_binom(p.lam, k) * b ** k * math.factorial(k)
          * sum(rows[i][k] * u[i] for i in range(k, n + 1))

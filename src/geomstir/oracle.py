@@ -45,7 +45,8 @@ def count_gamma_cell(n: int, alpha: int, gamma: int) -> int:
     """Histories of dropping n elements into one gamma-cell.
 
     Element i+1 sees gamma + i*alpha compartments, so the count is the pure
-    product over i.
+    product over i.  The loop is its own, not series._falls: the oracle
+    shares no arithmetic with the routes it checks.
     """
     if n < 0 or alpha < 0 or gamma < 0:
         raise ValueError("count_gamma_cell needs n, alpha, gamma >= 0")

@@ -1,5 +1,10 @@
 """Exact truncated power series and generalized factorial primitives.
 
+The paper's generalized falling factorial (t | alpha)_j, j = 0, 1, ..., is
+one kernel, _falls, over ints when t and alpha are; every running product of
+the package but the oracle's reads it, the factorials n! = (1 | -1)_n and the
+EGF scale N!/n! = (N | 1)_(N-n) of from_egf and binomial_series (_egf) too.
+
 A Series stores the ordinary coefficients c_0..c_N of sum c_n t^n.  The
 sequence it represents in the exponential view is a_n = c_n * n!, read off
 with egf_value().  Operations never extend the truncation order: combining
@@ -48,6 +53,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Sequence
 
 # Memo bounds: every builder whose value is read again is an lru_cache at its
@@ -155,24 +161,28 @@ class _IntKeyed:
         return hash(self._key)
 
 
+def _falls(t, step) -> Iterator:
+    """(t | step)_j = prod_{i<j} (t - i*step) for j = 0, 1, ... without end,
+    over ints when t and step are ints; (1 | -1)_j = j!, step 0 gives t^j."""
+    acc = 1
+    while True:
+        yield acc
+        acc *= t
+        t -= step
+
+
 def gff(t, alpha, n: int):
     """Generalized falling factorial (t | alpha)_n = prod_{k<n} (t - k*alpha).
 
     (t | alpha)_0 == 1.  t and alpha are rationals (a float is read by its
     exact binary value).  With alpha == 0 this is t**n, with alpha == 1 the
-    ordinary falling factorial.
+    ordinary falling factorial.  It is the integer _falls (t e | alpha e)_n
+    over e^n, e the lcm of the two denominators.
     """
     if n < 0:
         raise ValueError("gff needs n >= 0")
-    t, alpha = _q(t), _q(alpha)
-    # t = p/q, alpha = a/b: prod_k (p b - k a q) / (q b)^n over ints
-    q, b = t.denominator, alpha.denominator
-    term, step = t.numerator * b, alpha.numerator * q
-    num = 1
-    for _ in range(n):
-        num *= term
-        term -= step
-    return Fraction(num, (q * b) ** n)
+    (p, a), e = _scaled((_q(t), _q(alpha)))
+    return Fraction(next(islice(_falls(p, a), n, None)), e ** n)
 
 
 def falling(a, n: int):
@@ -214,18 +224,12 @@ class Series:
 
     @classmethod
     def from_egf(cls, values: Sequence[Fraction]) -> "Series":
-        """Build from EGF values a_n, storing a_n / n!.  With L the lcm of
-        the value denominators, a_n / n! = a_n L (N! / n!) / (L N!)."""
+        """Build from EGF values a_n, storing a_n / n!: with L the lcm of the
+        value denominators, a_n L / n! over L (_egf)."""
         qs = [_q(v) for v in values]
         if not qs:
             raise ValueError("a Series needs at least the constant term")
-        scaled, lcd = _scaled(qs)
-        num, fall = [], 1  # fall = N! / n!, n from N down
-        for n in range(len(scaled) - 1, -1, -1):
-            num.append(scaled[n] * fall)
-            fall *= n or 1
-        num.reverse()
-        return _series(num, lcd * fall)
+        return _egf(*_scaled(qs))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -241,11 +245,9 @@ class Series:
         return Fraction(self.num[n] * math.factorial(n), self.den)
 
     def egf_values(self) -> list:
-        out, fact, den = [], 1, self.den
-        for n, c in enumerate(self.num):
-            fact *= n or 1
-            out.append(Fraction(c * fact, den))
-        return out
+        """The EGF values a_n = c_n n!, n = 0..order, with n! = (1 | -1)_n."""
+        den = self.den
+        return [Fraction(c * f, den) for c, f in zip(self.num, _falls(1, -1))]
 
     def _check_order(self, other: "Series"):
         if self.order != other.order:
@@ -287,6 +289,13 @@ def _scaled(coeffs) -> tuple[list[int], int]:
     """(numerators, d) with every rational coefficient equal to its numerator / d."""
     d = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _egf(nums: list[int], den: int, e: int = 1) -> Series:
+    """The Series nums[n] / (den e^n n!), n = 0..N.  Over den e^N N!,
+    numerator n is nums[n] e^(N-n) N! / n! = nums[n] (N e | e)_(N-n)."""
+    scales = list(islice(_falls((len(nums) - 1) * e, e), len(nums)))
+    return _series([c * f for c, f in zip(nums, reversed(scales))], den * scales[-1])
 
 
 def series_mul(f: Series, g: Series) -> Series:
@@ -349,17 +358,8 @@ def binomial_series(alpha, beta, order: int) -> Series:
     The EGF values are (beta | alpha)_n, so the series is exact for every
     rational alpha including alpha == 0, where it degenerates to exp(beta t).
     With E the lcm of the two denominators and A, B the parameters times E,
-    (beta | alpha)_n = P_n / E^n for P_n = prod_{j<n} (B - j A), and
-    coefficient n is P_n E^(N-n) (N! / n!) over E^N N!.
+    (beta | alpha)_n = (B | A)_n / E^n, so coefficient n is the _falls value
+    (B | A)_n over E^n n! (_egf).
     """
     (a, b), e = _scaled((_q(alpha), _q(beta)))
-    num, acc = [], 1
-    for n in range(order + 1):
-        num.append(acc)
-        acc *= b - n * a
-    scale = 1  # E^(N-n) N! / n!
-    for n in range(order, 0, -1):
-        num[n] *= scale
-        scale *= e * n
-    num[0] *= scale
-    return _series(num, scale)
+    return _egf(list(islice(_falls(b, a), order + 1)), 1, e)

@@ -53,10 +53,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Iterator
 
-from .series import TABLE_CACHE_SIZE, _IntKeyed, _upto
+from .series import TABLE_CACHE_SIZE, _IntKeyed, _falls, _upto
 
 _ZERO = Fraction(0)
 
@@ -174,8 +174,8 @@ def stirling_explicit(params: StirlingParams, n: int, k: int) -> Fraction:
     S(n, k) = 1/(beta^k k!) * sum_{s=0}^{k} (-1)^(k-s) C(k,s) (beta*s + gamma | alpha)_n
 
     With the scaled parameters (d, A, B, G) of _scaled_params,
-    (beta*s + gamma | alpha)_n = prod_{j<n} (B s + G - j A) / d^n, so the
-    sum is one integer over B^k k! d^(n-k).
+    (beta*s + gamma | alpha)_n = (B s + G | A)_n / d^n, the integer _falls
+    value over d^n, so the sum is one integer over B^k k! d^(n-k).
     """
     if params.beta == 0:
         raise ValueError("explicit form needs beta != 0; use stirling_rec")
@@ -186,11 +186,7 @@ def stirling_explicit(params: StirlingParams, n: int, k: int) -> Fraction:
     d, a, b, g = _scaled_params(params)
     acc, sign = 0, (-1) ** k
     for s in range(k + 1):
-        t, fall = b * s + g, 1  # fall = prod_{j<n} (B s + G - j A)
-        for _ in range(n):
-            fall *= t
-            t -= a
-        acc += sign * math.comb(k, s) * fall
+        acc += sign * math.comb(k, s) * next(islice(_falls(b * s + g, a), n, None))
         sign = -sign
     return Fraction(acc, b ** k * math.factorial(k) * d ** (n - k))
 
@@ -200,7 +196,7 @@ def param_swap_rhs(params: StirlingParams, n: int, k: int) -> Fraction:
 
     Returned on its own so callers can compare it against candidate left
     sides; see the conformance harness for the readings that are tracked.
-    With (gamma | alpha)_j = F_j / d^j, F_j = prod_{i<j} (G - i A), and
+    With (gamma | alpha)_j = F_j / d^j, F_j = (G | A)_j from _falls, and
     S(s, k) = T(s, k) / d^(s-k), every term is an integer over d^(n-k).
     """
     if k > n:
@@ -208,8 +204,7 @@ def param_swap_rhs(params: StirlingParams, n: int, k: int) -> Fraction:
     if k < 0:
         raise ValueError("need n, k >= 0")
     d, a, _, g = _scaled_params(params)
-    acc, fall = 0, 1  # fall = F_(n-s)
-    for s in range(n, k - 1, -1):
+    acc = 0
+    for s, fall in zip(range(n, k - 1, -1), _falls(g, a)):  # fall = F_(n-s)
         acc += math.comb(n, s) * fall * stirling_int_row(params, s)[1][k]
-        fall *= g - (n - s) * a
     return Fraction(acc, d ** (n - k))

@@ -228,3 +228,9 @@ def test_format_sig():
     assert format_sig(Q(1, 3)) == "0.333333333333"
     assert format_sig(Q(2)) == "2"
     assert format_sig(0.0) == "0"
+    # past float range or below its normal range: the same form, rounded
+    # exactly, where a float would overflow, read 0 or lose digits
+    assert format_sig(Q(10 ** 400, 3)) == "3.33333333333e+399"
+    assert format_sig(Q(-2 * 10 ** 400, 3), 6) == "-6.66667e+399"
+    assert format_sig(Q(1, 3 * 10 ** 400)) == "3.33333333333e-401"
+    assert format_sig(Q(1, 10 ** 320)) == "1e-320"

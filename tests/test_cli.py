@@ -825,6 +825,25 @@ def test_asymptotic_jsonl(capsys):
     assert all(r["rel_error"] == "0" for r in records)
 
 
+def test_asymptotic_renders_a_rel_error_past_float_range(capsys):
+    # inside every cap; exact is 0, so rel_error is |predicted|, past float
+    # range, and is rendered exactly in the same 12-digit form
+    code, out, _ = run(
+        capsys, "asymptotic", "--alpha=-2", "--beta", "0", "--gamma", "1",
+        "--x=-1", "--n", "172", "--s", "0", "--lambdas", "172",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    lam, exact, predicted, rel_error, ratio = lines[1].split(",")
+    assert (lam, exact, ratio) == ("172", "0", "")
+    mantissa, _, exponent = rel_error.partition("e+")
+    assert int(exponent) > 308
+    digits = predicted.lstrip("-")
+    assert int(exponent) == len(digits) - 1
+    assert mantissa.replace(".", "") == str(round(int(digits[:13]), -1))[:12]
+
+
 def test_asymptotic_missing_parameter(capsys):
     code, _, err = run(
         capsys, "asymptotic", "--beta", "1", "--gamma", "0",

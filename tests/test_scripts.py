@@ -84,6 +84,19 @@ def test_full_device_stdout_is_a_write_error(name, args):
     assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: ")
 
 
+def test_decay_study_reads_ratios_past_float_range():
+    # the row at lambda 250 has exact 0 and a rel_error near 1e492, and the
+    # ratio to the next row is near 1e-419: both are past float range
+    out = run_script("error_decay_study.py", "--alpha=-2", "--beta", "0", "--gamma", "1",
+                     "--x=-1", "--n", "250", "--depths", "0", "--lambda-start", "250",
+                     "--doublings", "1")
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines() if line.startswith("  ")]
+    assert rows[1][:2] == ["250", "3.23286e+492"]
+    assert rows[2][0] == "500" and rows[2][2] == "1.99595e-419"
+    assert rows[2][3] == "1390.891"  # -log2 of the ratio
+
+
 # sha256 of stdout and the exit code of each script's normal run, as printed
 # before hsu_expansion returned a bare Fraction
 SCRIPT_OUTPUT_DIGESTS = {

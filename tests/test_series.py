@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geomstir import (
     EulerParams,
@@ -28,6 +29,7 @@ from geomstir.series import (
     POLY_CACHE_SIZE,
     SERIES_CACHE_SIZE,
     TABLE_CACHE_SIZE,
+    _falls,
     binomial_series,
     series_exp,
     series_geom_inverse,
@@ -70,6 +72,20 @@ def test_integer_gff_edge_cases():
     assert gff(Q(3), Q(1), 5) == 0                # passes through zero
     assert gff(Q(2, 3), Q(-5, 4), 0) == 1 and type(gff(2, 1, 0)) is Q
     assert gff(1.5, 1, 2) == Q(3, 4) and type(gff(1.5, 1, 2)) is Q  # exact binary value
+
+
+@given(st.one_of(st.integers(-20, 20),
+                 st.fractions(min_value=-20, max_value=20, max_denominator=15)),
+       st.one_of(st.just(0), st.integers(-6, 6),
+                 st.fractions(min_value=-6, max_value=6, max_denominator=15)))
+def test_falls_matches_the_product(t, step):
+    # (t | step)_j for j = 0..30; over ints when t and step are ints
+    got = list(islice(_falls(t, step), 31))
+    assert got == [math.prod(t - i * step for i in range(j)) for j in range(31)]
+    if type(t) is int and type(step) is int:
+        assert all(type(v) is int for v in got)
+    if step == 0:
+        assert got == [t ** j for j in range(31)]
 
 
 def test_series_round_trips():
@@ -243,6 +259,15 @@ def test_binomial_series_alpha_zero_is_exp():
     s = binomial_series(Q(0), Q(2), 4)
     for n in range(5):
         assert s.egf_value(n) == Q(2) ** n
+
+
+@settings(max_examples=60)
+@given(small_q, small_q, st.integers(0, 12))
+@example(Q(0), Q(-5, 3), 9)
+def test_binomial_series_is_the_egf_of_gff(a, b, order):
+    # binomial_series and Series.from_egf share the N!/n! scaler
+    assert binomial_series(a, b, order) == Series.from_egf(
+        [gff(b, a, n) for n in range(order + 1)])
 
 
 @settings(max_examples=60)

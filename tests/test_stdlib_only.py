@@ -62,6 +62,25 @@ def test_only_format_sig_makes_floats():
     assert not found, sorted(found)
 
 
+def _package_imports(source: str):
+    """(module, name) of each name the module imports from the package."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or node.module.partition(".")[0] == "geomstir"):
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names
+                        if alias.name.partition(".")[0] == "geomstir")
+
+
+def test_oracle_imports_only_its_memo_bound():
+    # the oracle counts by direct construction, so agreement with the routes
+    # it checks is meaningful only while it shares none of their arithmetic:
+    # from the package it takes one memo bound
+    oracle = (PACKAGE / "oracle.py").read_text()
+    assert list(_package_imports(oracle)) == [("series", "SECTION_CACHE_SIZE")]
+
+
 def _unread_imports(source: str):
     """(line, name) of each name the module imports but never reads."""
     tree = ast.parse(source)
