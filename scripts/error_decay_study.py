@@ -56,6 +56,8 @@ def main() -> int:
                                       args.x, args.n, run, lams) if run else {}
     except ValueError as e:
         return _fail(str(e))
+    except RuntimeError as e:  # a full-depth row that is not exact
+        return _fail(str(e), 1)
     return _write(_study(args, lams, reports), None)
 
 

@@ -38,8 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .fmpq import _scaled
 from .geom import PolyParams, _a_ratio, _stirling_a, a_values
-from .series import MAX_N, _check_size, _falls, _q, _scaled, falling
+from .series import MAX_N, _check_size, _falls, _q, falling
 from .stirling import _scaled_params, _unit_ratio, _value_sweep, _weigh
 
 # Caps of an asymptotic table, checked by _check_caps before any work; the
@@ -184,7 +185,9 @@ def error_decay_reports(alpha, beta, gamma, x, n: int, depths: Sequence[int],
     the deepest s, whose prefix W(n, 0..s) serves every shallower depth.
     Every input is checked before any value is computed: _check_caps first,
     then each s and each lam, then series._check_size on n times the bits of
-    alpha, beta, gamma and x, and of each lam.
+    alpha, beta, gamma and x, and of each lam.  At full depth, s = n, the
+    expansion is exact, so a row whose prediction is not its exact value
+    raises RuntimeError.
     """
     _check_caps(n, depths, len(lambdas))
     if not depths:
@@ -201,10 +204,15 @@ def error_decay_reports(alpha, beta, gamma, x, n: int, depths: Sequence[int],
     _check_size(n, (al, b, g, x), lambdas)
     ws = w_row(a_coefficients(al, b, g, x, n), n, max(depths))
     exact = _exact_column(al, b, g, x, n, lambdas)
-    return {s: DecayReport(tuple(DecayRow(lam, exact[lam],
-                                          _expand(ws[:s + 1], n, Fraction(lam)))
-                                 for lam in lambdas))
-            for s in depths}
+    reports = {s: DecayReport(tuple(DecayRow(lam, exact[lam],
+                                             _expand(ws[:s + 1], n, Fraction(lam)))
+                                    for lam in lambdas))
+               for s in depths}
+    for row in reports[n].rows if n in reports else ():
+        if row.predicted != row.exact:
+            raise RuntimeError(f"at full depth s = n = {n} the expansion is not "
+                               f"the exact value at lam={row.lam}")
+    return reports
 
 
 def _exact_column(alpha: Fraction, beta: Fraction, gamma: Fraction, x: Fraction,

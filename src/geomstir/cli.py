@@ -63,9 +63,9 @@ def parse_lambda_list(text: str) -> list[int]:
         raise ValueError(f"{text!r} is not a comma list of integers") from None
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = 2) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return 2
+    return code
 
 
 @contextlib.contextmanager
@@ -326,6 +326,8 @@ def cmd_asymptotic(args) -> int:
                                     args.x, args.n, args.s, args.lambdas)
     except ValueError as e:
         return _fail(str(e))
+    except RuntimeError as e:  # a full-depth row that is not exact
+        return _fail(str(e), 1)
     header = ["lambda", "exact", "predicted", "rel_error", "ratio"]
     records = [
         {"lambda": row.lam, "exact": row.exact, "predicted": row.predicted,

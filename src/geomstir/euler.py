@@ -32,9 +32,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
+from .fmpq import _scaled
 from .geom import PolyParams, _a_ratio, a_eval, a_values
 from .series import (SERIES_CACHE_SIZE, TABLE_CACHE_SIZE, Series, _IntKeyed, _q,
-                     _scaled, _upto, binomial_series, series_int_pow)
+                     _upto, binomial_series, series_int_pow)
 from .stirling import StirlingParams, _value_sweep
 from .xpoly import XPolynomial
 

@@ -45,6 +45,7 @@ from .euler import (
     euler_via_a,
 )
 from .exppoly import ExpPolyParams, _s_ratio, lemma34_sides, s_exp_eval, s_exp_egf
+from .fmpq import _scaled
 from .geom import (
     PolyParams,
     a_egf,
@@ -60,7 +61,6 @@ from .series import (
     _check_size,
     _falls,
     _parse_rational,
-    _scaled,
     _upto,
     rising,
 )

@@ -10,17 +10,11 @@ sequence it represents in the exponential view is a_n = c_n * n!, read off
 with egf_value().  Operations never extend the truncation order: combining
 two series requires equal orders, and results are exact.
 
-Coefficients are rationals, held in the layout of XPolynomial (FLINT's
-fmpq_poly): integer numerators over one positive denominator,
-
-    num = (C_0, ..., C_N)  ints,    den > 0,    c_n = C_n / den,
-
-in canonical form, gcd(C_0, ..., C_N, den) == 1 (the zero series has
-den == 1).  Trailing zeros stay, since they carry the order.  So equal
-series have identical (num, den) pairs, == and hash are tuple operations,
-and the rational tuple `coeffs` is built on demand.  A generating function
-with a symbolic argument is not a Series of polynomials; its builder reads
-one rational series per power of the argument (see geom.a_egf and
+The coefficients c_n = num[n] / den are a rational vector in fmpq's
+canonical layout, trailing zeros kept, since they carry the order: series
+of two orders never compare equal.  A generating function with a symbolic
+argument is not a Series of polynomials; its builder reads one rational
+series per power of the argument (see geom.a_egf and
 euler._gamma_polynomials).
 
 Every operation is prefix-stable: coefficient n of an order-N result equals
@@ -28,8 +22,8 @@ coefficient n of the order-n result for every N >= n.  So a route that
 needs A_0 .. A_N builds one order-N series and reads every n from it.
 
 The product, scale, add_const, from_egf and binomial_series work on the
-integer numerators and reduce by one gcd per result; series_mul is the
-convolution
+integer numerators and reduce by one gcd per result (fmpq); series_mul is
+the convolution cut at the order,
 
     C_m = sum_{i<=m} A_i B_{m-i}  over  df dg.
 
@@ -55,6 +49,8 @@ import re
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
+
+from .fmpq import _Fmpq, _canon, _new, _product, _scaled, _sum
 
 # Memo bounds: every builder whose value is read again is an lru_cache at its
 # own definition with one of these, and nothing else memoises.  Each is at
@@ -195,21 +191,7 @@ def rising(a, n: int):
     return gff(a, Fraction(-1), n)
 
 
-def _series(num: list, den: int) -> "Series":
-    """The canonical Series num[n] / den, n = 0..len(num)-1, for den != 0."""
-    if den < 0:
-        num, den = [-c for c in num], -den
-    g = math.gcd(den, *num)
-    if g != 1:
-        num = [c // g for c in num]
-        den //= g
-    s = object.__new__(Series)
-    s.num = tuple(num)
-    s.den = den
-    return s
-
-
-class Series:
+class Series(_Fmpq):
     """Truncated series sum c_n t^n, n = 0..order, with exact coefficients
     c_n = num[n] / den, kept in canonical form (see the module docstring)."""
 
@@ -219,7 +201,7 @@ class Series:
         cs = [_q(c) for c in coeffs]
         if not cs:
             raise ValueError("a Series needs at least the constant term")
-        s = _series(*_scaled(cs))
+        s = _canon(Series, *_scaled(cs), len(cs))
         self.num, self.den = s.num, s.den
 
     @classmethod
@@ -230,12 +212,6 @@ class Series:
         if not qs:
             raise ValueError("a Series needs at least the constant term")
         return _egf(*_scaled(qs))
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The rational coefficients c_0..c_order, built on each access."""
-        den = self.den
-        return tuple(Fraction(c, den) for c in self.num)
 
     @property
     def order(self) -> int:
@@ -258,52 +234,37 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         return series_mul(self, other)
 
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __repr__(self):
         return f"Series(coeffs={self.coeffs!r})"
 
     def scale(self, c) -> "Series":
         c = _q(c)
-        return _series([a * c.numerator for a in self.num], self.den * c.denominator)
+        return _canon(Series, _product(self.num, (c.numerator,)),
+                      self.den * c.denominator, len(self.num))
 
     def add_const(self, c) -> "Series":
         c = _q(c)
-        p, q = c.numerator, c.denominator
-        num = list(self.num) if q == 1 else [a * q for a in self.num]
-        num[0] += p * self.den
-        return _series(num, self.den * q)
+        return _sum(Series, self.num, self.den, (c.numerator,), c.denominator,
+                    len(self.num))
 
 
 def series_one(order: int) -> Series:
-    return _series([1] + [0] * order, 1)
-
-
-def _scaled(coeffs) -> tuple[list[int], int]:
-    """(numerators, d) with every rational coefficient equal to its numerator / d."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+    return _new(Series, (1,) + (0,) * order, 1)
 
 
 def _egf(nums: list[int], den: int, e: int = 1) -> Series:
     """The Series nums[n] / (den e^n n!), n = 0..N.  Over den e^N N!,
     numerator n is nums[n] e^(N-n) N! / n! = nums[n] (N e | e)_(N-n)."""
     scales = list(islice(_falls((len(nums) - 1) * e, e), len(nums)))
-    return _series([c * f for c, f in zip(nums, reversed(scales))], den * scales[-1])
+    return _canon(Series, [c * f for c, f in zip(nums, reversed(scales))],
+                  den * scales[-1], len(nums))
 
 
 def series_mul(f: Series, g: Series) -> Series:
     """Cauchy product truncated at the shared order."""
     f._check_order(g)
-    a, b = f.num, g.num
-    return _series([sum(map(operator.mul, a[:m + 1], b[m::-1])) for m in range(len(a))],
-                   f.den * g.den)
+    top = len(f.num)
+    return _canon(Series, _product(f.num, g.num, top), f.den * g.den, top)
 
 
 def _solve(g0: Fraction, a: list[int], b, c) -> Series:
@@ -323,7 +284,7 @@ def _solve(g0: Fraction, a: list[int], b, c) -> Series:
             scaled = [t * k for t in scaled]
             lcd *= k
         scaled.append(g.numerator * (lcd // q))
-    return _series(scaled, lcd)
+    return _canon(Series, scaled, lcd, len(scaled))
 
 
 def series_int_pow(f: Series, r: int) -> Series:

@@ -56,6 +56,7 @@ from functools import lru_cache
 from itertools import count, islice
 from typing import Callable, Iterator
 
+from .fmpq import _scaled
 from .series import TABLE_CACHE_SIZE, _IntKeyed, _falls, _upto
 
 _ZERO = Fraction(0)
@@ -76,12 +77,10 @@ class StirlingParams(_IntKeyed):
 
 
 def _scaled_params(params) -> tuple[int, int, int, int]:
-    """(d, A, B, G): d the lcm of the denominators of a record's alpha, beta
-    and gamma, and A, B, G those parameters times d, all integers."""
-    a, b, g = params.alpha, params.beta, params.gamma
-    d = math.lcm(a.denominator, b.denominator, g.denominator)
-    return (d, a.numerator * (d // a.denominator), b.numerator * (d // b.denominator),
-            g.numerator * (d // g.denominator))
+    """(d, A, B, G): a record's alpha, beta and gamma scaled to one
+    denominator d (fmpq._scaled), with A, B, G the integers over it."""
+    (a, b, g), d = _scaled((params.alpha, params.beta, params.gamma))
+    return d, a, b, g
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)

@@ -1,57 +1,23 @@
 """Dense univariate polynomials over exact rationals.
 
-The marker variable is written x throughout.  A polynomial is stored as
-integer numerators over one shared denominator, the layout of FLINT's
-fmpq_poly:
-
-    num = (c_0, ..., c_d)  ints, ascending degree
-    den > 0                int
-    value = sum_i (c_i / den) x^i
-
-and is always kept in canonical form: no trailing zero numerators (the zero
-polynomial is num == (), den == 1) and gcd(c_0, ..., c_d, den) == 1.  So two
-equal polynomial values have identical (num, den) pairs, == and hash are
-tuple operations, and instances can be used as dict keys.
+The marker variable is written x throughout.  A polynomial holds its
+coefficients c_0..c_d, ascending degree, in the canonical layout of fmpq
+with no trailing zero, so instances can be used as dict keys.
 
 Addition and multiplication work on the integer numerators and reduce by
 one gcd at the end; evaluation at an int or Fraction u/v is integer Horner,
-sum c_i u^i v^(d-i), with one Fraction built at the end.  The rational
-coefficient tuple `coeffs` is formed on demand and not kept.  Scalars (int,
+sum c_i u^i v^(d-i), with one Fraction built at the end.  Scalars (int,
 Fraction) mix freely on either side of + and *.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
+from .fmpq import _Fmpq, _canon, _new, _product, _scaled, _sum
+
 Scalar = Union[int, Fraction]
-
-
-def _raw(num: tuple, den: int) -> "XPolynomial":
-    """Wrap a (num, den) pair that is already canonical."""
-    p = object.__new__(XPolynomial)
-    p.num = num
-    p.den = den
-    return p
-
-
-def _make(num: list, den: int) -> "XPolynomial":
-    """Canonical polynomial from integer numerators over den > 0."""
-    end = len(num)
-    while end and not num[end - 1]:
-        end -= 1
-    if not end:
-        return _ZERO
-    if end < len(num):
-        del num[end:]
-    if den != 1:
-        g = gcd(den, *num)
-        if g != 1:
-            num = [c // g for c in num]
-            den //= g
-    return _raw(tuple(num), den)
 
 
 def _parts(value):
@@ -63,41 +29,6 @@ def _parts(value):
     return None
 
 
-def _sum(a: tuple, da: int, b: tuple, db: int) -> "XPolynomial":
-    if not b:
-        return _make(list(a), da)
-    if not a:
-        return _make(list(b), db)
-    if da == db:
-        ma = mb = 1
-        den = da
-    else:
-        g = gcd(da, db)
-        ma, mb = db // g, da // g
-        den = da * ma
-    if len(a) < len(b):
-        a, b, ma, mb = b, a, mb, ma
-    num = list(a) if ma == 1 else [c * ma for c in a]
-    for i, c in enumerate(b):
-        num[i] += c * mb
-    return _make(num, den)
-
-
-def _product(a, b) -> list:
-    """The integer coefficients of the product of two nonempty coefficient lists."""
-    if len(b) > len(a):
-        a, b = b, a
-    if len(b) == 1:
-        s = b[0]
-        return [c * s for c in a]
-    num = [0] * (len(a) + len(b) - 1)
-    for j, s in enumerate(b):
-        if s:
-            for i, c in enumerate(a, j):
-                num[i] += c * s
-    return num
-
-
 def _compose(a: tuple, da: int, q: tuple, dq: int) -> "XPolynomial":
     """(a / da)(q / dq) by integer Horner over (da dq^deg)."""
     if not a:
@@ -107,18 +38,16 @@ def _compose(a: tuple, da: int, q: tuple, dq: int) -> "XPolynomial":
         epow *= dq
         h = _product(h, q) if q else [0]
         h[0] += c * epow
-    return _make(h, da * epow)
+    return _canon(XPolynomial, h, da * epow)
 
 
-class XPolynomial:
+class XPolynomial(_Fmpq):
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs)) if cs else 1
-        p = _make([c.numerator * (den // c.denominator) for c in cs], den)
-        self.num = p.num
-        self.den = p.den
+        p = _canon(XPolynomial, *_scaled(
+            [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]))
+        self.num, self.den = p.num, p.den
 
     # construction helpers
 
@@ -128,8 +57,8 @@ class XPolynomial:
         if not den:
             raise ZeroDivisionError("XPolynomial denominator is zero")
         if den < 0:
-            return _make([-c for c in num], -den)
-        return _make(list(num), den)
+            return _canon(cls, [-c for c in num], -den)
+        return _canon(cls, list(num), den)
 
     @classmethod
     def zero(cls) -> "XPolynomial":
@@ -137,15 +66,9 @@ class XPolynomial:
 
     @classmethod
     def x(cls) -> "XPolynomial":
-        return _make([0, 1], 1)
+        return _new(cls, (0, 1), 1)
 
     # structure
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The rational coefficients c_0..c_d, built on each access."""
-        den = self.den
-        return tuple(Fraction(c, den) for c in self.num)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -156,28 +79,24 @@ class XPolynomial:
         parts = _parts(other)
         if parts is None:
             return NotImplemented
-        return _sum(self.num, self.den, *parts)
+        return _sum(XPolynomial, self.num, self.den, *parts)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.num:
-            return self
-        return _raw(tuple(-c for c in self.num), self.den)
+        return _new(XPolynomial, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         parts = _parts(other)
         if parts is None:
             return NotImplemented
-        b, db = parts
-        return _sum(self.num, self.den, tuple(-c for c in b), db)
+        return _sum(XPolynomial, self.num, self.den, tuple(-c for c in parts[0]), parts[1])
 
     def __rsub__(self, other):
         parts = _parts(other)
         if parts is None:
             return NotImplemented
-        a, da = parts
-        return _sum(a, da, tuple(-c for c in self.num), self.den)
+        return _sum(XPolynomial, *parts, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
         parts = _parts(other)
@@ -186,7 +105,7 @@ class XPolynomial:
         a, b = self.num, parts[0]
         if not a or not b:
             return _ZERO
-        return _make(_product(a, b), self.den * parts[1])
+        return _canon(XPolynomial, _product(a, b), self.den * parts[1])
 
     __rmul__ = __mul__
 
@@ -194,7 +113,7 @@ class XPolynomial:
         """Multiply by x**k (coefficient shift)."""
         if not self.num:
             return self
-        return _raw((0,) * k + self.num, self.den)
+        return _new(XPolynomial, (0,) * k + self.num, self.den)
 
     def __call__(self, value):
         """Horner evaluation; value may be an int, Fraction, float or XPolynomial.
@@ -227,7 +146,7 @@ class XPolynomial:
             vpow *= v
         return Fraction(acc, self.den * (vpow // v))
 
-    # comparison / hashing
+    # comparison / hashing: equal to a scalar of the same value too
 
     def __eq__(self, other):
         parts = _parts(other)
@@ -235,8 +154,7 @@ class XPolynomial:
             return NotImplemented
         return self.num == parts[0] and self.den == parts[1]
 
-    def __hash__(self):
-        return hash(("XPolynomial", self.num, self.den))
+    __hash__ = _Fmpq.__hash__  # defining __eq__ clears the inherited hash
 
     def __repr__(self):
         return f"XPolynomial({list(self.coeffs)!r})"
@@ -265,4 +183,4 @@ class XPolynomial:
         return out
 
 
-_ZERO = _raw((), 1)
+_ZERO = _new(XPolynomial, (), 1)

@@ -844,6 +844,29 @@ def test_asymptotic_renders_a_rel_error_past_float_range(capsys):
     assert mantissa.replace(".", "") == str(round(int(digits[:13]), -1))[:12]
 
 
+def test_asymptotic_full_depth_rejects_an_inexact_row(capsys, monkeypatch):
+    # at s = n the expansion is exact for integer lam >= n; a w_row fault
+    # (each W(n, j) + 1/n! for n >= 9, as the top band entries + 1 give) ends
+    # the table in one error line and exit 1, not in nonzero rel_errors
+    import math
+    from fractions import Fraction
+
+    from geomstir import asymptotics
+
+    real = asymptotics.w_row
+    monkeypatch.setattr(asymptotics, "w_row", lambda a, n, s: [
+        w + Fraction(n >= 9, math.factorial(n)) for w in real(a, n, s)])
+    argv = ["asymptotic", "--alpha", "1/2", "--beta", "1", "--gamma", "1", "--x", "1",
+            "--n", "12", "--lambdas", "12,24,48"]
+    code, out, err = run(capsys, *argv, "--s", "12")
+    assert (code, out) == (1, "")
+    assert err == ("error: at full depth s = n = 12 the expansion is not the exact "
+                   "value at lam=12\n")
+    # a truncated depth has no exact rows to check
+    code, out, err = run(capsys, *argv, "--s", "11")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 4
+
+
 def test_asymptotic_missing_parameter(capsys):
     code, _, err = run(
         capsys, "asymptotic", "--beta", "1", "--gamma", "0",

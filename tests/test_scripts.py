@@ -97,6 +97,29 @@ def test_decay_study_reads_ratios_past_float_range():
     assert rows[2][3] == "1390.891"  # -log2 of the ratio
 
 
+def test_decay_study_rejects_an_inexact_full_depth_row(capsys, monkeypatch):
+    # run in-process, so that test_cli's w_row fault reaches the study: its
+    # full-depth table ends in one error line and exit 1
+    import math
+    import runpy
+    from fractions import Fraction
+
+    from geomstir import asymptotics
+
+    real = asymptotics.w_row
+    monkeypatch.setattr(asymptotics, "w_row", lambda a, n, s: [
+        w + Fraction(n >= 9, math.factorial(n)) for w in real(a, n, s)])
+    study = runpy.run_path(os.path.join(SCRIPTS, "error_decay_study.py"))
+    monkeypatch.setattr(sys, "argv", [
+        "error_decay_study.py", "--alpha", "1/2", "--gamma", "1", "--n", "12",
+        "--depths", "3,12", "--lambda-start", "12", "--doublings", "2"])
+    assert study["main"]() == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: at full depth s = n = 12 the expansion is not the exact "
+                   "value at lam=12\n")
+
+
 # sha256 of stdout and the exit code of each script's normal run, as printed
 # before hsu_expansion returned a bare Fraction
 SCRIPT_OUTPUT_DIGESTS = {

@@ -11,6 +11,7 @@ from geomstir import (
     PolyParams,
     Series,
     StirlingParams,
+    XPolynomial,
     a_egf,
     a_explicit,
     euler_egf,
@@ -141,6 +142,10 @@ def test_series_of_two_orders_are_unequal():
     assert Series((Q(1), Q(2))) != Series((Q(1), Q(2), Q(0)))
     assert Series((Q(1), Q(2))) != Series((Q(1), Q(3)))
     assert Series((Q(1),)) != (Q(1),)
+    # the same numerators over the same denominator, but a series is no polynomial
+    series, poly = Series((1, 2)), XPolynomial([1, 2])
+    assert series != poly and poly != series
+    assert not series == poly and not poly == series
 
 
 def test_series_requires_matching_orders():
@@ -155,6 +160,34 @@ def test_cauchy_product_against_naive_loop():
     for n in range(4):
         naive = sum(f.coeffs[i] * g.coeffs[n - i] for i in range(n + 1))
         assert prod.coeffs[n] == naive
+
+
+often_zero = st.one_of(st.just(Q(0)), small_q)
+same_order_pairs = st.integers(0, 8).flatmap(lambda order: st.tuples(
+    *[st.lists(often_zero, min_size=order + 1, max_size=order + 1)] * 2))
+
+
+@given(same_order_pairs)
+@example(([Q(0)], [Q(3, 2)]))
+@example(([Q(0), Q(0), Q(1, 3)], [Q(2), Q(0), Q(0)]))
+def test_series_mul_matches_the_naive_convolution(pair):
+    # the one-entry path, the zero entries the kernel skips and the cut at
+    # the order, against Fractions
+    fc, gc = pair
+    got = series_mul(Series(fc), Series(gc))
+    want = tuple(sum((fc[i] * gc[m - i] for i in range(m + 1)), Q(0))
+                 for m in range(len(fc)))
+    assert got.coeffs == want
+    assert got == Series(want) and math.gcd(got.den, *got.num) == 1
+
+
+@given(st.lists(often_zero, min_size=1, max_size=9),
+       st.one_of(st.integers(-5, 5), often_zero))
+def test_add_const_matches_fraction_arithmetic(cs, c):
+    got = Series(cs).add_const(c)
+    want = (cs[0] + c, *cs[1:])
+    assert got.coeffs == want
+    assert got == Series(want) and math.gcd(got.den, *got.num) == 1
 
 
 def test_geom_inverse_round_trip():

@@ -1,7 +1,8 @@
 """The package runs on the Python standard library alone, computes in exact
 arithmetic, imports only what it reads, every memo in it has a named bound
-and grows as it is read only through series._upto, and every name it
-exports has a reader outside the tests."""
+and grows as it is read only through series._upto, every name it exports
+has a reader outside the tests, and fmpq alone builds the integer-numerator
+layout."""
 
 import ast
 import inspect
@@ -198,6 +199,40 @@ def test_only_series_compares_the_size_caps():
 ])
 def test_size_cap_guard_flags_reads(source, reads):
     assert sorted(_size_cap_reads(source)) == reads
+
+
+def _layout_calls(source: str):
+    """(line, callee) of each call of lcm or object.__new__."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "lcm" \
+                    or isinstance(f, ast.Attribute) and (f.attr == "lcm" or (
+                        f.attr == "__new__" and isinstance(f.value, ast.Name)
+                        and f.value.id == "object")):
+                yield node.lineno, ast.unparse(f)
+
+
+def test_only_fmpq_builds_the_numerator_layout():
+    # XPolynomial and Series share one integer-numerator layout: fmpq alone
+    # scales rationals to the lcm of their denominators and makes instances
+    # that skip the canonicaliser, so no module writes a second copy of it
+    found = {(path.name, line, callee)
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "fmpq.py"
+             for line, callee in _layout_calls(path.read_text())}
+    assert not found, sorted(found)
+
+
+@pytest.mark.parametrize("source, calls", [
+    ("from .fmpq import _scaled\n_scaled(cs)", []),
+    ("import math\nmath.gcd(a, b)", []),
+    ("object.__setattr__(self, '_key', key)", []),
+    ("from math import lcm\nd = lcm(2, 3)", [(2, "lcm")]),
+    ("import math\nd = math.lcm(*ds)", [(2, "math.lcm")]),
+    ("p = object.__new__(Series)", [(1, "object.__new__")]),
+])
+def test_layout_guard_flags_calls(source, calls):
+    assert sorted(_layout_calls(source)) == calls
 
 
 def _referenced_names(paths) -> set[str]:
