@@ -87,7 +87,8 @@ def _study(args, lams, reports):
                 orders.append(order)
                 ratio_cell = format_sig(ratio, 6)
                 order_cell = f"{order:.3f}"
-            yield (f"  {row.lam:>8d} {format_sig(row.rel_error, 6):>16s} "
+            rel = "-" if row.rel_error is None else format_sig(row.rel_error, 6)
+            yield (f"  {row.lam:>8d} {rel:>16s} "
                    f"{ratio_cell:>14s} {order_cell:>7s}\n")
         if orders:
             summary.append((s, orders[-1]))

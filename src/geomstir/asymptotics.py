@@ -135,9 +135,11 @@ class DecayRow:
     predicted: Fraction
 
     @property
-    def rel_error(self) -> Fraction:
+    def rel_error(self) -> Fraction | None:
+        """|exact - predicted| / |exact|; None where exact is 0, where no
+        relative error is defined."""
         if self.exact == 0:
-            return abs(self.predicted)
+            return None
         return abs(self.exact - self.predicted) / abs(self.exact)
 
 
@@ -146,11 +148,12 @@ class DecayReport:
     rows: tuple[DecayRow, ...]
 
     def ratios(self) -> list[Fraction | None]:
-        """Consecutive rel-error ratios; None where undefined."""
+        """Consecutive rel-error ratios; None where undefined: at the first
+        row, after a zero rel_error and next to an undefined one."""
         out: list[Fraction | None] = [None]
         for prev, cur in zip(self.rows, self.rows[1:]):
             pe, ce = prev.rel_error, cur.rel_error
-            out.append(ce / pe if pe != 0 else None)
+            out.append(ce / pe if pe and ce is not None else None)
         return out
 
 

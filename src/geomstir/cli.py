@@ -329,10 +329,10 @@ def cmd_asymptotic(args) -> int:
     except RuntimeError as e:  # a full-depth row that is not exact
         return _fail(str(e), 1)
     header = ["lambda", "exact", "predicted", "rel_error", "ratio"]
+    sig = lambda v: None if v is None else format_sig(v)  # None: an empty cell
     records = [
         {"lambda": row.lam, "exact": row.exact, "predicted": row.predicted,
-         "rel_error": format_sig(row.rel_error),
-         "ratio": None if ratio is None else format_sig(ratio)}
+         "rel_error": sig(row.rel_error), "ratio": sig(ratio)}
         for row, ratio in zip(report.rows, report.ratios())
     ]
     return _table(header, records, args.format, args.out)

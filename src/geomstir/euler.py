@@ -90,7 +90,7 @@ def euler_egf(p: EulerParams, gamma, order: int) -> Series:
 
 def _gamma_free(p: EulerParams, order: int) -> Series:
     """The gamma-free factor [2 / ((1+alpha t)^(beta/alpha) + 1)]^lam."""
-    base = binomial_series(p.alpha, p.beta, order).add_const(1).scale(HALF)
+    base = (binomial_series(p.alpha, p.beta, order) + 1) * HALF
     return series_int_pow(base, -p.lam)
 
 

@@ -70,10 +70,8 @@ def s_exp_egf(p: ExpPolyParams, x, order: int) -> Series:
     if p.beta == 0:
         raise ValueError("generating-series route needs beta != 0")
     x = _q(x)
-    bracket = binomial_series(p.alpha, p.beta, order).add_const(-1)
-    return binomial_series(p.alpha, p.r, order) * series_exp(
-        bracket.scale(x / p.beta)
-    )
+    bracket = binomial_series(p.alpha, p.beta, order) - 1
+    return binomial_series(p.alpha, p.r, order) * series_exp(bracket * (x / p.beta))
 
 
 def lemma34_sides(p: ExpPolyParams, x, m: int, order: int) -> tuple[Series, Series]:
@@ -95,15 +93,5 @@ def lemma34_sides(p: ExpPolyParams, x, m: int, order: int) -> tuple[Series, Seri
     # (1+alpha t)^((r - m alpha)/alpha) = (1+alpha t)^(r/alpha) (1+alpha t)^(-m),
     # so the unshifted series (memoised) carries the first two factors
     grow = binomial_series(p.alpha, p.beta, order)
-    poly_at_series = _poly_of_series(s_exp_explicit(p, m), grow.scale(x))
-    return lhs, (s_exp_egf(p, x, order)
-                 * binomial_series(p.alpha, -m * p.alpha, order) * poly_at_series)
-
-
-def _poly_of_series(poly: XPolynomial, arg: Series) -> Series:
-    """Horner evaluation of a polynomial at a series argument."""
-    order = arg.order
-    acc = Series((Fraction(0),) * (order + 1))
-    for c in reversed(poly.coeffs):
-        acc = (acc * arg).add_const(c)
-    return acc
+    return lhs, (s_exp_egf(p, x, order) * binomial_series(p.alpha, -m * p.alpha, order)
+                 * s_exp_explicit(p, m)(grow * x))

@@ -6,12 +6,18 @@ XPolynomial and Series hold their coefficients in FLINT's fmpq_poly layout
     num = (c_0, ..., c_d)  ints,    den > 0  int,    coefficient i = c_i / den,
 
 in canonical form: gcd(c_0, ..., c_d, den) == 1, and no trailing zero past
-the length a class keeps (a polynomial keeps none, so its zero is num == (),
-den == 1; a Series keeps its order).  So equal values of one class have
-identical (num, den) pairs, == and hash are tuple operations, and the
-rational tuple `coeffs` is built on demand.  This module alone builds the
-form: it scales rationals to one denominator, adds and convolves numerator
-lists, and reduces each result by one gcd.
+the length a class keeps, _keep (a polynomial keeps none, so its zero is
+num == (), den == 1; a Series keeps its order + 1 entries).  So equal values
+of one class have identical (num, den) pairs, == and hash are tuple
+operations, and the rational tuple `coeffs` is built on demand.  This module
+alone builds the form: it scales rationals to one denominator, adds and
+convolves numerator lists, and reduces each result by one gcd.
+
+Both classes read one arithmetic, on the base _Fmpq: +, - and * with an int
+or Fraction on either side, unary -, and +, - and * of two instances of one
+class, cut to the kept length; two Series of unequal orders raise
+ValueError, and the two classes never mix (TypeError).  _compose is integer
+Horner for a polynomial at an argument of either class, cut the same way.
 """
 
 from fractions import Fraction
@@ -91,16 +97,77 @@ def _product(a, b, top: int = 0) -> list:
     return num
 
 
+def _compose(cls, a: tuple, da: int, q: tuple, dq: int, keep: int = 0):
+    """The canonical cls (a / da)(q / dq) by integer Horner over (da dq^deg),
+    H <- H q + c_i dq^(deg - i), each product cut to keep entries."""
+    if not a:
+        return _new(cls, (0,) * keep, 1)
+    h, epow = [a[-1]] + [0] * (keep - 1), 1  # epow = dq^(deg - i)
+    for c in reversed(a[:-1]):
+        epow *= dq
+        h = _product(h, q, keep) if q else [0]
+        h[0] += c * epow
+    return _canon(cls, h, da * epow, keep)
+
+
 class _Fmpq:
-    """Base of the classes that hold (num, den); two classes never compare equal."""
+    """Base of the classes that hold (num, den), with their one arithmetic;
+    two classes never compare equal or mix."""
 
     __slots__ = ()
+    _keep = 0  # the length a canonical num keeps; a Series keeps its own
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The rational coefficients num[i] / den, built on each access."""
         den = self.den
         return tuple(Fraction(c, den) for c in self.num)
+
+    def _operand(self, other):
+        """(num, den) of an int, a Fraction or an instance of this class at
+        the same kept length; None for anything else."""
+        if type(other) is type(self):
+            if other._keep != self._keep:
+                raise ValueError(f"order mismatch: {self._keep - 1} != {other._keep - 1}")
+            return other.num, other.den
+        if isinstance(other, (int, Fraction)):
+            return ((other.numerator,) if other else ()), other.denominator
+        return None
+
+    def __add__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return _sum(type(self), self.num, self.den, *b, self._keep)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _new(type(self), tuple(-c for c in self.num), self.den)
+
+    def __sub__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return _sum(type(self), self.num, self.den, tuple(-c for c in b[0]), b[1],
+                    self._keep)
+
+    def __rsub__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return _sum(type(self), *b, tuple(-c for c in self.num), self.den, self._keep)
+
+    def __mul__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        a, keep = self.num, self._keep
+        if not a or not b[0]:
+            return _new(type(self), (0,) * keep, 1)
+        return _canon(type(self), _product(a, b[0], keep), self.den * b[1], keep)
+
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -116,7 +116,7 @@ def a_egf(params: PolyParams, order: int) -> ASequence:
     a_egf(params, N).values[n] == a_egf(params, n).values[n] for every N >= n.
     """
     term = binomial_series(-params.alpha, params.gamma, order)
-    u = binomial_series(-params.alpha, params.beta, order).add_const(-1)
+    u = binomial_series(-params.alpha, params.beta, order) - 1
     columns = []  # columns[k][n]: the x^k coefficient of A_n
     for k in range(order + 1 if params.lam else 1):
         if k:

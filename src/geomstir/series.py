@@ -21,11 +21,13 @@ Every operation is prefix-stable: coefficient n of an order-N result equals
 coefficient n of the order-n result for every N >= n.  So a route that
 needs A_0 .. A_N builds one order-N series and reads every n from it.
 
-The product, scale, add_const, from_egf and binomial_series work on the
-integer numerators and reduce by one gcd per result (fmpq); series_mul is
-the convolution cut at the order,
++, - and * (fmpq._Fmpq's, shared with XPolynomial, with scalars on either
+side), from_egf and binomial_series work on the integer numerators and
+reduce by one gcd per result; a product is the convolution cut at the order,
 
-    C_m = sum_{i<=m} A_i B_{m-i}  over  df dg.
+    C_m = sum_{i<=m} A_i B_{m-i}  over  df dg,
+
+and a polynomial P evaluates at a series argument as P(f), cut the same way.
 
 series_exp, series_int_pow and series_geom_inverse (the power -1) run one
 engine, _solve: g = exp(f) obeys g' = f' g, and g = f^r for any integer r
@@ -50,7 +52,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .fmpq import _Fmpq, _canon, _new, _product, _scaled, _sum
+from .fmpq import _Fmpq, _canon, _scaled
 
 # Memo bounds: every builder whose value is read again is an lru_cache at its
 # own definition with one of these, and nothing else memoises.  Each is at
@@ -217,6 +219,10 @@ class Series(_Fmpq):
     def order(self) -> int:
         return len(self.num) - 1
 
+    @property
+    def _keep(self) -> int:
+        return len(self.num)
+
     def egf_value(self, n: int) -> Fraction:
         return Fraction(self.num[n] * math.factorial(n), self.den)
 
@@ -225,31 +231,8 @@ class Series(_Fmpq):
         den = self.den
         return [Fraction(c * f, den) for c, f in zip(self.num, _falls(1, -1))]
 
-    def _check_order(self, other: "Series"):
-        if self.order != other.order:
-            raise ValueError(
-                f"order mismatch: {self.order} != {other.order}"
-            )
-
-    def __mul__(self, other: "Series") -> "Series":
-        return series_mul(self, other)
-
     def __repr__(self):
         return f"Series(coeffs={self.coeffs!r})"
-
-    def scale(self, c) -> "Series":
-        c = _q(c)
-        return _canon(Series, _product(self.num, (c.numerator,)),
-                      self.den * c.denominator, len(self.num))
-
-    def add_const(self, c) -> "Series":
-        c = _q(c)
-        return _sum(Series, self.num, self.den, (c.numerator,), c.denominator,
-                    len(self.num))
-
-
-def series_one(order: int) -> Series:
-    return _new(Series, (1,) + (0,) * order, 1)
 
 
 def _egf(nums: list[int], den: int, e: int = 1) -> Series:
@@ -260,11 +243,9 @@ def _egf(nums: list[int], den: int, e: int = 1) -> Series:
                   den * scales[-1], len(nums))
 
 
+# The product f * g; kept only for perfbench/tracing.py, which probes this name.
 def series_mul(f: Series, g: Series) -> Series:
-    """Cauchy product truncated at the shared order."""
-    f._check_order(g)
-    top = len(f.num)
-    return _canon(Series, _product(f.num, g.num, top), f.den * g.den, top)
+    return f * g
 
 
 def _solve(g0: Fraction, a: list[int], b, c) -> Series:

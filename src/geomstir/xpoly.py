@@ -4,10 +4,12 @@ The marker variable is written x throughout.  A polynomial holds its
 coefficients c_0..c_d, ascending degree, in the canonical layout of fmpq
 with no trailing zero, so instances can be used as dict keys.
 
-Addition and multiplication work on the integer numerators and reduce by
-one gcd at the end; evaluation at an int or Fraction u/v is integer Horner,
-sum c_i u^i v^(d-i), with one Fraction built at the end.  Scalars (int,
-Fraction) mix freely on either side of + and *.
++, - and * are fmpq._Fmpq's, shared with Series: they work on the integer
+numerators and reduce by one gcd at the end, with scalars (int, Fraction)
+on either side.  Evaluation at an int or Fraction u/v is integer Horner,
+sum c_i u^i v^(d-i), with one Fraction built at the end; at a polynomial or
+a Series it is fmpq._compose.  A constant polynomial equals, and hashes as,
+its scalar.
 """
 
 from __future__ import annotations
@@ -15,30 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .fmpq import _Fmpq, _canon, _new, _product, _scaled, _sum
+from .fmpq import _Fmpq, _canon, _compose, _new, _scaled
 
 Scalar = Union[int, Fraction]
-
-
-def _parts(value):
-    """(num, den) of an XPolynomial or scalar operand; None for anything else."""
-    if isinstance(value, XPolynomial):
-        return value.num, value.den
-    if isinstance(value, (int, Fraction)):
-        return ((value.numerator,) if value else ()), value.denominator
-    return None
-
-
-def _compose(a: tuple, da: int, q: tuple, dq: int) -> "XPolynomial":
-    """(a / da)(q / dq) by integer Horner over (da dq^deg)."""
-    if not a:
-        return _ZERO
-    h, epow = [a[-1]], 1  # epow = dq^(deg - i)
-    for c in reversed(a[:-1]):
-        epow *= dq
-        h = _product(h, q) if q else [0]
-        h[0] += c * epow
-    return _canon(XPolynomial, h, da * epow)
 
 
 class XPolynomial(_Fmpq):
@@ -73,42 +54,6 @@ class XPolynomial(_Fmpq):
     def is_zero(self) -> bool:
         return not self.num
 
-    # ring operations
-
-    def __add__(self, other):
-        parts = _parts(other)
-        if parts is None:
-            return NotImplemented
-        return _sum(XPolynomial, self.num, self.den, *parts)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _new(XPolynomial, tuple(-c for c in self.num), self.den)
-
-    def __sub__(self, other):
-        parts = _parts(other)
-        if parts is None:
-            return NotImplemented
-        return _sum(XPolynomial, self.num, self.den, tuple(-c for c in parts[0]), parts[1])
-
-    def __rsub__(self, other):
-        parts = _parts(other)
-        if parts is None:
-            return NotImplemented
-        return _sum(XPolynomial, *parts, tuple(-c for c in self.num), self.den)
-
-    def __mul__(self, other):
-        parts = _parts(other)
-        if parts is None:
-            return NotImplemented
-        a, b = self.num, parts[0]
-        if not a or not b:
-            return _ZERO
-        return _canon(XPolynomial, _product(a, b), self.den * parts[1])
-
-    __rmul__ = __mul__
-
     def times_x(self, k: int = 1) -> "XPolynomial":
         """Multiply by x**k (coefficient shift)."""
         if not self.num:
@@ -116,17 +61,19 @@ class XPolynomial(_Fmpq):
         return _new(XPolynomial, (0,) * k + self.num, self.den)
 
     def __call__(self, value):
-        """Horner evaluation; value may be an int, Fraction, float or XPolynomial.
+        """Horner evaluation; value may be an int, Fraction, float,
+        XPolynomial or Series.
 
         At an int or Fraction u/v the sum c_i u^i v^(d-i) runs over ints and
-        one Fraction is built at the end.  At a polynomial Q / e the integer
-        Horner H <- H Q + c_i e^(d-i) gives the composition H / (den e^d)
-        with one reduction.  A float takes the generic Horner path over the
-        rational coefficients.
+        one Fraction is built at the end.  At a polynomial or series Q / e the
+        integer Horner H <- H Q + c_i e^(d-i) (fmpq._compose) gives the
+        composition H / (den e^d) with one reduction, a series cut at its
+        order.  A float takes the generic Horner path over the rational
+        coefficients.
         """
         num = self.num
-        if isinstance(value, XPolynomial):
-            return _compose(num, self.den, value.num, value.den)
+        if isinstance(value, _Fmpq):
+            return _compose(type(value), num, self.den, value.num, value.den, value._keep)
         if not isinstance(value, (int, Fraction)):
             result = value * 0
             for c in reversed(self.coeffs):
@@ -146,15 +93,20 @@ class XPolynomial(_Fmpq):
             vpow *= v
         return Fraction(acc, self.den * (vpow // v))
 
-    # comparison / hashing: equal to a scalar of the same value too
+    # comparison / hashing: equal to a scalar of the same value too, so a
+    # constant hashes as that scalar
 
     def __eq__(self, other):
-        parts = _parts(other)
-        if parts is None:
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        return self.num == parts[0] and self.den == parts[1]
+        return self.num == b[0] and self.den == b[1]
 
-    __hash__ = _Fmpq.__hash__  # defining __eq__ clears the inherited hash
+    def __hash__(self):
+        num = self.num
+        if len(num) > 1:
+            return hash((num, self.den))
+        return hash(Fraction(num[0], self.den)) if num else 0
 
     def __repr__(self):
         return f"XPolynomial({list(self.coeffs)!r})"

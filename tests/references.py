@@ -30,6 +30,7 @@ from geomstir import (
     s_exp_explicit,
     stirling_rec,
     w_coefficient,
+    XPolynomial,
 )
 from geomstir.cli import FAMILIES, parse_lambda_list, parse_n_range, parse_rational
 
@@ -170,12 +171,21 @@ def stirling_egf_check(params: StirlingParams, k: int, order: int) -> Series:
     """
     if params.beta == 0:
         raise ValueError("column series needs beta != 0")
-    base = binomial_series(params.alpha, params.beta, order).add_const(-1)
-    bracket = base.scale(1 / params.beta)
+    base = binomial_series(params.alpha, params.beta, order) - 1
+    bracket = base * (1 / params.beta)
     column = binomial_series(params.alpha, params.gamma, order)
     for _ in range(k):
         column = column * bracket
     return column
+
+
+def ref_poly_of_series(poly: XPolynomial, arg: Series) -> Series:
+    """Horner evaluation of a polynomial at a series argument, one series
+    product and one constant sum per coefficient."""
+    acc = Series((Fraction(0),) * (arg.order + 1))
+    for c in reversed(poly.coeffs):
+        acc = acc * arg + c
+    return acc
 
 
 def ref_euler_explicit(p, gamma, n):

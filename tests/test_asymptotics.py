@@ -156,6 +156,18 @@ def test_error_decay_report_is_exact_for_n1():
     assert all(row.rel_error == 0 for row in report.rows)
 
 
+def test_rel_error_is_undefined_where_exact_is_zero():
+    # beta = 0 makes A_n the product (lam | -alpha)_n, which passes through 0
+    # at the even lambda 172 and not at 173 or 346: that row has no relative
+    # error, and no ratio is formed next to it
+    report = error_decay_report(Q(-2), Q(0), Q(1), Q(-1), 172, 0, (172, 173, 346))
+    zero, after, last = report.rows
+    assert zero.exact == 0 and zero.predicted != 0 and zero.rel_error is None
+    assert after.exact != 0 and after.rel_error == abs(after.exact - after.predicted) / abs(
+        after.exact)
+    assert report.ratios() == [None, None, last.rel_error / after.rel_error]
+
+
 def test_deeper_truncation_tightens_error():
     errs = []
     for s in range(4):

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -825,23 +826,57 @@ def test_asymptotic_jsonl(capsys):
     assert all(r["rel_error"] == "0" for r in records)
 
 
+def _sig12(q: Fraction) -> tuple[str, int]:
+    """The 12 significant digits and the decimal exponent of q > 0, rounded
+    to nearest from the exact rational."""
+    e = len(str(q.numerator)) - len(str(q.denominator))
+    if q < Fraction(10) ** e:
+        e -= 1
+    digits = round(q / Fraction(10) ** (e - 11))
+    if digits == 10 ** 12:
+        digits, e = 10 ** 11, e + 1
+    return str(digits), e
+
+
 def test_asymptotic_renders_a_rel_error_past_float_range(capsys):
-    # inside every cap; exact is 0, so rel_error is |predicted|, past float
-    # range, and is rendered exactly in the same 12-digit form
+    # inside every cap, with nonzero exact values: at lambda 10^30 rel_error is
+    # below float's normal range, and the ratio to lambda 12 is past its top;
+    # both cells are the exact rationals rendered in the same 12-digit form
     code, out, _ = run(
-        capsys, "asymptotic", "--alpha=-2", "--beta", "0", "--gamma", "1",
-        "--x=-1", "--n", "172", "--s", "0", "--lambdas", "172",
+        capsys, "asymptotic", "--alpha", "1", "--beta", "1", "--gamma", "0",
+        "--x", "1", "--n", "12", "--s", "10", "--lambdas", f"{10 ** 30},12",
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 2
-    lam, exact, predicted, rel_error, ratio = lines[1].split(",")
-    assert (lam, exact, ratio) == ("172", "0", "")
-    mantissa, _, exponent = rel_error.partition("e+")
-    assert int(exponent) > 308
-    digits = predicted.lstrip("-")
-    assert int(exponent) == len(digits) - 1
-    assert mantissa.replace(".", "") == str(round(int(digits[:13]), -1))[:12]
+    first, second = [line.split(",") for line in out.strip().splitlines()[1:]]
+    errors = []
+    for _, exact, predicted, _, _ in (first, second):
+        exact, predicted = Fraction(exact), Fraction(predicted)
+        assert exact != 0
+        errors.append(abs(exact - predicted) / abs(exact))
+    assert first[4] == ""
+    for cell, value, past in ((first[3], errors[0], lambda e: e < -308),
+                              (second[4], errors[1] / errors[0], lambda e: e > 308)):
+        mantissa, _, exponent = cell.partition("e")
+        digits, e = _sig12(value)
+        assert past(int(exponent)) and int(exponent) == e, cell
+        assert mantissa.replace(".", "").ljust(12, "0") == digits, cell
+
+
+def test_asymptotic_leaves_rel_error_empty_where_exact_is_zero(capsys):
+    # (lam | 2)_172 passes through 0 at lam = 172: no relative error there, and
+    # no ratio next to it; the cells are empty, as the first ratio is
+    argv = ["asymptotic", "--alpha=-2", "--beta", "0", "--gamma", "1", "--x=-1",
+            "--n", "172", "--s", "0", "--lambdas", "172,173,346"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(r[0], r[1] == "0", r[3], r[4]) for r in rows[:2]] == [
+        ("172", True, "", ""), ("173", False, "2815.82572076", "")]
+    assert rows[2][4] == "2.09484763862e+45"
+    code, out, _ = run(capsys, *argv, "--format", "jsonl")
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [(r["rel_error"], r["ratio"]) for r in records[:2]] == [
+        (None, None), ("2815.82572076", None)]
 
 
 def test_asymptotic_full_depth_rejects_an_inexact_row(capsys, monkeypatch):

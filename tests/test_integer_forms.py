@@ -352,8 +352,8 @@ def test_from_egf_scale_and_add_const_integer_forms(values, c):
     s = canonical(Series.from_egf(values))
     same(s.coeffs, ref_from_egf(values))
     same(s.egf_values(), [Fraction(v) for v in values])
-    same(canonical(s.scale(c)).coeffs, ref_scale(s.coeffs, c))
-    same(canonical(s.add_const(c)).coeffs, ref_add_const(s.coeffs, c))
+    same(canonical(s * c).coeffs, ref_scale(s.coeffs, c))
+    same(canonical(s + c).coeffs, ref_add_const(s.coeffs, c))
     same(canonical(Series(values)).coeffs, tuple(values))
 
 

@@ -84,17 +84,36 @@ def test_full_device_stdout_is_a_write_error(name, args):
     assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: ")
 
 
-def test_decay_study_reads_ratios_past_float_range():
-    # the row at lambda 250 has exact 0 and a rel_error near 1e492, and the
-    # ratio to the next row is near 1e-419: both are past float range
+def test_decay_study_reads_rel_errors_past_float_range():
+    # at lambda 10^30 and n = 12, s = 10, every rel_error is below float's
+    # normal range; each is printed from the exact rational, and so are the
+    # ratios and the observed order
+    out = run_script("error_decay_study.py", "--n", "12", "--depths", "10",
+                     "--lambda-start", str(10 ** 30), "--doublings", "2")
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines() if line.startswith("  ")]
+    assert [row[1:] for row in rows[1:4]] == [
+        ["9.80995e-319", "-", "-"],
+        ["4.79002e-322", "0.000488281", "11.000"],
+        ["2.33887e-325", "0.000488281", "11.000"]]
+    assert rows[4] == ["s=10:", "11.000", "(predicted", "11)"]
+
+
+def test_decay_study_leaves_an_undefined_rel_error_out():
+    # exact is 0 at lambda 250, so that row has no relative error: it prints
+    # "-" and is left out of the next ratio and of the observed order, which
+    # read 1390.891 from |predicted| before
     out = run_script("error_decay_study.py", "--alpha=-2", "--beta", "0", "--gamma", "1",
                      "--x=-1", "--n", "250", "--depths", "0", "--lambda-start", "250",
                      "--doublings", "1")
     assert out.returncode == 0, out.stderr
-    rows = [line.split() for line in out.stdout.splitlines() if line.startswith("  ")]
-    assert rows[1][:2] == ["250", "3.23286e+492"]
-    assert rows[2][0] == "500" and rows[2][2] == "1.99595e-419"
-    assert rows[2][3] == "1390.891"  # -log2 of the ratio
+    assert out.stdout == (
+        "n=250  alpha=-2 beta=0 gamma=1 x=-1\n"
+        "lambda ladder: 250, 500\n\n"
+        "s=0\n"
+        "    lambda        rel_error          ratio   order\n"
+        "       250                -              -       -\n"
+        "       500      6.45263e+73              -       -\n\n")
 
 
 def test_decay_study_rejects_an_inexact_full_depth_row(capsys, monkeypatch):

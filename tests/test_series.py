@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 from itertools import islice
 
@@ -36,11 +37,15 @@ from geomstir.series import (
     series_geom_inverse,
     series_int_pow,
     series_mul,
-    series_one,
 )
+from references import ref_poly_of_series
 
 Q = Fraction
 small_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def series_one(order: int) -> Series:
+    return Series((1,) + (0,) * order)
 
 
 def test_gff_basics():
@@ -117,7 +122,7 @@ def test_series_render_is_pinned():
     p = ExpPolyParams(Q(1, 2), Q(-1), Q(3, 2))
     lhs, _ = lemma34_sides(p, Q(-3, 2), 2, 3)
     assert harness._render(lhs) == "egf[3/2, -15/4, 135/8, -351/4]"
-    assert harness._render(series_one(2).scale(0)) == "egf[0, 0, 0]"
+    assert harness._render(series_one(2) * 0) == "egf[0, 0, 0]"
 
 
 def test_series_equal_values_compare_and_hash_equal():
@@ -128,7 +133,7 @@ def test_series_equal_values_compare_and_hash_equal():
         (binomial_series(Q(0), Q(2), 4), Series.from_egf([Q(2) ** n for n in range(5)])),
         (binomial_series(Q(2), Q(1), 3) * binomial_series(Q(2), Q(2), 3),
          binomial_series(Q(2), Q(3), 3)),
-        (series_one(2).scale(0), Series((Q(0), Q(0), Q(0)))),
+        (series_one(2) * 0, Series((Q(0), Q(0), Q(0)))),
     ]
     for f, g in pairs:
         assert f == g and not f != g
@@ -149,8 +154,36 @@ def test_series_of_two_orders_are_unequal():
 
 
 def test_series_requires_matching_orders():
-    with pytest.raises(ValueError):
-        series_one(3) * series_one(4)
+    for op in (operator.add, operator.sub, operator.mul):
+        for f, g in ((series_one(3), series_one(4)), (series_one(4), series_one(3))):
+            with pytest.raises(ValueError, match="order mismatch"):
+                op(f, g)
+
+
+def test_series_and_polynomial_do_not_mix():
+    s, p = Series((1, 2)), XPolynomial([1, 2])
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((s, p), (p, s)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    # a float is no exact scalar; nothing reads its binary value
+    for a, b in ((s, 1.5), (1.5, s)):
+        with pytest.raises(TypeError):
+            a * b
+
+
+def test_results_keep_their_order():
+    zero = Series((0, 0, 0, 0))
+    s = Series((Q(1, 2), 3, 0, Q(-2)))
+    for got in (s * 0, 0 * s, s * Q(0), s - s, zero * s, -zero, zero + 0):
+        assert got == zero and got.order == 3
+    # a constant polynomial at a series argument is that constant at the order
+    assert XPolynomial([Q(5, 2)])(s) == Series((Q(5, 2), 0, 0, 0))
+    assert XPolynomial([])(s) == zero
+    # lemma34 at m = 0 reads S_0 = 1 at its series argument
+    p = ExpPolyParams(Q(1, 2), Q(-1), Q(3, 2))
+    lhs, rhs = lemma34_sides(p, Q(-3, 2), 0, 3)
+    assert lhs == rhs and rhs.order == 3
 
 
 def test_cauchy_product_against_naive_loop():
@@ -182,12 +215,50 @@ def test_series_mul_matches_the_naive_convolution(pair):
 
 
 @given(st.lists(often_zero, min_size=1, max_size=9),
-       st.one_of(st.integers(-5, 5), often_zero))
-def test_add_const_matches_fraction_arithmetic(cs, c):
-    got = Series(cs).add_const(c)
-    want = (cs[0] + c, *cs[1:])
-    assert got.coeffs == want
-    assert got == Series(want) and math.gcd(got.den, *got.num) == 1
+       st.one_of(st.just(0), st.integers(-5, 5), often_zero))
+@example([Q(1, 2), Q(3)], 0)
+@example([Q(0)], Q(0))
+@example([Q(2), Q(0), Q(0)], Q(-2))
+def test_scalar_arithmetic_matches_fraction_arithmetic(cs, c):
+    s = Series(cs)
+    cases = {
+        "s + c": (s + c, (cs[0] + c, *cs[1:])),
+        "c + s": (c + s, (c + cs[0], *cs[1:])),
+        "s - c": (s - c, (cs[0] - c, *cs[1:])),
+        "c - s": (c - s, (c - cs[0], *(-v for v in cs[1:]))),
+        "s * c": (s * c, tuple(v * c for v in cs)),
+        "c * s": (c * s, tuple(c * v for v in cs)),
+        "-s": (-s, tuple(-v for v in cs)),
+    }
+    for name, (got, want) in cases.items():
+        assert got.coeffs == want and got.order == s.order, name
+        assert got == Series(want) and math.gcd(got.den, *got.num) == 1, name
+
+
+@given(same_order_pairs)
+@example(([Q(1), Q(2)], [Q(-1), Q(-2)]))
+def test_series_sums_match_fraction_arithmetic(pair):
+    # the product is test_series_mul_matches_the_naive_convolution's
+    fc, gc = pair
+    f, g = Series(fc), Series(gc)
+    for got, want in ((f + g, tuple(map(operator.add, fc, gc))),
+                      (f - g, tuple(map(operator.sub, fc, gc)))):
+        assert got.coeffs == want
+        assert got == Series(want) and math.gcd(got.den, *got.num) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(often_zero, max_size=6), st.lists(often_zero, min_size=1, max_size=7))
+@example([], [Q(1)])
+@example([Q(2)], [Q(0), Q(1), Q(0)])
+@example([Q(1), Q(-1, 2), Q(1, 3)], [Q(3, 2), Q(0), Q(-2)])
+def test_polynomial_at_a_series_matches_series_horner(pc, sc):
+    # fmpq._compose's integer Horner against one series product and one
+    # constant sum per coefficient
+    poly, arg = XPolynomial(pc), Series(sc)
+    got = poly(arg)
+    assert got == ref_poly_of_series(poly, arg) and got.order == arg.order
+    assert math.gcd(got.den, *got.num) == 1
 
 
 def test_geom_inverse_round_trip():
@@ -255,7 +326,7 @@ def _exp_by_powers(f: Series) -> Series:
     out = power = series_one(f.order)
     for j in range(1, f.order + 1):
         power = power * f
-        term = power.scale(Q(1, math.factorial(j)))
+        term = power * Q(1, math.factorial(j))
         out = Series(tuple(a + b for a, b in zip(out.coeffs, term.coeffs)))
     return out
 

@@ -2,7 +2,7 @@
 arithmetic, imports only what it reads, every memo in it has a named bound
 and grows as it is read only through series._upto, every name it exports
 has a reader outside the tests, and fmpq alone builds the integer-numerator
-layout."""
+layout and does its arithmetic."""
 
 import ast
 import inspect
@@ -233,6 +233,45 @@ def test_only_fmpq_builds_the_numerator_layout():
 ])
 def test_layout_guard_flags_calls(source, calls):
     assert sorted(_layout_calls(source)) == calls
+
+
+_KERNELS = ("_sum", "_product")
+
+
+def _kernel_reads(source: str):
+    """(line, name) of each import or call of fmpq's _sum or _product."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, alias.name) for alias in node.names
+                        if alias.name in _KERNELS)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in _KERNELS:
+                yield node.lineno, ast.unparse(f)
+
+
+def test_only_fmpq_reads_the_sum_and_product_kernels():
+    # +, - and * of XPolynomial and Series are fmpq._Fmpq's: no other module
+    # adds or convolves numerator lists itself, so neither class writes a
+    # second copy of its arithmetic
+    found = {(path.name, line, name)
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "fmpq.py"
+             for line, name in _kernel_reads(path.read_text())}
+    assert not found, sorted(found)
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("from .fmpq import _Fmpq, _canon, _compose\n_canon(cls, num, 1)", []),
+    ("total = sum(xs)\n_binomial_sum(n, term)\n_row_product(a, b, n)", []),
+    ("p * q + 1", []),
+    ("from .fmpq import _canon, _sum\n_sum(cls, a, 1, b, 1)",
+     [(1, "_sum"), (2, "_sum")]),
+    ("from .fmpq import _product as conv\nconv(a, b)", [(1, "_product")]),
+    ("from . import fmpq\nfmpq._product(a, b, 3)", [(2, "fmpq._product")]),
+])
+def test_kernel_guard_flags_reads(source, reads):
+    assert sorted(_kernel_reads(source)) == reads
 
 
 def _referenced_names(paths) -> set[str]:

@@ -57,6 +57,20 @@ def test_hashable_and_usable_in_sets():
     assert len({XPolynomial([1, 2]), XPolynomial([1, 2, 0])}) == 1
 
 
+@pytest.mark.parametrize("scalar", [3, -7, Fraction(5, 3), Fraction(-1, 2), 0, Fraction(0)])
+def test_a_constant_hashes_as_its_scalar(scalar):
+    # equal objects hash equal, so a constant (zero too) and its scalar are
+    # one set member and one dict key, looked up either way
+    p = XPolynomial([scalar])
+    assert p == scalar and scalar == p
+    assert hash(p) == hash(scalar)
+    assert len({p, scalar}) == 1
+    assert {scalar: "a"}[p] == "a" and {p: "b"}[scalar] == "b"
+    # a polynomial of degree 1 or more keeps the hash of its (num, den)
+    q = XPolynomial([scalar, 1])
+    assert hash(q) == hash((q.num, q.den))
+
+
 @given(polys, polys, polys)
 def test_ring_laws(p, q, r):
     assert p + q == q + p
