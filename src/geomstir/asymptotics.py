@@ -249,5 +249,5 @@ def format_sig(value: Fraction | float, digits: int = 12) -> str:
     if isinstance(value, Fraction) and value and not (
             sys.float_info.min <= abs(value) <= sys.float_info.max):
         quotient = decimal.Context(prec=digits).divide(value.numerator, value.denominator)
-        return f"{quotient:.{digits}g}"
+        return f"{quotient.normalize():.{digits}g}"
     return f"{float(value):.{digits}g}"

@@ -27,7 +27,7 @@ readings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -47,12 +47,6 @@ class EulerParams(_IntKeyed):
     lam: int
     alpha: Fraction
     beta: Fraction
-    _key: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not isinstance(self.lam, int) or self.lam < 0:
-            raise ValueError("lam must be an integer >= 0")
-        self._freeze((self.lam,), ("alpha", "beta"))
 
 
 def euler_via_a(p: EulerParams, gamma, n: int) -> Fraction:

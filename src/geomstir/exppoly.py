@@ -12,7 +12,7 @@ package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,10 +27,6 @@ class ExpPolyParams(_IntKeyed):
     alpha: Fraction
     beta: Fraction
     r: Fraction
-    _key: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._freeze((), ("alpha", "beta", "r"))
 
     def stirling(self) -> StirlingParams:
         return StirlingParams(self.alpha, self.beta, self.r)

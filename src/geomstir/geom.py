@@ -28,7 +28,7 @@ harness, which holds the one transcription of each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,12 +43,6 @@ class PolyParams(_IntKeyed):
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
-    _key: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not isinstance(self.lam, int) or self.lam < 0:
-            raise ValueError("lam must be an integer >= 0")
-        self._freeze((self.lam,), ("alpha", "beta", "gamma"))
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ from .series import (
     TABLE_CACHE_SIZE,
     Series,
     _check_size,
+    _count,
     _falls,
     _parse_rational,
     _upto,
@@ -224,13 +225,6 @@ def _rows(key: str, rows) -> tuple:
         out.append(tuple(_count(key, v) if kind == "n" else _exact(key, v)
                          for kind, v in zip(kinds, row)))
     return tuple(out)
-
-
-def _count(key: str, value) -> int:
-    # bool is an int subclass; true must not read as 1
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{key} needs non-negative integers, got {reprlib.repr(value)}")
-    return value
 
 
 def _exact(key: str, value) -> Fraction:

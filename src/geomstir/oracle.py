@@ -109,7 +109,7 @@ class BPAConfig:
     def __post_init__(self):
         for name in ("n", "lam", "alpha", "beta", "gamma", "x"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise ValueError(f"{name} must be an integer >= 0")
         if self.n > MAX_ORACLE_N:
             raise ValueError(f"enumeration capped at n <= {MAX_ORACLE_N}")

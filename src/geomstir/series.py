@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import reprlib
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
@@ -125,28 +126,44 @@ def _check_size(top: int, rationals, lams=()) -> None:
                              f"{what}, is {top * size}, past the cap of {cap}")
 
 
+def _count(key: str, value) -> int:
+    """value, a non-negative int: the one rule for orders and lambdas, in
+    grids and records alike.  bool is an int subclass; true must not read as 1."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key} needs non-negative integers, got {reprlib.repr(value)}")
+    return value
+
+
 class _IntKeyed:
     """Base of the frozen, slotted parameter records.
 
-    A record compares and hashes by one canonical int key, set once in
-    __post_init__ by _freeze: its leading ints (lam, if any), then the
-    numerator and denominator of each rational field.  Every memo read
-    hashes and compares its params, so this keeps Fraction arithmetic off
-    that path.  Records of two classes are never equal.
+    A record is its parameters: its dataclass fields are exactly those, so it
+    round-trips through asdict, replace, copy and pickle.  __post_init__ reads
+    them in order, lam by the grids' count rule (_count) and every other field
+    as an exact rational (_q), and sets the slot _key: lam (if any), then each
+    rational's numerator and denominator.  A record compares and hashes by that
+    int key; every memo read hashes and compares its params, so this keeps
+    Fraction arithmetic off that path.  Records of two classes are never equal.
     """
 
-    __slots__ = ()
+    __slots__ = ("_key",)
 
-    def _freeze(self, key: tuple, names: tuple[str, ...]) -> None:
-        """Read each named field as a Fraction (_q) and set _key to key
-        followed by each one's numerator and denominator."""
-        for name in names:
+    def __post_init__(self):
+        key = ()
+        for name in self.__match_args__:
             v = getattr(self, name)
-            q = _q(v)
-            if q is not v:
-                object.__setattr__(self, name, q)
-            key += q.as_integer_ratio()
+            if name == "lam":
+                key += (_count(name, v),)
+            else:
+                q = _q(v)
+                if q is not v:
+                    object.__setattr__(self, name, q)
+                key += q.as_integer_ratio()
         object.__setattr__(self, "_key", key)
+
+    def __reduce__(self):
+        # rebuilt from its fields, so copy and pickle set _key afresh
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __eq__(self, other):
         if self is other:

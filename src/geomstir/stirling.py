@@ -50,7 +50,7 @@ recurrence is stepped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
@@ -67,10 +67,6 @@ class StirlingParams(_IntKeyed):
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
-    _key: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._freeze((), ("alpha", "beta", "gamma"))
 
     def dual(self) -> "StirlingParams":
         return StirlingParams(self.beta, self.alpha, -self.gamma)

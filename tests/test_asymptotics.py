@@ -246,3 +246,11 @@ def test_format_sig():
     assert format_sig(Q(-2 * 10 ** 400, 3), 6) == "-6.66667e+399"
     assert format_sig(Q(1, 3 * 10 ** 400)) == "3.33333333333e-401"
     assert format_sig(Q(1, 10 ** 320)) == "1e-320"
+    # a 12-digit rounding that ends in zeros renders without them, as float's
+    # g form does, whether or not the value fits a float
+    near_quarter = Q(10 ** 12 + 1, 4 * 10 ** 12)   # 0.25000000000025
+    assert format_sig(near_quarter) == "0.25"
+    assert format_sig(near_quarter / 10 ** 400) == "2.5e-401"
+    assert format_sig(near_quarter * 10 ** 400) == "2.5e+399"
+    assert format_sig(-near_quarter * 10 ** 400, 6) == "-2.5e+399"
+    assert format_sig(Q(98099527680001, 10 ** 332)) == "9.809952768e-319"

@@ -1,13 +1,20 @@
+import copy
 import inspect
+import pickle
+import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomstir import (
+    EulerParams,
+    ExpPolyParams,
+    GridSpec,
     PolyParams,
+    StirlingParams,
     XPolynomial,
     a_egf,
     a_eval,
@@ -234,8 +241,6 @@ def test_params_hash_once_and_rehash_on_replace():
 
 
 def test_params_records_are_slotted_and_apart_by_class():
-    from geomstir import EulerParams, ExpPolyParams, StirlingParams
-
     records = (StirlingParams(Q(1, 2), 3, -1), ExpPolyParams(Q(1, 2), 3, -1),
                PolyParams(2, Q(1, 2), 3, -1), EulerParams(2, Q(1, 2), 3))
     for p in records:
@@ -247,6 +252,53 @@ def test_params_records_are_slotted_and_apart_by_class():
             assert (p == q) is (p is q)
     assert StirlingParams(1, 2, 3) != ExpPolyParams(1, 2, 3)
     assert PolyParams(1, 2, 3, 4) != StirlingParams(2, 3, 4)
+
+
+# each record class and its parameters, in order
+_PARAMETERS = {
+    StirlingParams: ("alpha", "beta", "gamma"),
+    ExpPolyParams: ("alpha", "beta", "r"),
+    PolyParams: ("lam", "alpha", "beta", "gamma"),
+    EulerParams: ("lam", "alpha", "beta"),
+}
+_records = st.sampled_from(list(_PARAMETERS)).flatmap(lambda cls: st.builds(
+    cls, *(st.integers(0, 3) if name == "lam" else st.one_of(small_q, st.integers(-3, 3))
+           for name in _PARAMETERS[cls])))
+
+
+@given(_records)
+@settings(max_examples=60, deadline=None)
+def test_a_record_is_its_parameters(p):
+    cls = type(p)
+    assert [f.name for f in fields(p)] == list(_PARAMETERS[cls])
+    assert all(type(v) is (int if name == "lam" else Fraction)
+               for name, v in asdict(p).items())
+    # asdict, replace, copy and pickle each give back an equal record
+    for twin in (cls(**asdict(p)), replace(p), copy.copy(p), copy.deepcopy(p),
+                 pickle.loads(pickle.dumps(p))):
+        assert type(twin) is cls and twin == p and hash(twin) == hash(p)
+        assert asdict(twin) == asdict(p)
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        p.alpha = Fraction(1)
+    # any other name, the key slot too: CPython's frozen and slotted __setattr__
+    # raises TypeError there (its super() names the class before slots)
+    for name in ("extra", "_key"):
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(p, name, ())
+
+
+@pytest.mark.parametrize("lam", [True, False, -1, Fraction(1), 1.0])
+def test_lam_is_a_count_as_in_grids(lam):
+    message = re.escape(f"needs non-negative integers, got {lam!r}")
+    with pytest.raises(ValueError, match="^lam " + message):
+        PolyParams(lam, 1, 1, 1)
+    with pytest.raises(ValueError, match="^lam " + message):
+        EulerParams(lam, 1, 1)
+    with pytest.raises(ValueError, match="^poly_points " + message):
+        GridSpec(poly_points=((lam, Q(1), Q(1), Q(1)),))
+    with pytest.raises(ValueError, match="^n_max " + message):
+        GridSpec(n_max=lam)
 
 
 def test_equal_params_built_afresh_hit_the_memo():

@@ -114,6 +114,12 @@ def test_config_validation():
         BPAConfig(2, 1, 0, 0, 0, 0)           # degenerate all-zero weights
     with pytest.raises(ValueError):
         BPAConfig(-1, 1, 0, 1, 0, 1)
+    BPAConfig(1, 1, 1, 1, 1, 1)
+    for slot in range(6):                 # bool is an int subclass, as in grids
+        args = [1] * 6
+        args[slot] = True
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            BPAConfig(*args)
 
 
 def test_partitions_with_parts_shape():

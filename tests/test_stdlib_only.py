@@ -1,8 +1,8 @@
 """The package runs on the Python standard library alone, computes in exact
 arithmetic, imports only what it reads, every memo in it has a named bound
 and grows as it is read only through series._upto, every name it exports
-has a reader outside the tests, and fmpq alone builds the integer-numerator
-layout and does its arithmetic."""
+has a reader outside the tests, fmpq alone builds the integer-numerator
+layout and does its arithmetic, and no dataclass declares a private field."""
 
 import ast
 import inspect
@@ -233,6 +233,45 @@ def test_only_fmpq_builds_the_numerator_layout():
 ])
 def test_layout_guard_flags_calls(source, calls):
     assert sorted(_layout_calls(source)) == calls
+
+
+def _is_dataclass_decorator(node: ast.AST) -> bool:
+    f = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(f, ast.Name) and f.id == "dataclass"
+            or isinstance(f, ast.Attribute) and f.attr == "dataclass")
+
+
+def _private_fields(source: str):
+    """(line, class, field) of each field a dataclass declares under a name
+    that starts with an underscore."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) \
+                and any(map(_is_dataclass_decorator, node.decorator_list)):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) \
+                        and stmt.target.id.startswith("_"):
+                    yield stmt.lineno, node.name, stmt.target.id
+
+
+def test_no_dataclass_declares_a_private_field():
+    # a record is its parameters: private state such as a parameter record's
+    # int key lives in a slot of its base, out of fields, asdict and replace
+    found = {(path.name, *hit)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for hit in _private_fields(path.read_text())}
+    assert not found, sorted(found)
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("@dataclass(frozen=True)\nclass P:\n    lam: int\n    alpha: Fraction", []),
+    ("class P:\n    _key: tuple = ()", []),                     # not a dataclass
+    ("@dataclass\nclass P:\n    __slots__ = ('_key',)\n    lam: int", []),
+    ("@dataclass(frozen=True, slots=True)\nclass P:\n    lam: int\n"
+     "    _key: tuple = field(init=False, repr=False)", [(4, "P", "_key")]),
+    ("@dataclasses.dataclass\nclass P:\n    _memo: dict", [(3, "P", "_memo")]),
+])
+def test_private_field_guard_flags_underscored_fields(source, hits):
+    assert list(_private_fields(source)) == hits
 
 
 _KERNELS = ("_sum", "_product")
